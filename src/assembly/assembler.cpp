@@ -178,29 +178,30 @@ void AssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys,
 
     // Per-contact submatrices (the expensive physics) in parallel into a
     // scratch array — each index owns its memo entry and its slot of the
-    // array. The SCATTER stays serial and in contact order: the += sums
-    // below are order-sensitive floating-point, and running them in the
-    // fixed serial order is what keeps the result bitwise identical for
-    // any team size.
-    const bool memo_ok =
-        diag_cache && diag_cache->memo_valid && diag_cache->memo.size() == contacts.size();
-    if (diag_cache) diag_cache->memo.resize(contacts.size());
-    std::vector<ContactContribution> ccs(contacts.size());
+    // array. Open contacts contribute nothing, so they compute, store and
+    // recall nothing either. The SCATTER stays serial and in contact order:
+    // the += sums below are order-sensitive floating-point, and running
+    // them in the fixed serial order is what keeps the result bitwise
+    // identical for any team size.
+    if (diag_cache) diag_cache->begin_memo_pass(contacts.size());
+    ccs_.reset(contacts.size());
     par::parallel_for(contacts.size(), 64, [&](std::size_t c) {
         const Contact& ct = contacts[c];
-        if (memo_ok && memo_hit(diag_cache->memo[c], ct, geo[c])) {
-            ccs[c] = diag_cache->memo[c].cc;
-        } else {
-            ccs[c] = contact_contribution(sys, ct, geo[c], sp.contact);
-            if (diag_cache)
-                diag_cache->memo[c] = {ct.bi,         ct.bj,       ct.state, ct.shear_disp,
-                                       ct.slide_sign, ct.last_gap, geo[c],   ccs[c]};
+        if (ct.state == contact::ContactState::Open) return;
+        ContactContribution& cc = ccs_[c];
+        if (diag_cache) {
+            if (const ContactContribution* hit = diag_cache->recall(c, ct, geo[c])) {
+                cc = *hit;
+                return;
+            }
         }
+        cc = contact_contribution(sys, ct, geo[c], sp.contact);
+        if (diag_cache) diag_cache->store(c, ct, geo[c], cc);
     });
     for (std::size_t c = 0; c < contacts.size(); ++c) {
         const Contact& ct = contacts[c];
-        const ContactContribution& cc = ccs[c];
-        if (!cc.active) continue;
+        if (ct.state == contact::ContactState::Open) continue;
+        const ContactContribution& cc = ccs_[c];
         out.k.diag[ct.bi] += cc.kii;
         out.k.diag[ct.bj] += cc.kjj;
         const int slot = offdiag_slot_[c];
@@ -214,7 +215,6 @@ void AssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys,
         out.f[ct.bi] += cc.fi;
         out.f[ct.bj] += cc.fj;
     }
-    if (diag_cache) diag_cache->memo_valid = true;
 }
 
 } // namespace gdda::assembly

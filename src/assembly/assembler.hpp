@@ -9,6 +9,7 @@
 #include <span>
 
 #include "assembly/submatrices.hpp"
+#include "par/scratch_array.hpp"
 #include "sparse/bsr.hpp"
 
 namespace gdda::assembly {
@@ -57,8 +58,35 @@ struct DiagPhysicsCache {
         ContactGeometry geo;
         ContactContribution cc;
     };
-    std::vector<ContactMemo> memo;
+    /// Entry c is stored only by contact c, and only while it is closed;
+    /// the storage starts uninitialized, so entries of contacts that stay
+    /// open never become resident.
+    par::ScratchArray<ContactMemo> memo;
+    /// Generation each memo entry was stored in; entries of any other
+    /// generation are dead. Dropping the whole memo is one increment, so a
+    /// contact that never stores (an open one) never touches its entry.
+    std::vector<std::uint64_t> memo_gen;
+    std::uint64_t gen = 0;
     bool memo_valid = false;
+
+    /// Open a pass over `count` contacts: an invalidated memo, or one sized
+    /// for another contact list, starts a new generation.
+    void begin_memo_pass(std::size_t count) {
+        if (memo_valid && memo.size() == count) return;
+        memo.reset(count);
+        memo_gen.resize(count, 0);
+        ++gen;
+        memo_valid = true;
+    }
+    /// Entry c's contribution when it is live and every contact_contribution
+    /// input is bit-identical to its snapshot; otherwise nullptr.
+    [[nodiscard]] const ContactContribution* recall(std::size_t c, const Contact& ct,
+                                                    const ContactGeometry& g) const;
+    void store(std::size_t c, const Contact& ct, const ContactGeometry& g,
+               const ContactContribution& cc) {
+        memo[c] = {ct.bi, ct.bj, ct.state, ct.shear_disp, ct.slide_sign, ct.last_gap, g, cc};
+        memo_gen[c] = gen;
+    }
 };
 
 inline bool bits_equal(double a, double b) {
@@ -79,6 +107,11 @@ inline bool memo_hit(const DiagPhysicsCache::ContactMemo& m, const Contact& c,
            bits_equal(m.geo.gs_j, g.gs_j) && bits_equal(m.geo.gap0, g.gap0) &&
            bits_equal(m.geo.shear0, g.shear0) && bits_equal(m.geo.length, g.length) &&
            bits_equal(m.geo.ratio, g.ratio);
+}
+
+inline const ContactContribution* DiagPhysicsCache::recall(std::size_t c, const Contact& ct,
+                                                           const ContactGeometry& g) const {
+    return memo_gen[c] == gen && memo_hit(memo[c], ct, g) ? &memo[c].cc : nullptr;
 }
 
 /// Serial reference assembly: diagonal physics plus contact springs.
@@ -129,6 +162,9 @@ private:
     /// contact; negative when bi > bj (store the transpose).
     std::vector<int> offdiag_slot_;
     std::vector<bool> transpose_;
+    /// Per-contact contributions of the last pass: only closed contacts'
+    /// slots are written, and read.
+    mutable par::ScratchArray<ContactContribution> ccs_;
 };
 
 } // namespace gdda::assembly

@@ -122,7 +122,7 @@ void GpuAssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys
     // so the contribution kernels run under parallel_for with no ordering
     // concern; only the summation order (fixed by the cached permutation)
     // decides the bits.
-    d_blocks_.resize(n + nc * 3);
+    d_blocks_.reset(n + nc * 3);
     fkeys_.resize(n);
     f_parts_.resize(n);
 
@@ -142,7 +142,7 @@ void GpuAssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys
             f_parts_[i] = f;
         });
         if (diag_cache) {
-            diag_cache->k.assign(d_blocks_.begin(), d_blocks_.begin() + n);
+            diag_cache->k.assign(d_blocks_.data(), d_blocks_.data() + n);
             diag_cache->f.assign(f_parts_.begin(), f_parts_.begin() + n);
             diag_cache->valid = true;
         }
@@ -157,32 +157,35 @@ void GpuAssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys
     // active contact) compact into fkeys_/f_parts_ afterwards through a
     // prefix-sum of the active counts — the scatter offsets depend only on
     // which contacts are active, never on the team, so the compacted
-    // sequence is exactly the serial emission order.
-    const bool memo_ok =
-        diag_cache && diag_cache->memo_valid && diag_cache->memo.size() == nc;
-    if (diag_cache) diag_cache->memo.resize(nc);
-    rhs_fi_.resize(nc);
-    rhs_fj_.resize(nc);
+    // sequence is exactly the serial emission order. Open contacts
+    // contribute exact +0 blocks, so they write no memo entry and no D
+    // slots at all: rhs_count_ == 0 marks them, and the segmented sums
+    // below skip their entries.
+    if (diag_cache) diag_cache->begin_memo_pass(nc);
+    rhs_fi_.reset(nc);
+    rhs_fj_.reset(nc);
     rhs_count_.resize(nc);
     par::parallel_for(nc, 64, [&](std::size_t c) {
         const Contact& ct = contacts[c];
+        if (ct.state == contact::ContactState::Open) {
+            rhs_count_[c] = 0;
+            return;
+        }
         ContactContribution cc;
-        if (memo_ok && memo_hit(diag_cache->memo[c], ct, geo[c])) {
-            cc = diag_cache->memo[c].cc;
+        if (const ContactContribution* hit =
+                diag_cache ? diag_cache->recall(c, ct, geo[c]) : nullptr) {
+            cc = *hit;
         } else {
             cc = contact_contribution(sys, ct, geo[c], sp.contact);
-            if (diag_cache)
-                diag_cache->memo[c] = {ct.bi,         ct.bj,       ct.state, ct.shear_disp,
-                                       ct.slide_sign, ct.last_gap, geo[c],   cc};
+            if (diag_cache) diag_cache->store(c, ct, geo[c], cc);
         }
         d_blocks_[n + 3 * c] = cc.kii;
         d_blocks_[n + 3 * c + 1] = cc.kjj;
         d_blocks_[n + 3 * c + 2] = ct.bi < ct.bj ? cc.kij : cc.kij.transposed();
         rhs_fi_[c] = cc.fi;
         rhs_fj_[c] = cc.fj;
-        rhs_count_[c] = cc.active ? 2u : 0u;
+        rhs_count_[c] = 2;
     });
-    if (diag_cache) diag_cache->memo_valid = true;
 
     rhs_off_.resize(nc);
     const std::uint64_t rhs_total = par::device_exclusive_scan(rhs_count_, rhs_off_);
@@ -205,20 +208,29 @@ void GpuAssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys
     // slot — unique keys sort to distinct segments) and sums its run in
     // permutation order, so the per-segment kernels parallelize while the
     // bits stay those of the serial pass.
+    //
+    // Skipping an open contact's entries is bit-exact: its blocks are +0,
+    // `acc` starts at +0, and a round-to-nearest sum that starts at +0 is
+    // never -0, so adding +0 never changes it. For the same reason a
+    // segment's result can be stored rather than added onto a zeroed slot
+    // (+0 + acc == acc), and every slot belongs to exactly one segment, so
+    // the output needs no zero fill.
     out.k.n = n;
     out.k.row_ptr = row_ptr_;
     out.k.col_idx = col_idx_;
-    out.k.diag.assign(n, Mat6{});
-    out.k.vals.assign(col_idx_.size(), Mat6{});
+    out.k.diag.resize(n);
+    out.k.vals.resize(col_idx_.size());
     par::parallel_for(ends_.size(), 64, [&](std::size_t s) {
         const std::uint32_t begin = s == 0 ? 0u : ends_[s - 1];
         const std::uint32_t end = ends_[s];
         Mat6 acc;
-        for (std::uint32_t p = begin; p < end; ++p) acc += d_blocks_[perm_[p]];
-        // Mirror bsr_from_coo exactly: diagonal blocks accumulate onto the
-        // zero initializer, off-diagonal blocks are copied.
+        for (std::uint32_t p = begin; p < end; ++p) {
+            const std::uint32_t e = perm_[p];
+            if (e >= static_cast<std::uint32_t>(n) && rhs_count_[(e - n) / 3] == 0) continue;
+            acc += d_blocks_[e];
+        }
         if (seg_slot_[s] < 0) {
-            out.k.diag[-(seg_slot_[s] + 1)] += acc;
+            out.k.diag[-(seg_slot_[s] + 1)] = acc;
         } else {
             out.k.vals[seg_slot_[s]] = acc;
         }

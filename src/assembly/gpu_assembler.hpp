@@ -88,13 +88,16 @@ private:
     std::vector<int> row_ptr_;           ///< BSR structure template
     std::vector<int> col_idx_;
     std::vector<int> seg_slot_;          ///< >= 0: vals index; < 0: diag block -(i+1)
-    mutable std::vector<Mat6> d_blocks_; ///< contribution scratch (array D), reused
+    /// Contribution scratch (array D), reused. Only the diagonal slots and
+    /// closed contacts' slots are written, and read.
+    mutable par::ScratchArray<Mat6> d_blocks_;
     mutable std::vector<std::uint64_t> fkeys_;
     mutable std::vector<Vec6> f_parts_;
     /// Per-contact RHS staging for the parallel contribution pass: loads
-    /// land index-owned here, then compact into fkeys_/f_parts_ through a
-    /// prefix-sum of the active flags (2 entries per active contact).
-    mutable std::vector<Vec6> rhs_fi_, rhs_fj_;
+    /// land index-owned here (closed contacts only), then compact into
+    /// fkeys_/f_parts_ through a prefix-sum of the active flags (2 entries
+    /// per active contact).
+    mutable par::ScratchArray<Vec6> rhs_fi_, rhs_fj_;
     mutable std::vector<std::uint32_t> rhs_count_, rhs_off_;
     /// RHS sort cache, keyed on the emitted key sequence (see class docs).
     mutable std::vector<std::uint64_t> rhs_keys_, rhs_sorted_;

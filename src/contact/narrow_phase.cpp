@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <tuple>
 
 #include "par/parallel_for.hpp"
@@ -48,35 +47,85 @@ double edge_gap(const Block& b, int e1, Vec2 p) {
     return -geom::orient2d(a, c, p) / len;
 }
 
-struct VvCandidate {
-    std::int32_t ba, va; ///< vertex on the lower-indexed block
-    std::int32_t bb, vb; ///< vertex on the higher-indexed block
-};
+using VvCandidate = NarrowPhaseWorkspace::VvCandidate;
+using Chunk = NarrowPhaseWorkspace::Chunk;
 
-std::uint64_t vv_key(const VvCandidate& cand) {
-    return (static_cast<std::uint64_t>(cand.ba) << 48) ^
-           (static_cast<std::uint64_t>(cand.va & 0xffff) << 32) ^
-           (static_cast<std::uint64_t>(cand.bb) << 16) ^
-           static_cast<std::uint64_t>(cand.vb & 0xffff);
+/// Candidate pairs per parallel chunk. Chunk boundaries are a pure function
+/// of the pair count, never of the team size, and the output is sorted
+/// canonically afterwards, so the width only trades dispatch overhead
+/// against load balance.
+constexpr std::size_t kPairChunk = 256;
+
+/// The canonical contact order: key() first, then the full identity.
+/// Contacts equal under it come from one pair's single visit — the
+/// distance pass and the containment safety net can both report the same
+/// vertex-edge contact, with different edge_ratio — and stable sorting
+/// keeps them in emission order (distance pass first).
+bool canonical_less(const Contact& x, const Contact& y) {
+    const std::uint64_t kx = x.key();
+    const std::uint64_t ky = y.key();
+    if (kx != ky) return kx < ky;
+    return std::tie(x.kind, x.bi, x.vi, x.bj, x.e1, x.e2) <
+           std::tie(y.kind, y.bi, y.vi, y.bj, y.e1, y.e2);
 }
 
-/// Candidate pairs per parallel chunk. The classified schedule places
-/// uniform-cost pairs next to each other, so fixed-size chunks double as
-/// uniform-cost buckets; boundaries are a pure function of the pair count,
-/// never of the team size.
-constexpr std::size_t kPairChunk = 32;
+/// Stable sort of one block's contacts: insertion sort for the usual
+/// handful, std::stable_sort beyond that.
+void sort_bucket(std::vector<Contact>::iterator first, std::vector<Contact>::iterator last) {
+    if (last - first > 32) {
+        std::stable_sort(first, last, canonical_less);
+        return;
+    }
+    for (auto it = first + 1; it < last; ++it) {
+        if (!canonical_less(*it, *(it - 1))) continue;
+        const Contact c = *it;
+        auto hole = it;
+        for (; hole > first && canonical_less(c, *(hole - 1)); --hole) *hole = *(hole - 1);
+        *hole = c;
+    }
+}
 
-/// Per-chunk narrow-phase state: everything the serial loop accumulated
-/// globally, gathered privately and merged in chunk order afterwards.
-struct ChunkOut {
-    std::vector<Contact> contacts;
-    std::vector<VvCandidate> vv; ///< locally deduped, first-occurrence order
-    std::set<std::uint64_t> vv_seen;
-    std::size_t distance_tests = 0;
-    std::size_t candidates = 0;
-    std::size_t ve = 0;
-    std::size_t abandoned = 0;
-};
+/// One stable counting-sort pass: `dst` lists `src` ordered by bucket(i).
+template <typename Bucket>
+void counting_pass(const std::vector<std::uint32_t>& src, std::vector<std::uint32_t>& dst,
+                   std::vector<std::uint32_t>& offsets, std::size_t buckets, Bucket bucket) {
+    offsets.assign(buckets + 1, 0);
+    for (std::uint32_t i : src) ++offsets[bucket(i) + 1];
+    for (std::size_t b = 0; b < buckets; ++b) offsets[b + 1] += offsets[b];
+    dst.resize(src.size());
+    for (std::uint32_t i : src) dst[offsets[bucket(i)]++] = i;
+}
+
+std::uint64_t pair_id(const BlockPair& p) {
+    const auto lo = static_cast<std::uint32_t>(std::min(p.a, p.b));
+    const auto hi = static_cast<std::uint32_t>(std::max(p.a, p.b));
+    return (static_cast<std::uint64_t>(lo) << 32) | hi;
+}
+
+/// Flags every pair that repeats an earlier one (in either orientation) so
+/// it runs once. Broad-phase output is strictly (a, b)-sorted, which one
+/// pass confirms; any other order (a classified schedule, a hand-built
+/// list) goes through a two-pass stable counting sort on (lo, hi) that
+/// brings repeats next to each other, first occurrence first.
+void flag_repeated_pairs(std::span<const BlockPair> pairs, std::size_t blocks,
+                         NarrowPhaseWorkspace& ws) {
+    ws.repeat.clear();
+    bool strictly_sorted = true;
+    for (std::size_t i = 1; i < pairs.size() && strictly_sorted; ++i)
+        strictly_sorted = pair_id(pairs[i - 1]) < pair_id(pairs[i]);
+    if (strictly_sorted) return;
+
+    ws.order.resize(pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) ws.order[i] = static_cast<std::uint32_t>(i);
+    counting_pass(ws.order, ws.order_tmp, ws.offsets, blocks,
+                  [&](std::uint32_t i) { return pair_id(pairs[i]) & 0xffffffffu; });
+    counting_pass(ws.order_tmp, ws.order, ws.offsets, blocks,
+                  [&](std::uint32_t i) { return pair_id(pairs[i]) >> 32; });
+    ws.repeat.assign(pairs.size(), 0);
+    for (std::size_t k = 1; k < ws.order.size(); ++k)
+        if (pair_id(pairs[ws.order[k]]) == pair_id(pairs[ws.order[k - 1]]))
+            ws.repeat[ws.order[k]] = 1;
+}
 
 } // namespace
 
@@ -87,15 +136,10 @@ bool ve_angle_admissible(const Block& bi, int vi, const Block& bj, int e1) {
     return bis.dot(nrm) < -0.1;
 }
 
-NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,
-                               std::span<const BlockPair> pairs, double rho,
-                               simt::KernelCost* cost, const PairScheduleStats* sched) {
-    NarrowPhaseResult out;
-    std::set<std::uint64_t> vv_seen;
-    std::vector<VvCandidate> vv;
-    std::size_t distance_tests = 0;
-
-    auto consider_vertex_edges = [&](ChunkOut& o, std::int32_t xb, std::int32_t yb) {
+void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pairs,
+                  double rho, NarrowPhaseWorkspace& ws, NarrowPhaseResult& out,
+                  simt::KernelCost* cost, const PairScheduleStats* sched) {
+    auto consider_vertex_edges = [&](Chunk& o, std::int32_t xb, std::int32_t yb) {
         const Block& X = sys.blocks[xb];
         const Block& Y = sys.blocks[yb];
         const geom::Aabb ybox = Y.bounds().inflated(rho);
@@ -120,13 +164,13 @@ NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,
                 const bool penetrating =
                     geom::orient2d(a, c, pv) > 0.0 && t > 0.002 && t < 0.998;
                 if ((t > tend && t < 1.0 - tend) || penetrating) {
-                    ++o.candidates;
+                    ++o.stats.candidates;
                     // The angle judgment filters *approaching* contacts; an
                     // already-penetrating vertex must keep its contact no
                     // matter how the wedge is oriented (fast tumbling blocks
                     // otherwise lose the contact and keep tunneling).
                     if (!penetrating && !ve_angle_admissible(X, v, Y, e)) {
-                        ++o.abandoned;
+                        ++o.stats.abandoned;
                         continue;
                     }
                     Contact ct;
@@ -138,19 +182,17 @@ NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,
                     ct.e2 = (e + 1) % ny;
                     ct.edge_ratio = t;
                     o.contacts.push_back(ct);
-                    ++o.ve;
+                    ++o.stats.ve;
                 } else {
                     // Near an endpoint: record a vertex-vertex candidate.
                     const int w = (t <= 0.5) ? e : (e + 1) % ny;
                     if (geom::distance(pv, Y.verts[w]) >= rho) continue;
-                    ++o.candidates;
-                    VvCandidate cand{};
+                    ++o.stats.candidates;
                     if (xb < yb) {
-                        cand = {xb, v, yb, w};
+                        o.vv.push_back({xb, v, yb, w});
                     } else {
-                        cand = {yb, w, xb, v};
+                        o.vv.push_back({yb, w, xb, v});
                     }
-                    if (o.vv_seen.insert(vv_key(cand)).second) o.vv.push_back(cand);
                 }
             }
         }
@@ -159,7 +201,7 @@ NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,
     // Safety net for vertices that are already *inside* the other block
     // (deep penetration after a missed step): force a VE contact on the
     // nearest edge so the springs can push the blocks apart.
-    auto consider_contained = [&](ChunkOut& o, std::int32_t xb, std::int32_t yb) {
+    auto consider_contained = [&](Chunk& o, std::int32_t xb, std::int32_t yb) {
         const Block& X = sys.blocks[xb];
         const Block& Y = sys.blocks[yb];
         const geom::Aabb ybox = Y.bounds();
@@ -185,42 +227,13 @@ NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,
             ct.e1 = best_e;
             ct.e2 = (best_e + 1) % ny;
             o.contacts.push_back(ct);
-            ++o.ve;
+            ++o.stats.ve;
         }
     };
 
-    // Pairs are independent: run fixed-size chunks in parallel, each with
-    // private output, then merge in chunk order. Chunk order equals serial
-    // pair order, and the global first-occurrence VV dedup over locally
-    // deduped lists reproduces the serial vv list element-for-element, so
-    // the result is bitwise identical for any team size.
-    const std::size_t nchunks =
-        pairs.empty() ? 0 : (pairs.size() + kPairChunk - 1) / kPairChunk;
-    std::vector<ChunkOut> chunk(nchunks);
-    par::parallel_for(nchunks, 1, [&](std::size_t c) {
-        ChunkOut& o = chunk[c];
-        const std::size_t p1 = std::min(pairs.size(), (c + 1) * kPairChunk);
-        for (std::size_t pi = c * kPairChunk; pi < p1; ++pi) {
-            const BlockPair& p = pairs[pi];
-            consider_vertex_edges(o, p.a, p.b);
-            consider_vertex_edges(o, p.b, p.a);
-            consider_contained(o, p.a, p.b);
-            consider_contained(o, p.b, p.a);
-        }
-    });
-    for (ChunkOut& o : chunk) {
-        out.contacts.insert(out.contacts.end(), o.contacts.begin(), o.contacts.end());
-        distance_tests += o.distance_tests;
-        out.stats.candidates += o.candidates;
-        out.stats.ve += o.ve;
-        out.stats.abandoned += o.abandoned;
-        for (const VvCandidate& cand : o.vv)
-            if (vv_seen.insert(vv_key(cand)).second) vv.push_back(cand);
-    }
-
     // Angle judgment for VV candidates: parallel opposing edges -> VV1
     // (two vertex-edge contact points), otherwise VV2 (entrance edge only).
-    for (const VvCandidate& c : vv) {
+    auto judge_vv = [&](Chunk& o, const VvCandidate& c) {
         const Block& A = sys.blocks[c.ba];
         const Block& B = sys.blocks[c.bb];
         const int na = static_cast<int>(A.verts.size());
@@ -258,14 +271,14 @@ NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,
             c2.e1 = par_a;
             c2.e2 = (par_a + 1) % na;
             if (ve_angle_admissible(A, c.va, B, par_b)) {
-                out.contacts.push_back(c1);
-                ++out.stats.vv1;
+                o.contacts.push_back(c1);
+                ++o.stats.vv1;
             }
             if (ve_angle_admissible(B, c.vb, A, par_a)) {
-                out.contacts.push_back(c2);
-                ++out.stats.vv1;
+                o.contacts.push_back(c2);
+                ++o.stats.vv1;
             }
-            continue;
+            return;
         }
 
         // VV2: pick the entrance edge — the incident edge with the largest
@@ -296,36 +309,95 @@ NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,
             }
         }
         if (best > rho) {
-            ++out.stats.abandoned;
-            continue;
+            ++o.stats.abandoned;
+            return;
         }
-        out.contacts.push_back(ct);
-        ++out.stats.vv2;
-    }
+        o.contacts.push_back(ct);
+        ++o.stats.vv2;
+    };
 
-    // Canonical order for transfer and assembly: a TOTAL order over the full
-    // contact identity (key() is lossy — it masks vertex/edge indices to 8
-    // bits — and two kinds can share a key), so the surviving contact per
-    // key is independent of the emission order. That independence is what
-    // lets the classified pair schedule and the pair cache's candidate
-    // supersets stay bit-identical to the plain broad-phase order.
-    std::sort(out.contacts.begin(), out.contacts.end(),
-              [](const Contact& x, const Contact& y) {
-                  if (x.key() != y.key()) return x.key() < y.key();
-                  return std::tie(x.kind, x.bi, x.vi, x.bj, x.e1, x.e2) <
-                         std::tie(y.kind, y.bi, y.vi, y.bj, y.e1, y.e2);
-              });
-    out.contacts.erase(std::unique(out.contacts.begin(), out.contacts.end(),
-                                   [](const Contact& x, const Contact& y) {
-                                       return x.key() == y.key();
-                                   }),
-                       out.contacts.end());
+    // One pair: distance and angle judgment in both directions, then its
+    // VV candidates. A VV candidate comes only from its own pair (both
+    // vertex-edge directions can report the same corner pair), so an exact
+    // sort + unique over this pair's few candidates is the whole dedupe.
+    auto run_pair = [&](Chunk& o, std::int32_t a, std::int32_t b) {
+        o.vv.clear();
+        consider_vertex_edges(o, a, b);
+        consider_vertex_edges(o, b, a);
+        consider_contained(o, a, b);
+        consider_contained(o, b, a);
+        std::sort(o.vv.begin(), o.vv.end());
+        o.vv.erase(std::unique(o.vv.begin(), o.vv.end()), o.vv.end());
+        o.vv_candidates += o.vv.size();
+        for (const VvCandidate& c : o.vv) judge_vv(o, c);
+    };
+
+    // Pairs are independent: fixed-size chunks run in parallel, each into
+    // its own persistent buffer and counters.
+    const std::size_t blocks = sys.size();
+    flag_repeated_pairs(pairs, blocks, ws);
+    const std::size_t nchunks = (pairs.size() + kPairChunk - 1) / kPairChunk;
+    if (ws.chunks.size() < nchunks) ws.chunks.resize(nchunks);
+    par::parallel_for(nchunks, 1, [&](std::size_t ci) {
+        Chunk& o = ws.chunks[ci];
+        o.contacts.clear();
+        o.distance_tests = 0;
+        o.vv_candidates = 0;
+        o.stats = {};
+        const std::size_t p1 = std::min(pairs.size(), (ci + 1) * kPairChunk);
+        for (std::size_t pi = ci * kPairChunk; pi < p1; ++pi) {
+            if (!ws.repeat.empty() && ws.repeat[pi]) continue;
+            run_pair(o, pairs[pi].a, pairs[pi].b);
+        }
+    });
+
+    // Canonical order for transfer and assembly: key, then full identity
+    // (canonical_less), so the surviving contact per key is independent of
+    // the pair order. That independence is what lets the classified pair
+    // schedule and the pair cache's candidate supersets stay bit-identical
+    // to the plain broad-phase order. key() leads with bi (for fewer than
+    // 2^24 blocks), so a stable counting sort on bi does the bulk of the
+    // work; each block's few contacts then sort in their own bucket, in
+    // parallel.
+    std::size_t distance_tests = 0;
+    std::size_t vv_candidates = 0;
+    out.stats = {};
+    ws.offsets.assign(blocks + 1, 0);
+    for (std::size_t ci = 0; ci < nchunks; ++ci) {
+        const Chunk& o = ws.chunks[ci];
+        distance_tests += o.distance_tests;
+        vv_candidates += o.vv_candidates;
+        out.stats.candidates += o.stats.candidates;
+        out.stats.ve += o.stats.ve;
+        out.stats.vv1 += o.stats.vv1;
+        out.stats.vv2 += o.stats.vv2;
+        out.stats.abandoned += o.stats.abandoned;
+        for (const Contact& c : o.contacts) ++ws.offsets[c.bi + 1];
+    }
+    for (std::size_t b = 0; b < blocks; ++b) ws.offsets[b + 1] += ws.offsets[b];
+    out.contacts.resize(ws.offsets[blocks]);
+    // Scatter advances offsets[b] to the end of bucket b.
+    for (std::size_t ci = 0; ci < nchunks; ++ci)
+        for (const Contact& c : ws.chunks[ci].contacts) out.contacts[ws.offsets[c.bi]++] = c;
+    par::parallel_for(blocks, par::kDefaultGrain, [&](std::size_t b) {
+        const auto first = out.contacts.begin() + (b == 0 ? 0 : ws.offsets[b - 1]);
+        const auto last = out.contacts.begin() + ws.offsets[b];
+        if (last - first > 1) sort_bucket(first, last);
+    });
+    // Dedupe by key, keeping the first (canonically least) of each run.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < out.contacts.size(); ++i) {
+        if (kept > 0 && out.contacts[i].key() == out.contacts[kept - 1].key()) continue;
+        if (kept != i) out.contacts[kept] = out.contacts[i];
+        ++kept;
+    }
+    out.contacts.resize(kept);
 
     if (cost) {
         simt::KernelCost kc;
         kc.name = "narrow_phase";
         const double tests = static_cast<double>(distance_tests);
-        kc.flops = tests * 24.0 + static_cast<double>(vv.size()) * 60.0;
+        kc.flops = tests * 24.0 + static_cast<double>(vv_candidates) * 60.0;
         kc.bytes_coalesced = static_cast<double>(pairs.size()) * 2 * sizeof(std::int32_t) +
                              static_cast<double>(out.contacts.size()) * sizeof(Contact) * 3.0;
         kc.bytes_texture = tests * 4.0 * sizeof(double); // vertex fetches, cached
@@ -342,6 +414,14 @@ NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,
         kc.launches = 6; // distance, classify-scan, sort, angle, compact x2
         simt::record_kernel(cost, kc);
     }
+}
+
+NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,
+                               std::span<const BlockPair> pairs, double rho,
+                               simt::KernelCost* cost, const PairScheduleStats* sched) {
+    NarrowPhaseWorkspace ws;
+    NarrowPhaseResult out;
+    narrow_phase(sys, pairs, rho, ws, out, cost, sched);
     return out;
 }
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <numbers>
 
+#include "par/deterministic_reduce.hpp"
 #include "par/parallel_for.hpp"
 
 namespace gdda::contact {
@@ -60,7 +61,14 @@ ContactGeometry init_contact_geometry(const block::BlockSystem& sys, const Conta
 std::vector<ContactGeometry> init_all_contacts(const block::BlockSystem& sys,
                                                std::span<const Contact> contacts,
                                                simt::KernelCost* cost) {
-    std::vector<ContactGeometry> out(contacts.size());
+    std::vector<ContactGeometry> out;
+    init_all_contacts(sys, contacts, out, cost);
+    return out;
+}
+
+void init_all_contacts(const block::BlockSystem& sys, std::span<const Contact> contacts,
+                       std::vector<ContactGeometry>& out, simt::KernelCost* cost) {
+    out.resize(contacts.size());
     // One independent geometry computation per contact (the paper's
     // per-class initialization kernels).
     par::parallel_for(contacts.size(),
@@ -80,7 +88,6 @@ std::vector<ContactGeometry> init_all_contacts(const block::BlockSystem& sys,
         kc.launches = 3;
         simt::record_kernel(cost, kc);
     }
-    return out;
 }
 
 OpenCloseResult update_contact_states(const block::BlockSystem& sys,
@@ -88,8 +95,11 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
                                       std::vector<Contact>& contacts, const BlockVec& d,
                                       const OpenCloseParams& params,
                                       simt::KernelCost* cost) {
-    OpenCloseResult res;
-    for (std::size_t k = 0; k < contacts.size(); ++k) {
+    // Every contact updates only itself; the two reductions (an integer
+    // count and a max from +0) are exact in any grouping, so the result is
+    // bitwise identical for any team size.
+    const bool debug = std::getenv("GDDA_DEBUG_OC") != nullptr;
+    auto update = [&](OpenCloseResult& res, std::size_t k) {
         Contact& c = contacts[k];
         const ContactGeometry& g = geo[k];
         const block::JointMaterial& jm =
@@ -156,7 +166,7 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
         // gaps are corner artifacts the closing gate already rejects.
         if (next != ContactState::Open && g.ratio > -0.01 && g.ratio < 1.01) {
             res.max_penetration = std::max(res.max_penetration, -dn);
-            if (-dn > 0.03 && next != ContactState::Open && std::getenv("GDDA_DEBUG_OC")) {
+            if (-dn > 0.03 && next != ContactState::Open && debug) {
                 std::fprintf(stderr,
                              "[oc] deep dn=%.4f gap0=%.4f ratio=%.3f shear0=%.4f kind=%d "
                              "state %d->%d bi=%d vi=%d bj=%d e1=%d\n",
@@ -164,7 +174,20 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
                              int(next), c.bi, c.vi, c.bj, c.e1);
             }
         }
-    }
+    };
+    const OpenCloseResult res = par::exact_reduce<OpenCloseResult>(
+        contacts.size(),
+        [&](std::size_t begin, std::size_t end) {
+            OpenCloseResult part;
+            for (std::size_t k = begin; k < end; ++k) update(part, k);
+            return part;
+        },
+        [](const OpenCloseResult& x, const OpenCloseResult& y) {
+            OpenCloseResult sum;
+            sum.state_changes = x.state_changes + y.state_changes;
+            sum.max_penetration = std::max(x.max_penetration, y.max_penetration);
+            return sum;
+        });
 
     if (cost) {
         simt::KernelCost kc;
@@ -184,7 +207,7 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
 
 void commit_contact_springs(std::span<const ContactGeometry> geo,
                             std::vector<Contact>& contacts, const BlockVec& d) {
-    for (std::size_t k = 0; k < contacts.size(); ++k) {
+    par::parallel_for(contacts.size(), [&](std::size_t k) {
         Contact& c = contacts[k];
         const ContactGeometry& g = geo[k];
         switch (c.state) {
@@ -196,7 +219,7 @@ void commit_contact_springs(std::span<const ContactGeometry> geo,
                 c.shear_disp = 0.0;
                 break;
         }
-    }
+    });
 }
 
 } // namespace gdda::contact

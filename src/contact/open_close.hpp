@@ -49,6 +49,10 @@ std::vector<ContactGeometry> init_all_contacts(const block::BlockSystem& sys,
                                                std::span<const Contact> contacts,
                                                simt::KernelCost* cost = nullptr);
 
+/// As above, into a caller-owned vector whose capacity is reused.
+void init_all_contacts(const block::BlockSystem& sys, std::span<const Contact> contacts,
+                       std::vector<ContactGeometry>& out, simt::KernelCost* cost = nullptr);
+
 struct OpenCloseResult {
     int state_changes = 0;
     double max_penetration = 0.0; ///< deepest residual penetration (>= 0)

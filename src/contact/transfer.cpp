@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "par/parallel_for.hpp"
+#include "par/deterministic_reduce.hpp"
 #include "par/radix_sort.hpp"
 
 namespace gdda::contact {
@@ -12,41 +12,81 @@ TransferStats transfer_contacts(std::span<const Contact> previous,
                                 simt::KernelCost* cost) {
     TransferStats stats;
 
-    // Sorted key index of the previous step (the paper's array SA).
-    std::vector<std::uint64_t> prev_keys(previous.size());
-    for (std::size_t i = 0; i < previous.size(); ++i) prev_keys[i] = previous[i].key();
-    const std::vector<std::uint32_t> prev_order = par::sort_permutation(prev_keys);
-    std::vector<std::uint64_t> sorted_keys(previous.size());
-    for (std::size_t i = 0; i < prev_order.size(); ++i)
-        sorted_keys[i] = prev_keys[prev_order[i]];
-
-    // One binary search per current contact, each writing only its own
-    // entry and match flag: embarrassingly parallel, and the integer match
-    // counts sum identically in any order.
-    std::vector<unsigned char> matched(current.size(), 0);
-    par::parallel_for(current.size(), par::kDefaultGrain, [&](std::size_t ci) {
-        Contact& c = current[ci];
-        const std::uint64_t key = c.key();
-        const auto it = std::lower_bound(sorted_keys.begin(), sorted_keys.end(), key);
-        if (it != sorted_keys.end() && *it == key) {
-            const Contact& p = previous[prev_order[it - sorted_keys.begin()]];
-            c.state = p.state;
-            c.prev_state = p.state;
-            c.shear_disp = p.shear_disp;
-            c.slide_sign = p.slide_sign;
-            c.last_gap = p.last_gap;
-            matched[ci] = 1;
-        } else {
-            c.state = ContactState::Open;
-            c.prev_state = ContactState::Open;
-            c.shear_disp = 0.0;
-        }
-    });
-    for (unsigned char m : matched) {
-        if (m) ++stats.matched;
-        else ++stats.fresh;
+    // The previous step's list is normally the narrow phase's canonical
+    // output, already strictly increasing in key(): one O(n) check confirms
+    // it, and the search then runs on `previous` itself. Any other order
+    // goes through the sorted key index (the paper's array SA).
+    bool canonical = true;
+    for (std::size_t i = 1; i < previous.size() && canonical; ++i)
+        canonical = previous[i - 1].key() < previous[i].key();
+    std::vector<std::uint32_t> prev_order;
+    std::vector<std::uint64_t> sorted_keys;
+    if (!canonical) {
+        std::vector<std::uint64_t> prev_keys(previous.size());
+        for (std::size_t i = 0; i < previous.size(); ++i) prev_keys[i] = previous[i].key();
+        prev_order = par::sort_permutation(prev_keys);
+        sorted_keys.resize(previous.size());
+        for (std::size_t i = 0; i < prev_order.size(); ++i)
+            sorted_keys[i] = prev_keys[prev_order[i]];
     }
-    stats.expired = previous.size() - stats.matched;
+    const std::size_t n_prev = previous.size();
+    auto key_at = [&](std::size_t i) {
+        return canonical ? previous[i].key() : sorted_keys[i];
+    };
+    // First sorted position >= key at or after `from`, galloping out from
+    // `from` before the binary search: `current` is key-sorted too, so
+    // consecutive searches land close together.
+    auto search = [&](std::size_t from, std::uint64_t key) {
+        std::size_t lo = from;
+        std::size_t hi = from;
+        for (std::size_t step = 1; hi < n_prev && key_at(hi) < key; step *= 2) {
+            lo = hi + 1;
+            hi += step;
+        }
+        hi = std::min(hi, n_prev);
+        while (lo < hi) {
+            const std::size_t mid = lo + (hi - lo) / 2;
+            if (key_at(mid) < key) lo = mid + 1;
+            else hi = mid;
+        }
+        return lo;
+    };
+
+    // Fixed chunks of `current`, each writing only its own entries; the
+    // match count is an integer sum, exact in any grouping. Within a chunk
+    // each search starts from the last hit (or from 0 if the key went down),
+    // which any order of `current` keeps correct.
+    const std::size_t matched = par::exact_reduce<std::size_t>(
+        current.size(),
+        [&](std::size_t begin, std::size_t end) {
+            std::size_t hits = 0;
+            std::size_t pos = 0;
+            std::uint64_t last = 0;
+            for (std::size_t ci = begin; ci < end; ++ci) {
+                Contact& c = current[ci];
+                const std::uint64_t key = c.key();
+                pos = search(key >= last ? pos : 0, key);
+                last = key;
+                if (pos < n_prev && key_at(pos) == key) {
+                    const Contact& p = previous[canonical ? pos : prev_order[pos]];
+                    c.state = p.state;
+                    c.prev_state = p.state;
+                    c.shear_disp = p.shear_disp;
+                    c.slide_sign = p.slide_sign;
+                    c.last_gap = p.last_gap;
+                    ++hits;
+                } else {
+                    c.state = ContactState::Open;
+                    c.prev_state = ContactState::Open;
+                    c.shear_disp = 0.0;
+                }
+            }
+            return hits;
+        },
+        [](std::size_t x, std::size_t y) { return x + y; });
+    stats.matched = matched;
+    stats.fresh = current.size() - matched;
+    stats.expired = previous.size() - matched;
 
     if (cost) {
         simt::KernelCost kc;

@@ -180,6 +180,10 @@ private:
     assembly::BlockAttachments attachments_;
 
     std::vector<contact::Contact> contacts_;
+    contact::NarrowPhaseWorkspace np_ws_;   ///< narrow-phase scratch, reused per step
+    contact::NarrowPhaseResult detected_;   ///< narrow-phase output buffer
+    std::vector<contact::Contact> entry_contacts_; ///< contacts_ at step entry (retries)
+    std::vector<contact::ContactGeometry> geo_;    ///< geometry of the current attempt
     contact::BroadPhasePairCache pair_cache_; ///< persistent candidate cache
     contact::PairScheduleStats sched_stats_;  ///< last step's pair schedule
     SolveWorkspace ws_; ///< structure-caching solve path (both modes)

@@ -10,6 +10,7 @@
 #include "core/energy.hpp"
 #include "core/engine.hpp"
 #include "core/gpu_support.hpp"
+#include "par/deterministic_reduce.hpp"
 #include "par/thread_budget.hpp"
 #include "solver/preconditioner.hpp"
 
@@ -183,11 +184,12 @@ void DdaEngine::detect_contacts() {
         sched_stats_ = {};
     }
 
-    contact::NarrowPhaseResult np = contact::narrow_phase(
-        *sys_, pairs, rho, sink, cfg_.classify_pairs ? &sched_stats_ : nullptr);
-    class_stats_ = np.stats;
-    contact::transfer_contacts(contacts_, np.contacts, sink);
-    contacts_ = std::move(np.contacts);
+    contact::narrow_phase(*sys_, pairs, rho, np_ws_, detected_, sink,
+                          cfg_.classify_pairs ? &sched_stats_ : nullptr);
+    class_stats_ = detected_.stats;
+    contact::transfer_contacts(contacts_, detected_.contacts, sink);
+    // The retired list keeps its capacity for the next detection.
+    contacts_.swap(detected_.contacts);
 
     if (sink) ledgers_.add(Module::ContactDetection, cost);
 }
@@ -304,14 +306,18 @@ int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
 }
 
 double DdaEngine::max_vertex_displacement(const BlockVec& d) const {
-    double m = 0.0;
-    for (std::size_t i = 0; i < sys_->blocks.size(); ++i) {
-        const block::Block& b = sys_->blocks[i];
-        for (geom::Vec2 p : b.verts) {
-            m = std::max(m, b.displacement_at(p, d[i]).norm());
-        }
-    }
-    return m;
+    // A max fold from +0 over norms: exact in any grouping.
+    return par::exact_reduce<double>(
+        sys_->blocks.size(),
+        [&](std::size_t begin, std::size_t end) {
+            double m = 0.0;
+            for (std::size_t i = begin; i < end; ++i) {
+                const block::Block& b = sys_->blocks[i];
+                for (geom::Vec2 p : b.verts) m = std::max(m, b.displacement_at(p, d[i]).norm());
+            }
+            return m;
+        },
+        [](double x, double y) { return std::max(x, y); });
 }
 
 void DdaEngine::commit_step(const std::vector<ContactGeometry>& geo, const BlockVec& d,
@@ -322,21 +328,20 @@ void DdaEngine::commit_step(const std::vector<ContactGeometry>& geo, const Block
 
     contact::commit_contact_springs(geo, contacts_, d);
 
-    // Velocity update v = 2 d / dt - v0, damped to zero in static mode.
-    for (std::size_t i = 0; i < sys_->blocks.size(); ++i) {
+    // Per block: velocity update v = 2 d / dt - v0 (damped to zero in
+    // static mode), then move vertices, accumulate stresses and refresh
+    // geometry. Each index touches only its own block.
+    par::parallel_for(sys_->blocks.size(), 64, [&](std::size_t i) {
         block::Block& b = sys_->blocks[i];
         sparse::Vec6 v;
         for (int k = 0; k < 6; ++k) v[k] = 2.0 * d[i][k] / dt_ - b.velocity[k];
         b.velocity = v * cfg_.velocity_carry;
-        if (b.fixed) b.velocity = sparse::Vec6{};
-    }
-
-    // Move vertices, accumulate stresses, refresh geometry.
-    for (std::size_t i = 0; i < sys_->blocks.size(); ++i) {
-        block::Block& b = sys_->blocks[i];
-        if (b.fixed) continue;
+        if (b.fixed) {
+            b.velocity = sparse::Vec6{};
+            return;
+        }
         b.apply_increment(d[i], sys_->material_of(b), cfg_.exact_rotation);
-    }
+    });
     // Fixed points ride along with their material point; anchors stay.
     for (block::FixedPoint& fp : sys_->fixed_points) {
         const block::Block& b = sys_->blocks[fp.block];
@@ -401,10 +406,11 @@ void DdaEngine::restore(const EngineCheckpoint& snap) {
 
 StepStats DdaEngine::step_impl() {
     StepStats stats;
+    const bool debug = std::getenv("GDDA_DEBUG_STEP") != nullptr;
     detect_contacts();
 
     const double allowed = cfg_.max_disp_ratio * w0_;
-    const std::vector<Contact> contacts_at_entry = contacts_;
+    entry_contacts_ = contacts_;
 
     for (int attempt = 0; attempt < cfg_.max_step_retries; ++attempt) {
         trace::Span pass_span(tracer_.get(), trace::Category::Pass, "displacement_pass");
@@ -414,12 +420,11 @@ StepStats DdaEngine::step_impl() {
         // diagonal physics is stale (the contact structure may still hold).
         ++values_epoch_;
 
-        std::vector<ContactGeometry> geo;
         {
             ScopedTimer t(timers_, Module::ContactDetection, tracer_.get(), &par_timers_);
             simt::KernelCost cost = simt::KernelCost::accumulator();
             simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
-            geo = contact::init_all_contacts(*sys_, contacts_, sink);
+            contact::init_all_contacts(*sys_, contacts_, geo_, sink);
             if (sink) ledgers_.add(Module::ContactDetection, cost);
         }
 
@@ -430,7 +435,7 @@ StepStats DdaEngine::step_impl() {
         double entry_pen = 0.0;
         for (std::size_t ci = 0; ci < contacts_.size(); ++ci) {
             const contact::Contact& c = contacts_[ci];
-            const contact::ContactGeometry& g = geo[ci];
+            const contact::ContactGeometry& g = geo_[ci];
             if (c.state != contact::ContactState::Open && g.ratio > -0.01 &&
                 g.ratio < 1.01)
                 entry_pen = std::max(entry_pen, -g.gap0);
@@ -441,8 +446,8 @@ StepStats DdaEngine::step_impl() {
         bool oc_converged = false;
         int last_changes = 0;
         for (; oc_iters < cfg_.max_open_close_iters; ++oc_iters) {
-            last_changes = solve_pass(geo, d, stats, oc_iters == 0);
-            if (std::getenv("GDDA_DEBUG_STEP"))
+            last_changes = solve_pass(geo_, d, stats, oc_iters == 0);
+            if (debug)
                 std::fprintf(stderr, "[gdda]   oc pass %d: changes=%d pen=%.3e\n",
                              oc_iters, last_changes, stats.max_penetration);
             if (!stats.converged) break; // PCG exhausted: shrink dt
@@ -478,13 +483,13 @@ StepStats DdaEngine::step_impl() {
             stats.contacts = contacts_.size();
             for (const Contact& c : contacts_)
                 if (c.state != contact::ContactState::Open) ++stats.active_contacts;
-            commit_step(geo, d, stats);
+            commit_step(geo_, d, stats);
             // Reward easy steps with a larger dt (bounded).
             if (oc_iters <= 3 && attempt == 0) dt_ = std::min(dt_ * cfg_.dt_grow, cfg_.dt_max);
             return stats;
         }
 
-        if (std::getenv("GDDA_DEBUG_STEP")) {
+        if (debug) {
             std::fprintf(stderr,
                          "[gdda] step retry %d: oc_converged=%d pcg_ok=%d disp_ok=%d "
                          "pen_ok=%d (maxd=%.3e pen=%.3e) dt=%.3e\n",
@@ -493,7 +498,7 @@ StepStats DdaEngine::step_impl() {
         }
         // Failure: shrink the physical time and retry the whole step.
         dt_ = std::max(dt_ * cfg_.dt_shrink, cfg_.dt_min);
-        contacts_ = contacts_at_entry;
+        contacts_ = entry_contacts_;
         if (dt_ <= cfg_.dt_min) break;
     }
 
@@ -502,11 +507,11 @@ StepStats DdaEngine::step_impl() {
     stats.converged = false;
     stats.dt_used = dt_;
     trace::Span pass_span(tracer_.get(), trace::Category::Pass, "displacement_pass_last_resort");
-    std::vector<ContactGeometry> geo = contact::init_all_contacts(*sys_, contacts_);
+    contact::init_all_contacts(*sys_, contacts_, geo_);
     BlockVec d(sys_->size());
     ++values_epoch_;
-    solve_pass(geo, d, stats, true);
-    commit_step(geo, d, stats);
+    solve_pass(geo_, d, stats, true);
+    commit_step(geo_, d, stats);
     return stats;
 }
 

@@ -63,4 +63,25 @@ double deterministic_reduce(std::size_t n, ChunkSum&& chunk_sum) {
     return combine_ordered(partials.data(), chunks);
 }
 
+/// Parallel reduction for operators whose result does not depend on the
+/// grouping: integer sums, and max/min folds that start from a fixed value
+/// (std::max keeps its left operand on ties and NaN, so such a fold returns
+/// the same bits in any grouping). Chunks of kReduceChunk items run under
+/// parallel_for; `chunk_fold(begin, end)` returns the fold of one chunk and
+/// `combine` merges the partials left to right on the calling thread.
+template <typename T, typename ChunkFold, typename Combine>
+T exact_reduce(std::size_t n, ChunkFold&& chunk_fold, Combine&& combine) {
+    if (n <= kReduceChunk) return chunk_fold(std::size_t{0}, n);
+    const std::size_t chunks = (n + kReduceChunk - 1) / kReduceChunk;
+    std::vector<T> partials(chunks);
+    parallel_for(chunks, /*grain=*/1, [&](std::size_t c) {
+        const std::size_t b = c * kReduceChunk;
+        const std::size_t e = b + kReduceChunk < n ? b + kReduceChunk : n;
+        partials[c] = chunk_fold(b, e);
+    });
+    T acc = partials[0];
+    for (std::size_t c = 1; c < chunks; ++c) acc = combine(acc, partials[c]);
+    return acc;
+}
+
 } // namespace gdda::par

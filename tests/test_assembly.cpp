@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "assembly/assembler.hpp"
 #include "assembly/gpu_assembler.hpp"
 #include "contact/broad_phase.hpp"
 #include "contact/narrow_phase.hpp"
+#include "models/slope.hpp"
 #include "models/stacks.hpp"
 #include "solver/pcg.hpp"
 
@@ -41,6 +44,37 @@ Fixture make_fixture(bl::BlockSystem sys, bool close_contacts) {
     f.sp.contact.shear_penalty = 2e10;
     f.sp.fixed_penalty = 2e10;
     return f;
+}
+
+/// Bitwise equality of two assembled systems. memcmp, not ==, because
+/// -0.0 == +0.0 would hide a sign flip.
+::testing::AssertionResult same_system_bits(const as::AssembledSystem& a,
+                                            const as::AssembledSystem& b) {
+    if (a.k.n != b.k.n || a.k.row_ptr != b.k.row_ptr || a.k.col_idx != b.k.col_idx)
+        return ::testing::AssertionFailure() << "structure differs";
+    if (a.k.diag.size() != b.k.diag.size() || a.k.vals.size() != b.k.vals.size() ||
+        a.f.size() != b.f.size())
+        return ::testing::AssertionFailure() << "sizes differ";
+    if (std::memcmp(a.k.diag.data(), b.k.diag.data(), a.k.diag.size() * sizeof(sp::Mat6)))
+        return ::testing::AssertionFailure() << "diag bits differ";
+    if (!a.k.vals.empty() &&
+        std::memcmp(a.k.vals.data(), b.k.vals.data(), a.k.vals.size() * sizeof(sp::Mat6)))
+        return ::testing::AssertionFailure() << "vals bits differ";
+    if (std::memcmp(a.f.data(), b.f.data(), a.f.size() * sizeof(sp::Vec6)))
+        return ::testing::AssertionFailure() << "rhs bits differ";
+    return ::testing::AssertionSuccess();
+}
+
+/// Open / Slide / Lock by contact index, rotated by `shift`, with nonzero
+/// spring bookkeeping so every state reads its inputs.
+void assign_states(std::vector<ct::Contact>& contacts, int shift) {
+    for (std::size_t i = 0; i < contacts.size(); ++i) {
+        ct::Contact& c = contacts[i];
+        c.state = static_cast<ct::ContactState>((i + shift) % 3);
+        c.shear_disp = 1e-6 * static_cast<double>(i % 5);
+        c.slide_sign = i % 2 ? -1.0 : 1.0;
+        c.last_gap = -1e-5 * static_cast<double>(i % 4);
+    }
 }
 
 } // namespace
@@ -168,6 +202,54 @@ TEST(Assemble, GpuAssemblerBitIdentical) {
         EXPECT_GT(costs.nondiagonal.flops, 0.0);
         EXPECT_GT(costs.diagonal.flops, 0.0);
     }
+}
+
+TEST(Assemble, GpuSkipsOpenContactsBitIdentical) {
+    Fixture f = make_fixture(gdda::models::make_slope_with_blocks(60), false);
+    ASSERT_GT(f.contacts.size(), 30u);
+    const int n = static_cast<int>(f.sys.size());
+
+    as::GpuAssemblyPlan gplan;
+    gplan.build(n, f.contacts);
+    const as::AssemblyPlan plan(n, f.contacts);
+    as::DiagPhysicsCache gcache;
+    as::DiagPhysicsCache cache;
+    as::AssembledSystem gout;
+    as::AssembledSystem out;
+    auto check = [&](const char* what) {
+        const as::AssembledSystem ref =
+            as::assemble_serial(f.sys, f.att, f.contacts, f.geo, f.sp);
+        EXPECT_TRUE(same_system_bits(ref, as::assemble_gpu(f.sys, f.att, f.contacts, f.geo,
+                                                           f.sp)))
+            << what;
+        gplan.assemble_into(gout, f.sys, f.att, f.contacts, f.geo, f.sp, nullptr, nullptr,
+                            &gcache, /*warm=*/true);
+        EXPECT_TRUE(same_system_bits(ref, gout)) << what << " (gpu plan, memo)";
+        plan.assemble_into(out, f.sys, f.att, f.contacts, f.geo, f.sp, nullptr, &cache);
+        EXPECT_TRUE(same_system_bits(ref, out)) << what << " (serial plan, memo)";
+    };
+
+    // Mixed states, then every contact switched, then back: the memo must
+    // recall the first pass's entries only where their inputs still match.
+    assign_states(f.contacts, 0);
+    check("mixed");
+    assign_states(f.contacts, 1);
+    check("rotated");
+    assign_states(f.contacts, 0);
+    check("mixed again");
+
+    // A dropped memo (new displacement attempt) must not resurrect entries
+    // stored before it, even for contacts that stayed open in between: the
+    // penalty changes, so a stale recall would show in the bits.
+    for (as::DiagPhysicsCache* c : {&gcache, &cache}) {
+        c->valid = false;
+        c->memo_valid = false;
+    }
+    f.sp.contact.penalty *= 3.0;
+    for (ct::Contact& c : f.contacts) c.state = ct::ContactState::Open;
+    check("all open, new penalty");
+    assign_states(f.contacts, 0);
+    check("mixed, new penalty");
 }
 
 TEST(Assemble, CategoriesPartitionContacts) {

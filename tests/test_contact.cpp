@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <random>
 #include <set>
 
 #include "contact/broad_phase.hpp"
 #include "contact/narrow_phase.hpp"
 #include "contact/open_close.hpp"
 #include "contact/transfer.hpp"
+#include "models/slope.hpp"
 #include "models/stacks.hpp"
 
 namespace ct = gdda::contact;
@@ -22,6 +26,39 @@ bl::BlockSystem two_squares(double gap) {
     sys.add_block({{0, 0}, {1, 0}, {1, 1}, {0, 1}});
     sys.add_block({{0, 1 + gap}, {1, 1 + gap}, {1, 2 + gap}, {0, 2 + gap}});
     return sys;
+}
+
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Field-by-field bitwise equality (Contact has padding, so no memcmp).
+bool same_contact(const ct::Contact& x, const ct::Contact& y) {
+    return x.kind == y.kind && x.bi == y.bi && x.vi == y.vi && x.bj == y.bj && x.e1 == y.e1 &&
+           x.e2 == y.e2 && x.state == y.state && x.prev_state == y.prev_state &&
+           same_bits(x.shear_disp, y.shear_disp) && same_bits(x.slide_sign, y.slide_sign) &&
+           same_bits(x.last_gap, y.last_gap) && same_bits(x.edge_ratio, y.edge_ratio) &&
+           x.p1 == y.p1 && x.p2 == y.p2;
+}
+
+::testing::AssertionResult same_contacts(const std::vector<ct::Contact>& a,
+                                         const std::vector<ct::Contact>& b) {
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure() << "sizes " << a.size() << " vs " << b.size();
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (!same_contact(a[i], b[i])) return ::testing::AssertionFailure() << "contact " << i;
+    return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult same_stats(const ct::ClassificationStats& a,
+                                      const ct::ClassificationStats& b) {
+    if (a.candidates == b.candidates && a.ve == b.ve && a.vv1 == b.vv1 && a.vv2 == b.vv2 &&
+        a.abandoned == b.abandoned)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "candidates " << a.candidates << "/" << b.candidates << " ve " << a.ve << "/"
+           << b.ve << " vv1 " << a.vv1 << "/" << b.vv1 << " vv2 " << a.vv2 << "/" << b.vv2
+           << " abandoned " << a.abandoned << "/" << b.abandoned;
 }
 } // namespace
 
@@ -122,6 +159,82 @@ TEST(NarrowPhase, AngleJudgmentRejectsBackside) {
     EXPECT_FALSE(ct::ve_angle_admissible(sys.blocks[0], 1, sys.blocks[1], 0));
     // The left edge of block 1 (faces block 0) is admissible for vertex 1.
     EXPECT_TRUE(ct::ve_angle_admissible(sys.blocks[0], 1, sys.blocks[1], 3));
+}
+
+TEST(NarrowPhase, CanonicalUnderShuffleAndSuperset) {
+    const bl::BlockSystem sys = gdda::models::make_slope_with_blocks(120);
+    const double rho = 0.05 * sys.characteristic_length();
+    const auto exact = ct::broad_phase_triangular(sys, rho);
+    const auto ref = ct::narrow_phase(sys, exact, rho);
+    ASSERT_GT(ref.contacts.size(), 50u);
+    ASSERT_GT(ref.stats.ve, 0u);
+    ASSERT_GT(ref.stats.vv1 + ref.stats.vv2, 0u);
+
+    // Extra pairs at search distance 10 rho are separated by more than rho.
+    auto superset = ct::broad_phase_triangular(sys, 10.0 * rho);
+    ASSERT_GT(superset.size(), exact.size());
+    std::mt19937 rng(5);
+    auto shuffled = superset;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    // Every third pair listed again, shuffled in among the rest.
+    auto repeated = shuffled;
+    for (std::size_t i = 0; i < shuffled.size(); i += 3) repeated.push_back(shuffled[i]);
+    std::shuffle(repeated.begin(), repeated.end(), rng);
+
+    for (const auto* pairs : {&superset, &shuffled, &repeated}) {
+        const auto np = ct::narrow_phase(sys, *pairs, rho);
+        EXPECT_TRUE(same_contacts(ref.contacts, np.contacts)) << pairs->size() << " pairs";
+        EXPECT_TRUE(same_stats(ref.stats, np.stats)) << pairs->size() << " pairs";
+    }
+    for (std::size_t i = 1; i < ref.contacts.size(); ++i)
+        EXPECT_LT(ref.contacts[i - 1].key(), ref.contacts[i].key());
+}
+
+TEST(NarrowPhase, VvCandidatesBeyond65536BlocksAreNotMerged) {
+    // Block 0 has side neighbours 5 (right) and 65541 (left). The corner
+    // candidates (0 v1, 5 v0) and (0 v0, 65541 v0) once shared a 64-bit
+    // dedupe key (block indices were packed into 16-bit fields), so running
+    // both pairs together silently dropped the second pair's corner.
+    constexpr int kBlocks = 65542;
+    bl::BlockSystem sys;
+    sys.blocks.reserve(kBlocks);
+    for (int i = 0; i < kBlocks; ++i) {
+        if (i == 0) {
+            sys.add_block({{0, 0}, {1, 0}, {1, 1}, {0, 1}});
+        } else if (i == 5) {
+            sys.add_block({{1.01, 0}, {2.01, 0}, {2.01, 1}, {1.01, 1}});
+        } else if (i == 65541) {
+            sys.add_block({{-0.01, 0}, {-0.01, 1}, {-1.01, 1}, {-1.01, 0}});
+        } else {
+            const double x = 10.0 + 2.0 * (i % 1000);
+            const double y = 10.0 + 2.0 * (i / 1000);
+            sys.add_block({{x, y}, {x + 1, y}, {x, y + 1}});
+        }
+    }
+    ASSERT_EQ(sys.blocks[5].verts[0].x, 1.01);
+    ASSERT_EQ(sys.blocks[65541].verts[0].x, -0.01);
+    const double rho = 0.05;
+    const std::vector<ct::BlockPair> right{{0, 5}};
+    const std::vector<ct::BlockPair> left{{0, 65541}};
+    const std::vector<ct::BlockPair> both{{0, 5}, {0, 65541}};
+    const auto r = ct::narrow_phase(sys, right, rho);
+    const auto l = ct::narrow_phase(sys, left, rho);
+    const auto b = ct::narrow_phase(sys, both, rho);
+    ASSERT_EQ(r.stats.vv1, 4u);
+    ASSERT_EQ(l.stats.vv1, 4u);
+    std::vector<ct::Contact> expected = r.contacts;
+    expected.insert(expected.end(), l.contacts.begin(), l.contacts.end());
+    std::sort(expected.begin(), expected.end(),
+              [](const ct::Contact& x, const ct::Contact& y) { return x.key() < y.key(); });
+    EXPECT_TRUE(same_contacts(expected, b.contacts));
+    EXPECT_EQ(b.stats.vv1, 8u);
+    const auto has = [&](int bi, int vi, int bj) {
+        return std::any_of(b.contacts.begin(), b.contacts.end(), [&](const ct::Contact& c) {
+            return c.bi == bi && c.vi == vi && c.bj == bj;
+        });
+    };
+    EXPECT_TRUE(has(0, 1, 5));
+    EXPECT_TRUE(has(0, 0, 65541));
 }
 
 TEST(ContactGeometry, GapMatchesSignedDistance) {
@@ -269,4 +382,47 @@ TEST(OpenClose, CommitAccumulatesLockShear) {
     contacts[0].state = ct::ContactState::Open;
     ct::commit_contact_springs(geo, contacts, d);
     EXPECT_DOUBLE_EQ(contacts[0].shear_disp, 0.0);
+}
+
+TEST(Transfer, NonCanonicalPreviousMatchesCanonical) {
+    const bl::BlockSystem sys = gdda::models::make_slope_with_blocks(120);
+    const double rho = 0.05 * sys.characteristic_length();
+    const auto pairs = ct::broad_phase_triangular(sys, rho);
+    std::vector<ct::Contact> previous = ct::narrow_phase(sys, pairs, rho).contacts;
+    ASSERT_GT(previous.size(), 50u);
+    for (std::size_t i = 0; i < previous.size(); ++i) {
+        ct::Contact& c = previous[i];
+        c.state = static_cast<ct::ContactState>(i % 3);
+        c.shear_disp = 1e-3 * static_cast<double>(i);
+        c.slide_sign = i % 2 ? -1.0 : 1.0;
+        c.last_gap = -1e-4 * static_cast<double>(i % 7);
+    }
+    // Every fifth contact expires, so the current list also has fresh ones.
+    std::vector<ct::Contact> canonical;
+    for (std::size_t i = 0; i < previous.size(); ++i)
+        if (i % 5 != 0) canonical.push_back(previous[i]);
+    std::vector<ct::Contact> shuffled = canonical;
+    std::mt19937 rng(11);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+    const std::vector<ct::Contact> detected = ct::narrow_phase(sys, pairs, rho).contacts;
+    std::vector<ct::Contact> via_canonical = detected;
+    std::vector<ct::Contact> via_shuffled = detected;
+    const ct::TransferStats a = ct::transfer_contacts(canonical, via_canonical);
+    const ct::TransferStats b = ct::transfer_contacts(shuffled, via_shuffled);
+    EXPECT_TRUE(same_contacts(via_canonical, via_shuffled));
+    EXPECT_EQ(a.matched, canonical.size());
+    EXPECT_EQ(a.fresh, detected.size() - canonical.size());
+    EXPECT_EQ(a.expired, 0u);
+    EXPECT_EQ(a.matched, b.matched);
+    EXPECT_EQ(a.fresh, b.fresh);
+    EXPECT_EQ(a.expired, b.expired);
+    for (std::size_t i = 0; i < detected.size(); ++i) {
+        if (i % 5 == 0) {
+            EXPECT_EQ(via_canonical[i].state, ct::ContactState::Open);
+        } else {
+            EXPECT_EQ(via_canonical[i].state, previous[i].state);
+            EXPECT_TRUE(same_bits(via_canonical[i].shear_disp, previous[i].shear_disp));
+        }
+    }
 }

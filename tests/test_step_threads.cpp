@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -17,12 +21,16 @@
 #include "assembly/gpu_assembler.hpp"
 #include "contact/broad_phase.hpp"
 #include "contact/narrow_phase.hpp"
+#include "contact/open_close.hpp"
+#include "contact/transfer.hpp"
 #include "contact/spatial_hash.hpp"
 #include "core/engine.hpp"
 #include "models/falling_rocks.hpp"
+#include "models/large_scene.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
 #include "models/tunnel.hpp"
+#include "par/deterministic_reduce.hpp"
 #include "par/thread_budget.hpp"
 
 using namespace gdda;
@@ -54,6 +62,24 @@ bool same_mat_bits(const std::vector<sparse::Mat6>& a, const std::vector<sparse:
 bool same_vec_bits(const sparse::BlockVec& a, const sparse::BlockVec& b) {
     return a.size() == b.size() &&
            (a.empty() || !std::memcmp(a.data(), b.data(), a.size() * sizeof(sparse::Vec6)));
+}
+
+/// Every field of every contact as raw words (Contact has padding bytes, so
+/// the vectors cannot be memcmp'd directly).
+std::vector<std::uint64_t> contact_words(const std::vector<contact::Contact>& cs) {
+    std::vector<std::uint64_t> w;
+    w.reserve(cs.size() * 10);
+    for (const contact::Contact& c : cs) {
+        w.push_back(static_cast<std::uint64_t>(c.kind) | static_cast<std::uint64_t>(c.state) << 8 |
+                    static_cast<std::uint64_t>(c.prev_state) << 16 |
+                    static_cast<std::uint64_t>(static_cast<std::uint8_t>(c.p1)) << 24 |
+                    static_cast<std::uint64_t>(static_cast<std::uint8_t>(c.p2)) << 32);
+        for (std::int32_t v : {c.bi, c.vi, c.bj, c.e1, c.e2})
+            w.push_back(static_cast<std::uint32_t>(v));
+        for (double v : {c.shear_disp, c.slide_sign, c.last_gap, c.edge_ratio})
+            w.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+    return w;
 }
 
 } // namespace
@@ -224,6 +250,119 @@ TEST(StepThreads, FingerprintInvariantAcrossTeamsModesAndConfigs) {
                 for (int s = 0; s < kSteps; ++s) engine.step();
                 EXPECT_EQ(baseline, block::state_fingerprint(sys))
                     << where << " variant " << v.name;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Contact pipeline stages (narrow phase, transfer, open-close update, spring
+// commit, data update) on more than one reduction chunk, at every team size
+
+TEST(ContactPipelineThreads, StagesBitwiseInvariantAcrossTeams) {
+    const block::BlockSystem sys = models::make_block_lattice_with_blocks(2000);
+    const double rho = 0.05 * sys.characteristic_length();
+    // A shuffled schedule with repeats takes the counting-sort dedupe path.
+    std::vector<contact::BlockPair> pairs = contact::broad_phase_triangular(sys, 2.0 * rho);
+    std::mt19937 rng(3);
+    std::shuffle(pairs.begin(), pairs.end(), rng);
+    pairs.insert(pairs.end(), pairs.begin(), pairs.begin() + pairs.size() / 4);
+
+    struct Outcome {
+        std::vector<std::uint64_t> detected, transferred, updated, committed;
+        contact::ClassificationStats stats;
+        int changes = 0;
+        std::uint64_t max_penetration = 0;
+    };
+    auto run = [&] {
+        Outcome o;
+        const contact::NarrowPhaseResult np = contact::narrow_phase(sys, pairs, rho);
+        o.detected = contact_words(np.contacts);
+        o.stats = np.stats;
+        // A previous step in which every other contact was closed.
+        std::vector<contact::Contact> previous = np.contacts;
+        for (std::size_t i = 0; i < previous.size(); i += 2) {
+            previous[i].state = contact::ContactState::Lock;
+            previous[i].shear_disp = 1e-7 * static_cast<double>(i % 11);
+        }
+        std::vector<contact::Contact> contacts = np.contacts;
+        contact::transfer_contacts(previous, contacts);
+        o.transferred = contact_words(contacts);
+        const auto geo = contact::init_all_contacts(sys, contacts);
+        sparse::BlockVec d(sys.size());
+        for (std::size_t i = 0; i < d.size(); ++i)
+            for (int k = 0; k < 6; ++k)
+                d[i][k] = 1e-4 * std::sin(static_cast<double>(7 * i + k));
+        contact::OpenCloseParams params;
+        params.penalty = 10.0 * sys.max_young();
+        params.shear_penalty = params.penalty;
+        params.max_closing_depth = 0.2;
+        const contact::OpenCloseResult oc =
+            contact::update_contact_states(sys, geo, contacts, d, params);
+        o.updated = contact_words(contacts);
+        o.changes = oc.state_changes;
+        o.max_penetration = std::bit_cast<std::uint64_t>(oc.max_penetration);
+        contact::commit_contact_springs(geo, contacts, d);
+        o.committed = contact_words(contacts);
+        return o;
+    };
+
+    Outcome base;
+    {
+        par::ScopedTeamSize one(1);
+        base = run();
+    }
+    ASSERT_GT(base.detected.size() / 10, 2 * par::kReduceChunk);
+    ASSERT_GT(base.changes, 0);
+    for (int team : kTeams) {
+        par::ScopedTeamSize scope(team);
+        const Outcome o = run();
+        const std::string tag = "team " + std::to_string(team);
+        EXPECT_EQ(base.detected, o.detected) << tag;
+        EXPECT_EQ(base.stats.candidates, o.stats.candidates) << tag;
+        EXPECT_EQ(base.stats.ve, o.stats.ve) << tag;
+        EXPECT_EQ(base.stats.vv1, o.stats.vv1) << tag;
+        EXPECT_EQ(base.stats.vv2, o.stats.vv2) << tag;
+        EXPECT_EQ(base.stats.abandoned, o.stats.abandoned) << tag;
+        EXPECT_EQ(base.transferred, o.transferred) << tag;
+        EXPECT_EQ(base.updated, o.updated) << tag;
+        EXPECT_EQ(base.changes, o.changes) << tag;
+        EXPECT_EQ(base.max_penetration, o.max_penetration) << tag;
+        EXPECT_EQ(base.committed, o.committed) << tag;
+    }
+}
+
+TEST(ContactPipelineThreads, LatticeStepsBitwiseAcrossTeams) {
+    // More blocks than one reduction chunk, so the parallel data update and
+    // the displacement max run on several chunks.
+    for (bool floor : {true, false}) {
+        for (core::EngineMode mode : {core::EngineMode::Serial, core::EngineMode::Gpu}) {
+            const std::string where = std::string(floor ? "floor" : "freefall") + "/" +
+                                      (mode == core::EngineMode::Gpu ? "gpu" : "serial");
+            std::uint64_t base_fp = 0;
+            std::vector<std::uint64_t> base_contacts;
+            std::vector<std::uint64_t> base_disp;
+            for (int team : kTeams) {
+                models::LatticeParams lp;
+                lp.fixed_floor = floor;
+                block::BlockSystem sys = models::make_block_lattice_with_blocks(1500, lp);
+                ASSERT_GT(sys.size(), par::kReduceChunk);
+                core::SimConfig cfg;
+                cfg.step_threads = team;
+                core::DdaEngine engine(sys, cfg, mode);
+                std::vector<std::uint64_t> disp;
+                for (int s = 0; s < 3; ++s)
+                    disp.push_back(std::bit_cast<std::uint64_t>(engine.step().max_displacement));
+                if (team == 1) {
+                    base_fp = block::state_fingerprint(sys);
+                    base_contacts = contact_words(engine.contacts());
+                    base_disp = disp;
+                    continue;
+                }
+                EXPECT_EQ(base_fp, block::state_fingerprint(sys)) << where << " team " << team;
+                EXPECT_EQ(base_contacts, contact_words(engine.contacts()))
+                    << where << " team " << team;
+                EXPECT_EQ(base_disp, disp) << where << " team " << team;
             }
         }
     }
