@@ -11,8 +11,7 @@
 //                          uncoalesced global loads (modeled).
 //
 //  (4) format choice     — HSBCSR vs the ELLPACK family (classic ELL and
-//                          the row-sorted sliced ELL behind
-//                          SimConfig::spmv_backend), modeled K40 time and
+//                          row-sorted sliced ELL), modeled K40 time and
 //                          measured CPU wall clock (min of N).
 //
 // Usage: bench_ablation_hsbcsr [blocks] [--force]

@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     const std::vector<double> y_bsr = sparse::flatten(y);
 
     // ELLPACK-family comparators from the related work (section II.B), plus
-    // the row-sorted sliced ELL that backs SimConfig::spmv_backend.
+    // the row-sorted sliced ELL (SELL-R).
     const sparse::EllMatrix ell = sparse::ell_from_csr(c);
     const sparse::SlicedEllMatrix sell = sparse::sliced_ell_from_csr(c, 32);
     const sparse::SortedSellMatrix ssell = sparse::sorted_sell_from_csr(c, 32);

@@ -59,10 +59,10 @@ inline obs::JsonValue make_report_meta(const std::string& device = "k40") {
     meta.set("timestamp", obs::JsonValue::string(stamp));
     meta.set("device_profile",
              obs::JsonValue::string(trace::device_profile_by_name(device).name));
-    // CPU execution backend: the solver team active on this thread and the
+    // CPU execution backend: the step team active on this thread and the
     // physical core count, so wall-clock numbers from different thread
     // configurations are never diffed against each other by accident.
-    meta.set("solver_threads", obs::JsonValue::integer(par::effective_team()));
+    meta.set("step_threads", obs::JsonValue::integer(par::effective_team()));
     meta.set("hardware_concurrency", obs::JsonValue::integer(par::hardware_concurrency()));
     // Scaling trajectories recorded on a host with fewer than 4 cores are
     // not interpretable as speedups (a 1-core CI runner reports <1x for

@@ -5,8 +5,7 @@
 // Usage:
 //   run_model <model.txt | slope:N | rocks:N | tunnel | column:N>
 //             [--steps N] [--dt S] [--static|--dynamic]
-//             [--engine serial|gpu] [--precond bj|ssor|eisenstat|ilu|jacobi]
-//             [--spmv hsbcsr|sell] [--precision fp64|mixed]
+//             [--engine serial|gpu] [--precond bj|ssor|ilu|jacobi]
 //             [--exact-rotation]
 //             [--snapshot prefix] [--snapshot-every N]
 //             [--checkpoint-out file] [--checkpoint-in file]
@@ -53,8 +52,7 @@ int usage() {
     std::fprintf(stderr,
                  "usage: run_model <model.txt|slope:N|rocks:N|tunnel|column:N> [options]\n"
                  "  --steps N --dt S --static --dynamic --engine serial|gpu\n"
-                 "  --precond bj|ssor|eisenstat|ilu|jacobi --exact-rotation\n"
-                 "  --spmv hsbcsr|sell --precision fp64|mixed\n"
+                 "  --precond bj|ssor|ilu|jacobi --exact-rotation\n"
                  "  --snapshot prefix --snapshot-every N\n"
                  "  --checkpoint-out file --checkpoint-in file --report-energy\n"
                  "  --telemetry file.jsonl --trace file.trace.json\n");
@@ -78,64 +76,58 @@ int main(int argc, char** argv) {
 
     for (int i = 2; i < argc; ++i) {
         const std::string a = argv[i];
-        auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+        // Every value-taking flag reads its value through here: a flag at the
+        // end of the line is a usage error, never a null dereference.
+        const char* v = nullptr;
+        auto next = [&] {
+            v = i + 1 < argc ? argv[++i] : nullptr;
+            return v != nullptr;
+        };
         if (a == "--steps") {
-            steps = std::atoi(next());
+            if (!next()) return usage();
+            steps = std::atoi(v);
         } else if (a == "--dt") {
-            cfg.dt = std::atof(next());
+            if (!next()) return usage();
+            cfg.dt = std::atof(v);
             cfg.dt_max = cfg.dt * 2.0;
         } else if (a == "--static") {
             cfg.velocity_carry = 0.0;
         } else if (a == "--dynamic") {
             cfg.velocity_carry = 1.0;
         } else if (a == "--engine") {
-            const char* v = next();
-            mode = (v && std::strcmp(v, "gpu") == 0) ? core::EngineMode::Gpu
-                                                     : core::EngineMode::Serial;
+            if (!next()) return usage();
+            if (std::strcmp(v, "serial") == 0) mode = core::EngineMode::Serial;
+            else if (std::strcmp(v, "gpu") == 0) mode = core::EngineMode::Gpu;
+            else return usage();
         } else if (a == "--precond") {
-            const char* v = next();
-            if (!v) return usage();
+            if (!next()) return usage();
             if (std::strcmp(v, "bj") == 0) cfg.precond = core::PrecondKind::BlockJacobi;
             else if (std::strcmp(v, "ssor") == 0) cfg.precond = core::PrecondKind::SsorAi;
             else if (std::strcmp(v, "ilu") == 0) cfg.precond = core::PrecondKind::Ilu0;
-            else if (std::strcmp(v, "eisenstat") == 0)
-                cfg.precond = core::PrecondKind::SsorEisenstat;
             else if (std::strcmp(v, "jacobi") == 0) cfg.precond = core::PrecondKind::Jacobi;
-            else return usage();
-        } else if (a == "--spmv") {
-            const char* v = next();
-            if (!v) return usage();
-            if (std::strcmp(v, "hsbcsr") == 0) cfg.spmv_backend = core::SpmvBackend::Hsbcsr;
-            else if (std::strcmp(v, "sell") == 0) cfg.spmv_backend = core::SpmvBackend::SlicedEll;
-            else return usage();
-        } else if (a == "--precision") {
-            const char* v = next();
-            if (!v) return usage();
-            if (std::strcmp(v, "fp64") == 0)
-                cfg.pcg.precision = solver::PcgPrecision::Fp64;
-            else if (std::strcmp(v, "mixed") == 0)
-                cfg.pcg.precision = solver::PcgPrecision::MixedFp32;
             else return usage();
         } else if (a == "--exact-rotation") {
             cfg.exact_rotation = true;
         } else if (a == "--snapshot") {
-            snapshot_prefix = next();
+            if (!next()) return usage();
+            snapshot_prefix = v;
         } else if (a == "--snapshot-every") {
-            snapshot_every = std::atoi(next());
+            if (!next()) return usage();
+            snapshot_every = std::atoi(v);
         } else if (a == "--checkpoint-out") {
-            ckpt_out = next();
+            if (!next()) return usage();
+            ckpt_out = v;
         } else if (a == "--checkpoint-in") {
-            ckpt_in = next();
+            if (!next()) return usage();
+            ckpt_in = v;
         } else if (a == "--report-energy") {
             report_energy = true;
         } else if (a == "--telemetry") {
-            const char* v = next();
-            if (!v) return usage();
+            if (!next()) return usage();
             cfg.telemetry.enabled = true;
             cfg.telemetry.jsonl_path = v;
         } else if (a == "--trace") {
-            const char* v = next();
-            if (!v) return usage();
+            if (!next()) return usage();
             cfg.trace.enabled = true;
             cfg.trace.chrome_path = v;
         } else {

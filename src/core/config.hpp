@@ -11,15 +11,7 @@
 
 namespace gdda::core {
 
-enum class PrecondKind { Identity, Jacobi, BlockJacobi, SsorAi, SsorEisenstat, Ilu0 };
-
-/// fp64 SpMV backend for the PCG solve (see docs/PERFORMANCE.md, "SpMV
-/// backends"). Backends are exact alternatives with their own fixed
-/// summation order: a given backend is bitwise thread-count invariant, but
-/// two backends legitimately differ in last-bit rounding.
-///   Hsbcsr     the paper's two-stage half-matrix kernel (default)
-///   SlicedEll  row-sorted sliced-ELL over the recovered full scalar matrix
-enum class SpmvBackend { Hsbcsr, SlicedEll };
+enum class PrecondKind { Identity, Jacobi, BlockJacobi, SsorAi, Ilu0 };
 
 /// Broad-phase backend selection (see docs/CONTACTS.md for the contract).
 /// All backends produce the identical candidate set, so this knob trades
@@ -84,9 +76,6 @@ struct SimConfig {
 
     PrecondKind precond = PrecondKind::BlockJacobi;
 
-    /// fp64 SpMV backend used inside PCG (strict and mixed outer loop).
-    SpmvBackend spmv_backend = SpmvBackend::Hsbcsr;
-
     /// Worker threads for the WHOLE step pipeline: broad phase, narrow
     /// phase, pair-cache revalidation, contact transfer, assembly refill,
     /// and the solve hot path (SpMV stages, BLAS-1, fused PCG passes) all
@@ -98,19 +87,6 @@ struct SimConfig {
     /// the team size — so this knob trades latency against throughput,
     /// never answers (docs/PERFORMANCE.md, "CPU execution backend").
     int step_threads = 0;
-
-    /// Deprecated alias for step_threads, kept so existing configs and
-    /// snapshots keep working. The historical name predates PR 10, when
-    /// only the solve chain was parallel; the knob has been step-wide ever
-    /// since. Read through effective_step_threads(): step_threads wins when
-    /// both are set.
-    int solver_threads = 0;
-
-    /// The step-wide team actually requested: step_threads unless it is 0,
-    /// else the deprecated solver_threads alias.
-    [[nodiscard]] int effective_step_threads() const {
-        return step_threads > 0 ? step_threads : solver_threads;
-    }
 
     /// Structure-caching solve path: when the contact-set fingerprint is
     /// unchanged between solve passes, reuse the cached assembly plan,
@@ -172,12 +148,6 @@ struct StepStats {
     /// solve — surfaced in metrics/telemetry and by `gdda-serve --verify`.
     int pcg_failed_solves = 0;
     int retries = 0;
-    /// Mixed-precision accounting (zero under PcgPrecision::Fp64): fp64
-    /// refinement passes, fp32 inner iterations, and solves that abandoned
-    /// fp32 for the strict-fp64 fallback.
-    int pcg_refine_iterations = 0;
-    int pcg_fp32_iterations = 0;
-    int pcg_mixed_fallbacks = 0;
     std::size_t contacts = 0;
     std::size_t active_contacts = 0;
     double max_displacement = 0.0;

@@ -14,7 +14,6 @@ std::unique_ptr<solver::Preconditioner> make_preconditioner(PrecondKind kind,
         case PrecondKind::Jacobi: return solver::make_point_jacobi(a);
         case PrecondKind::BlockJacobi: return solver::make_block_jacobi(a);
         case PrecondKind::SsorAi: return solver::make_ssor_ai(a);
-        case PrecondKind::SsorEisenstat: return solver::make_ssor_eisenstat(a);
         case PrecondKind::Ilu0: return solver::make_ilu0(a);
     }
     return solver::make_block_jacobi(a);

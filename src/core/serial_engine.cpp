@@ -42,14 +42,8 @@ void SimConfig::validate() const {
     if (!(dt_grow >= 1.0)) throw std::invalid_argument("SimConfig: dt_grow must be >= 1");
     if (pcg.max_iters < 1 || !(pcg.rel_tol > 0.0))
         throw std::invalid_argument("SimConfig: pcg options invalid");
-    if (pcg.max_refine_iters < 1 || pcg.inner_max_iters < 0 || !(pcg.inner_rel_tol > 0.0))
-        throw std::invalid_argument("SimConfig: pcg mixed-precision options invalid");
-    if (!(pcg.refine_min_progress > 0.0) || !(pcg.refine_min_progress < 1.0))
-        throw std::invalid_argument("SimConfig: pcg.refine_min_progress must be in (0, 1)");
     if (step_threads < 0)
         throw std::invalid_argument("SimConfig: step_threads must be >= 0");
-    if (solver_threads < 0)
-        throw std::invalid_argument("SimConfig: solver_threads must be >= 0");
     if (checkpoint_interval < 0)
         throw std::invalid_argument("SimConfig: checkpoint_interval must be >= 0");
     if (broad_phase_cell < 0.0)
@@ -88,8 +82,7 @@ obs::JsonValue config_to_json(const SimConfig& cfg) {
     j.set("penalty_scale", obs::JsonValue::number(cfg.penalty_scale));
     j.set("max_open_close_iters", obs::JsonValue::integer(cfg.max_open_close_iters));
     j.set("max_step_retries", obs::JsonValue::integer(cfg.max_step_retries));
-    j.set("step_threads", obs::JsonValue::integer(cfg.effective_step_threads()));
-    j.set("solver_threads", obs::JsonValue::integer(cfg.solver_threads));
+    j.set("step_threads", obs::JsonValue::integer(cfg.step_threads));
     j.set("precond", obs::JsonValue::integer(static_cast<int>(cfg.precond)));
     j.set("exact_rotation", obs::JsonValue::boolean(cfg.exact_rotation));
     j.set("reuse_structure", obs::JsonValue::boolean(cfg.reuse_structure));
@@ -254,16 +247,7 @@ int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
         ScopedTimer t(timers_, Module::EquationSolving, tracer_.get(), &par_timers_);
         simt::KernelCost cost = simt::KernelCost::accumulator();
         simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
-
-        // The Eisenstat path never multiplies with A, so skip building the
-        // sliced-ELL view under it; the mixed fp32 shadow is likewise only
-        // built when the precision knob asks for it.
-        const bool mixed = cfg_.pcg.precision == solver::PcgPrecision::MixedFp32 &&
-                           cfg_.precond != PrecondKind::SsorEisenstat;
-        const SpmvBackend backend = cfg_.precond == PrecondKind::SsorEisenstat
-                                        ? SpmvBackend::Hsbcsr
-                                        : cfg_.spmv_backend;
-        ws_.prepare_solve(cfg_.precond, backend, mixed, sink);
+        ws_.prepare_solve(cfg_.precond, sink);
 
         // First pass of an attempt starts PCG from the last committed
         // step's solution; later open-close passes continue from the
@@ -274,13 +258,10 @@ int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
         if (recorder_ && recorder_->record_pcg_residuals) popts.residual_log = &residuals;
         if (tracer_ && cfg_.trace.pcg_iteration_spans) popts.tracer = tracer_.get();
         trace::Span solve_span(tracer_.get(), trace::Category::Solve, "pcg_solve");
-        const solver::PcgResult r = solver::pcg(ws_.pcg_matrix(), ws_.rhs(), d, ws_.precond(),
+        const solver::PcgResult r = solver::pcg(ws_.matrix(), ws_.rhs(), d, ws_.precond(),
                                                 popts, sink, &ws_.pcg_workspace());
         solve_span.close();
         stats.pcg_iterations += r.iterations;
-        stats.pcg_refine_iterations += r.refine_iterations;
-        stats.pcg_fp32_iterations += r.fp32_iterations;
-        if (r.fell_back_fp64) ++stats.pcg_mixed_fallbacks;
         ++stats.pcg_solves;
         if (!r.converged) ++stats.pcg_failed_solves;
         stats.converged = stats.converged && r.converged;
@@ -551,7 +532,7 @@ StepStats DdaEngine::step() {
     // assembly refill, SpMV stages, BLAS-1, fused PCG passes) sizes its
     // teams from the thread budget, and the budget is thread-local so
     // concurrent engines on scheduler workers never see each other's knobs.
-    par::ScopedTeamSize step_team(cfg_.effective_step_threads());
+    par::ScopedTeamSize step_team(cfg_.step_threads);
     trace::Span step_span(tracer_.get(), trace::Category::Step, "step");
     if (!recorder_ && !metrics_) {
         ++step_index_;
@@ -577,9 +558,6 @@ StepStats DdaEngine::step() {
     rec.pcg_solves = stats.pcg_solves;
     rec.pcg_iterations = stats.pcg_iterations;
     rec.pcg_failed_solves = stats.pcg_failed_solves;
-    rec.pcg_refine_iterations = stats.pcg_refine_iterations;
-    rec.pcg_fp32_iterations = stats.pcg_fp32_iterations;
-    rec.pcg_mixed_fallbacks = stats.pcg_mixed_fallbacks;
     rec.contacts = contacts_.size();
     rec.active_contacts = stats.active_contacts;
     rec.max_displacement = stats.max_displacement;

@@ -29,7 +29,6 @@
 #include "assembly/gpu_assembler.hpp"
 #include "core/config.hpp"
 #include "solver/pcg.hpp"
-#include "sparse/ell.hpp"
 #include "sparse/hsbcsr.hpp"
 
 namespace gdda::core {
@@ -43,9 +42,6 @@ struct SolveWorkspaceStats {
     std::uint64_t diag_physics_reuses = 0;     ///< diagonal physics copied, not recomputed
     std::uint64_t precond_refactors = 0;       ///< preconditioner numeric-only rebuilds
     std::uint64_t ilu_pattern_rebuilds = 0;    ///< ILU(0) scalar-pattern fallbacks
-    std::uint64_t f32_shadow_refills = 0;      ///< fp32 HSBCSR shadow numeric refills
-    std::uint64_t sell_refills = 0;            ///< sliced-ELL numeric refills (structure kept)
-    std::uint64_t sell_rebuilds = 0;           ///< sliced-ELL structural rebuilds
 };
 
 class SolveWorkspace {
@@ -72,20 +68,6 @@ public:
     /// the cached preconditioner; `sink` (GPU mode only) receives the
     /// numeric kernel costs and the "[cached]" skip markers.
     void prepare_solve(PrecondKind kind, simt::KernelCost* sink);
-
-    /// Solver-frontier overload: additionally maintains the optional matrix
-    /// views pcg_matrix() hands to the solver — the fp32 HSBCSR shadow when
-    /// `mixed`, and the row-sorted sliced-ELL scalar matrix when `backend`
-    /// is SlicedEll. Warm passes refill values into the cached structures;
-    /// the sliced-ELL structure is rebuilt whenever the scalar CSR pattern
-    /// drifts (csr_from_bsr_full drops exact zeros, so the scalar pattern is
-    /// value-dependent even under an unchanged contact fingerprint).
-    void prepare_solve(PrecondKind kind, SpmvBackend backend, bool mixed,
-                       simt::KernelCost* sink);
-
-    /// Matrix views for the last prepare_solve(); pointers stay valid until
-    /// the next prepare_solve()/invalidate().
-    [[nodiscard]] solver::PcgMatrix pcg_matrix() const;
 
     [[nodiscard]] const sparse::HsbcsrMatrix& matrix() const { return h_; }
     [[nodiscard]] const sparse::BlockVec& rhs() const { return as_.f; }
@@ -114,15 +96,6 @@ private:
     assembly::AssembledSystem as_; ///< persistent: outlives the pass (SSOR-AI aliases k)
     sparse::HsbcsrMatrix h_;
     bool have_h_ = false;
-    // Solver-frontier matrix views (built on demand by the four-argument
-    // prepare_solve; dropped whenever the knobs turn them off).
-    sparse::HsbcsrF32 h32_;
-    bool have_h32_ = false;
-    sparse::CsrMatrix csr_;
-    sparse::SortedSellMatrix sell_;
-    bool have_sell_ = false;
-    bool use_h32_ = false;
-    bool use_sell_ = false;
     std::unique_ptr<solver::Preconditioner> pre_;
     PrecondKind pre_kind_ = PrecondKind::BlockJacobi;
     bool have_pre_ = false;

@@ -28,15 +28,6 @@ EngineObserver::EngineObserver(MetricsConfig cfg, std::string mode, Registry* re
                                           {{"mode", mode_}, {"converged", "false"}});
     pcg_iterations_total_ =
         &r.counter("gdda_pcg_iterations_total", "PCG iterations summed over solves", ml);
-    pcg_refine_iterations_total_ = &r.counter(
-        "gdda_pcg_refine_iterations_total",
-        "fp64 refinement passes of the mixed-precision PCG solver", ml);
-    pcg_fp32_iterations_total_ = &r.counter(
-        "gdda_pcg_fp32_iterations_total",
-        "fp32 inner PCG iterations of the mixed-precision solver", ml);
-    pcg_mixed_fallbacks_total_ = &r.counter(
-        "gdda_pcg_mixed_fallbacks_total",
-        "Mixed-precision solves that fell back to strict fp64", ml);
     pair_cache_hits_total_ = &r.counter("gdda_pair_cache_hits_total",
                                         "Broad-phase candidate cache reuses", ml);
     pair_cache_misses_total_ = &r.counter("gdda_pair_cache_misses_total",
@@ -91,9 +82,6 @@ void EngineObserver::on_step(const obs::StepRecord& rec, const StepContext& ctx)
     if (ok > 0) pcg_solves_ok_total_->inc(static_cast<std::uint64_t>(ok));
     if (failed > 0) pcg_solves_failed_total_->inc(static_cast<std::uint64_t>(failed));
     pcg_iterations_total_->inc(static_cast<std::uint64_t>(rec.pcg_iterations));
-    pcg_refine_iterations_total_->inc(static_cast<std::uint64_t>(rec.pcg_refine_iterations));
-    pcg_fp32_iterations_total_->inc(static_cast<std::uint64_t>(rec.pcg_fp32_iterations));
-    pcg_mixed_fallbacks_total_->inc(static_cast<std::uint64_t>(rec.pcg_mixed_fallbacks));
     if (ctx.pair_cache_state == 1)
         pair_cache_hits_total_->inc();
     else if (ctx.pair_cache_state == 0)

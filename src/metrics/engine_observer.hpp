@@ -119,9 +119,6 @@ private:
     Counter* pcg_solves_ok_total_;
     Counter* pcg_solves_failed_total_;
     Counter* pcg_iterations_total_;
-    Counter* pcg_refine_iterations_total_;
-    Counter* pcg_fp32_iterations_total_;
-    Counter* pcg_mixed_fallbacks_total_;
     Counter* pair_cache_hits_total_;
     Counter* pair_cache_misses_total_;
     Counter* kernel_launches_total_[obs::kModuleCount];

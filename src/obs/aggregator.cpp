@@ -10,9 +10,6 @@ void Aggregator::on_step(const StepRecord& rec) {
     pcg_iterations_ += rec.pcg_iterations;
     pcg_solves_ += rec.pcg_solves;
     pcg_failed_solves_ += rec.pcg_failed_solves;
-    pcg_refine_iterations_ += rec.pcg_refine_iterations;
-    pcg_fp32_iterations_ += rec.pcg_fp32_iterations;
-    pcg_mixed_fallbacks_ += rec.pcg_mixed_fallbacks;
     open_close_iters_ += rec.open_close_iters;
     retries_ += rec.retries;
     if (!rec.converged) ++unconverged_steps_;

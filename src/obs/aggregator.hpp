@@ -21,9 +21,6 @@ public:
     [[nodiscard]] long long pcg_iterations() const { return pcg_iterations_; }
     [[nodiscard]] long long pcg_solves() const { return pcg_solves_; }
     [[nodiscard]] long long pcg_failed_solves() const { return pcg_failed_solves_; }
-    [[nodiscard]] long long pcg_refine_iterations() const { return pcg_refine_iterations_; }
-    [[nodiscard]] long long pcg_fp32_iterations() const { return pcg_fp32_iterations_; }
-    [[nodiscard]] long long pcg_mixed_fallbacks() const { return pcg_mixed_fallbacks_; }
     [[nodiscard]] long long open_close_iters() const { return open_close_iters_; }
     [[nodiscard]] long long retries() const { return retries_; }
     [[nodiscard]] int unconverged_steps() const { return unconverged_steps_; }
@@ -66,9 +63,6 @@ private:
     long long pcg_iterations_ = 0;
     long long pcg_solves_ = 0;
     long long pcg_failed_solves_ = 0;
-    long long pcg_refine_iterations_ = 0;
-    long long pcg_fp32_iterations_ = 0;
-    long long pcg_mixed_fallbacks_ = 0;
     long long open_close_iters_ = 0;
     long long retries_ = 0;
     int unconverged_steps_ = 0;

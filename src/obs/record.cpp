@@ -92,9 +92,6 @@ JsonValue to_json(const StepRecord& rec) {
     j.set("pcg_solves", JsonValue::integer(rec.pcg_solves));
     j.set("pcg_iterations", JsonValue::integer(rec.pcg_iterations));
     j.set("pcg_failed_solves", JsonValue::integer(rec.pcg_failed_solves));
-    j.set("pcg_refine_iterations", JsonValue::integer(rec.pcg_refine_iterations));
-    j.set("pcg_fp32_iterations", JsonValue::integer(rec.pcg_fp32_iterations));
-    j.set("pcg_mixed_fallbacks", JsonValue::integer(rec.pcg_mixed_fallbacks));
     j.set("contacts", JsonValue::integer(static_cast<long long>(rec.contacts)));
     j.set("active_contacts", JsonValue::integer(static_cast<long long>(rec.active_contacts)));
     j.set("max_displacement", JsonValue::number(rec.max_displacement));
@@ -142,9 +139,9 @@ bool from_json(const JsonValue& doc, StepRecord& rec, std::string* err) {
                       std::string(kStepSchemaName) + "')");
     long long version = 0;
     if (!r.count(doc, "version", version)) return false;
-    // v1 predates span tracing, v2 predates pcg_failed_solves, v3 predates
-    // the mixed-precision counters; all decode with the missing fields
-    // defaulted to 0.
+    // v1 predates span tracing, v2 predates pcg_failed_solves; both decode
+    // with the missing fields defaulted to 0. v4's mixed-precision counters
+    // are not read.
     if (version < 1 || version > kSchemaVersion)
         return r.fail("unsupported schema version " + std::to_string(version) +
                       " (this build reads v1-v" + std::to_string(kSchemaVersion) + ")");
@@ -168,16 +165,6 @@ bool from_json(const JsonValue& doc, StepRecord& rec, std::string* err) {
         if (!r.count(doc, "pcg_failed_solves", rec.pcg_failed_solves)) return false;
         if (rec.pcg_failed_solves > rec.pcg_solves)
             return r.fail("'pcg_failed_solves' exceeds 'pcg_solves'");
-    }
-    rec.pcg_refine_iterations = 0;
-    rec.pcg_fp32_iterations = 0;
-    rec.pcg_mixed_fallbacks = 0;
-    if (version >= 4) {
-        if (!r.count(doc, "pcg_refine_iterations", rec.pcg_refine_iterations)) return false;
-        if (!r.count(doc, "pcg_fp32_iterations", rec.pcg_fp32_iterations)) return false;
-        if (!r.count(doc, "pcg_mixed_fallbacks", rec.pcg_mixed_fallbacks)) return false;
-        if (rec.pcg_mixed_fallbacks > rec.pcg_solves)
-            return r.fail("'pcg_mixed_fallbacks' exceeds 'pcg_solves'");
     }
     if (!r.count(doc, "contacts", rec.contacts)) return false;
     if (!r.count(doc, "active_contacts", rec.active_contacts)) return false;

@@ -23,11 +23,11 @@ namespace gdda::obs {
 inline constexpr std::string_view kStepSchemaName = "gdda.obs.step";
 /// v2 added `trace_span` (the gdda::trace Step span id; 0 = untraced run).
 /// v3 added `pcg_failed_solves` (non-converged PCG solves in the step —
-/// previously dropped on the floor). v4 added the mixed-precision solver
-/// accounting (`pcg_refine_iterations`, `pcg_fp32_iterations`,
-/// `pcg_mixed_fallbacks`). Older documents still decode — the missing
-/// fields default to 0.
-inline constexpr int kSchemaVersion = 4;
+/// previously dropped on the floor). v4 added three mixed-precision solver
+/// counters; v5 removed them with the mixed-precision solver. Older
+/// documents still decode — missing fields default to 0, and fields this
+/// build no longer knows (the v4 counters) are ignored.
+inline constexpr int kSchemaVersion = 5;
 
 /// Pipeline modules in the paper's Table II/III row order. Must stay in sync
 /// with core::Module (static_asserted where the engine builds records).
@@ -78,12 +78,6 @@ struct StepRecord {
     /// Of pcg_solves, how many exited without reaching tolerance (silent
     /// solver failures — surfaced in metrics and `gdda-serve --verify`).
     int pcg_failed_solves = 0;
-    /// Mixed-precision accounting (all zero under the strict fp64 policy):
-    /// fp64 refinement passes, fp32 inner iterations, and solves that fell
-    /// back to strict fp64 after fp32 stagnated.
-    int pcg_refine_iterations = 0;
-    int pcg_fp32_iterations = 0;
-    int pcg_mixed_fallbacks = 0;
     std::size_t contacts = 0;
     std::size_t active_contacts = 0;
     double max_displacement = 0.0;

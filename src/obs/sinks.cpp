@@ -34,8 +34,7 @@ CsvSink::CsvSink(const std::string& path) : out_(open_or_throw(path)) {
 std::string CsvSink::header() {
     std::string h =
         "step,mode,time,dt,retries,open_close_iters,pcg_solves,pcg_iterations,"
-        "pcg_failed_solves,pcg_refine_iterations,pcg_fp32_iterations,pcg_mixed_fallbacks,"
-        "contacts,active_contacts,max_displacement,max_penetration,converged,"
+        "pcg_failed_solves,contacts,active_contacts,max_displacement,max_penetration,converged,"
         "cls_candidates,cls_ve,cls_vv1,cls_vv2,cls_abandoned";
     for (std::string_view key : kModuleKeys) {
         h += ',';
@@ -60,9 +59,6 @@ void CsvSink::on_step(const StepRecord& rec) {
     row += ',' + std::to_string(rec.pcg_solves);
     row += ',' + std::to_string(rec.pcg_iterations);
     row += ',' + std::to_string(rec.pcg_failed_solves);
-    row += ',' + std::to_string(rec.pcg_refine_iterations);
-    row += ',' + std::to_string(rec.pcg_fp32_iterations);
-    row += ',' + std::to_string(rec.pcg_mixed_fallbacks);
     row += ',' + std::to_string(rec.contacts);
     row += ',' + std::to_string(rec.active_contacts);
     row += ',';

@@ -67,7 +67,7 @@ std::string schema_json() {
         fields.set(std::string(name), std::move(f));
     };
     field("schema", "string", "", "record type; always \"gdda.obs.step\"");
-    field("version", "count", "", "schema layout revision; this build writes v4, reads v1-v4");
+    field("version", "count", "", "schema layout revision; this build writes v5, reads v1-v5");
     field("mode", "string", "", "\"serial\" or \"gpu\" pipeline");
     field("step", "count", "", "0-based step index within the run");
     field("time", "number", "s", "simulated time after the step");
@@ -79,14 +79,6 @@ std::string schema_json() {
     field("pcg_failed_solves", "count", "",
           "of pcg_solves, how many exited without reaching tolerance (v3+; "
           "never exceeds pcg_solves)");
-    field("pcg_refine_iterations", "count", "",
-          "fp64 refinement passes of the mixed-precision solver (v4+; zero under "
-          "the strict fp64 policy)");
-    field("pcg_fp32_iterations", "count", "",
-          "fp32 inner PCG iterations of the mixed-precision solver (v4+)");
-    field("pcg_mixed_fallbacks", "count", "",
-          "solves that abandoned fp32 for the strict fp64 fallback (v4+; never "
-          "exceeds pcg_solves)");
     field("contacts", "count", "", "contact points carried by the step");
     field("active_contacts", "count", "", "of which non-open (spring engaged)");
     field("max_displacement", "number", "m", "max vertex displacement of the step");

@@ -3,7 +3,7 @@
 // knobs decide how wide a par::parallel_for team may be on the CALLING
 // thread, mirroring how a CUDA stream pins work to one device context:
 //
-//   team   an explicit team-size request (SimConfig::solver_threads via
+//   team   an explicit team-size request (SimConfig::step_threads via
 //          ScopedTeamSize). 0 = unset: fall back to the ambient OpenMP
 //          nthreads-var, so omp_set_num_threads() keeps working for callers
 //          that manage OpenMP themselves.

@@ -21,30 +21,6 @@
 
 namespace gdda::solver {
 
-/// Eisenstat-trick operations for preconditioners of SSOR form
-/// M = K K^T with K = sqrt(w/(2-w)) (D/w + L) S^-T and D = S S^T.
-/// CG runs on the congruent system A^ = K^-1 A K^-T, whose application
-/// costs two level-scheduled block triangular solves and *no* SpMV with A —
-/// the preconditioned SpMV and the SSOR solves share their work, roughly
-/// halving the per-iteration triangle flops versus SpMV + M^-1 apply.
-/// All four maps are bitwise-deterministic for any thread count.
-class EisenstatOps {
-public:
-    virtual ~EisenstatOps() = default;
-    /// bhat = K^-1 b (start of the hat-space solve).
-    virtual void hat_rhs(const sparse::BlockVec& b, sparse::BlockVec& bhat,
-                         simt::KernelCost* cost = nullptr) const = 0;
-    /// av = A^ v = K^-1 A K^-T v via the Eisenstat identity.
-    virtual void hat_apply(const sparse::BlockVec& v, sparse::BlockVec& av,
-                           simt::KernelCost* cost = nullptr) const = 0;
-    /// xhat = K^T x (carry a warm start into hat space).
-    virtual void hat_warm_start(const sparse::BlockVec& x, sparse::BlockVec& xhat,
-                                simt::KernelCost* cost = nullptr) const = 0;
-    /// x = K^-T xhat (map the converged hat iterate back).
-    virtual void unhat_solution(const sparse::BlockVec& xhat, sparse::BlockVec& x,
-                                simt::KernelCost* cost = nullptr) const = 0;
-};
-
 class Preconditioner {
 public:
     virtual ~Preconditioner() = default;
@@ -78,12 +54,6 @@ public:
     /// means the cached symbolic pattern was reused as-is.
     virtual bool refactor(const sparse::BsrMatrix& a) = 0;
 
-    /// Non-null when this preconditioner supports the Eisenstat-trick CG
-    /// path (solver/pcg.cpp switches to hat-space CG when present and the
-    /// solve options ask for it). The pointer stays owned by and valid for
-    /// the lifetime of the preconditioner; refactor() keeps it current.
-    [[nodiscard]] virtual const EisenstatOps* eisenstat() const { return nullptr; }
-
     /// Analytic GPU cost of constructing this preconditioner (once per step).
     [[nodiscard]] const simt::KernelCost& construction_cost() const { return construction_cost_; }
     /// Measured CPU construction time in seconds.
@@ -103,12 +73,6 @@ std::unique_ptr<Preconditioner> make_point_jacobi(const sparse::BsrMatrix& a);
 std::unique_ptr<Preconditioner> make_block_jacobi(const sparse::BsrMatrix& a);
 
 std::unique_ptr<Preconditioner> make_ssor_ai(const sparse::BsrMatrix& a, double omega = 1.0);
-
-/// Exact SSOR via level-scheduled block triangular solves, with the
-/// Eisenstat-trick hat-space operations exposed through eisenstat().
-/// apply() is the exact M^-1 (unlike SSOR-AI's Neumann approximation).
-std::unique_ptr<Preconditioner> make_ssor_eisenstat(const sparse::BsrMatrix& a,
-                                                    double omega = 1.0);
 
 std::unique_ptr<Preconditioner> make_ilu0(const sparse::BsrMatrix& a);
 

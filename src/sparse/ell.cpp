@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "par/parallel_for.hpp"
 
@@ -109,35 +108,6 @@ SortedSellMatrix sorted_sell_from_csr(const CsrMatrix& a, std::size_t slice_heig
         }
     }
     return s;
-}
-
-void sorted_sell_refill(SortedSellMatrix& s, const CsrMatrix& a) {
-    if (s.rows != a.rows) throw std::invalid_argument("sorted_sell_refill: row mismatch");
-    const std::size_t slices = s.slice_width.size();
-    for (std::size_t sl = 0; sl < slices; ++sl) {
-        const std::size_t r0 = sl * s.slice_height;
-        const std::size_t r1 = std::min(r0 + s.slice_height, a.rows);
-        const std::size_t base = s.slice_ptr[sl];
-        for (std::size_t rs = r0; rs < r1; ++rs) {
-            const std::size_t lane = rs - r0;
-            const std::size_t orig = s.perm[rs];
-            const std::size_t len = a.row_ptr[orig + 1] - a.row_ptr[orig];
-            if (len > s.slice_width[sl])
-                throw std::invalid_argument("sorted_sell_refill: structure mismatch");
-            std::size_t k = 0;
-            for (std::uint32_t p = a.row_ptr[orig]; p < a.row_ptr[orig + 1]; ++p, ++k) {
-                if (s.cols[base + k * s.slice_height + lane] != a.cols[p])
-                    throw std::invalid_argument("sorted_sell_refill: structure mismatch");
-                s.vals[base + k * s.slice_height + lane] = a.vals[p];
-            }
-            for (; k < s.slice_width[sl]; ++k) {
-                if (s.cols[base + k * s.slice_height + lane] !=
-                    static_cast<std::uint32_t>(orig))
-                    throw std::invalid_argument("sorted_sell_refill: structure mismatch");
-                s.vals[base + k * s.slice_height + lane] = 0.0;
-            }
-        }
-    }
 }
 
 void spmv_ell(const EllMatrix& a, const std::vector<double>& x, std::vector<double>& y,

@@ -50,7 +50,6 @@ struct SlicedEllMatrix {
 /// collapses. The permutation is part of the format: SpMV reads the sorted
 /// layout and scatters each result back to its original row through `perm`,
 /// making the kernel a drop-in y = A x — callers never see sorted order.
-/// This is the solve-path SpMV backend selectable via SimConfig/PcgMatrix.
 struct SortedSellMatrix {
     std::size_t rows = 0;
     std::size_t slice_height = 32;        ///< warp width
@@ -71,14 +70,6 @@ struct SortedSellMatrix {
 EllMatrix ell_from_csr(const CsrMatrix& a);
 SlicedEllMatrix sliced_ell_from_csr(const CsrMatrix& a, std::size_t slice_height = 32);
 SortedSellMatrix sorted_sell_from_csr(const CsrMatrix& a, std::size_t slice_height = 32);
-
-/// Numeric refill of a sorted-SELL matrix from a CSR matrix with the
-/// identical sparsity structure (row lengths and column ids). The
-/// permutation, slice widths, and padding are kept; only vals is rewritten.
-/// Throws std::invalid_argument when the structure does not match — callers
-/// with value-dependent CSR structure (csr_from_bsr_full drops exact zeros)
-/// must compare structure first and rebuild on mismatch.
-void sorted_sell_refill(SortedSellMatrix& s, const CsrMatrix& a);
 
 /// y = A x; exact math plus the analytic GPU trace.
 void spmv_ell(const EllMatrix& a, const std::vector<double>& x, std::vector<double>& y,

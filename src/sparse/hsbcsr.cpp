@@ -81,29 +81,6 @@ void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a) {
     }
 }
 
-HsbcsrF32 hsbcsr_structure_f32(const HsbcsrMatrix& h) {
-    HsbcsrF32 s;
-    s.n = h.n;
-    s.m = h.m;
-    s.padded_n = h.padded_n;
-    s.padded_m = h.padded_m;
-    s.d_data.assign(h.d_data.size(), 0.0f);
-    s.nd_data_up.assign(h.nd_data_up.size(), 0.0f);
-    return s;
-}
-
-void hsbcsr_refill_f32(HsbcsrF32& s, const HsbcsrMatrix& h) {
-    if (s.n != h.n || s.m != h.m || s.d_data.size() != h.d_data.size() ||
-        s.nd_data_up.size() != h.nd_data_up.size())
-        throw std::invalid_argument("hsbcsr_refill_f32: structure mismatch");
-    // Straight demotion of the whole slice arrays, padding included: the
-    // fp64 padding is exact +0.0, which casts to exact +0.0f.
-    for (std::size_t i = 0; i < h.d_data.size(); ++i)
-        s.d_data[i] = static_cast<float>(h.d_data[i]);
-    for (std::size_t i = 0; i < h.nd_data_up.size(); ++i)
-        s.nd_data_up[i] = static_cast<float>(h.nd_data_up[i]);
-}
-
 HsbcsrMatrix hsbcsr_from_bsr(const BsrMatrix& a) {
     HsbcsrMatrix h = hsbcsr_structure(a);
     hsbcsr_refill(h, a);

@@ -67,36 +67,6 @@ struct HsbcsrMatrix {
     }
 };
 
-/// fp32 shadow of an HsbcsrMatrix: the same slice layout over the same
-/// padded sizes, holding demoted copies of the diagonal and upper block
-/// data. The index arrays are NOT duplicated — an fp32 SpMV borrows them
-/// from the fp64 matrix it shadows (the symbolic structure is shared, only
-/// the numeric payload is demoted). This is the storage half of the
-/// mixed-precision PCG path: refilling the shadow costs one pass over the
-/// slice data and halves the value-traffic of every inner SpMV.
-struct HsbcsrF32 {
-    int n = 0;
-    int m = 0;
-    int padded_n = 0;
-    int padded_m = 0;
-    std::vector<float> d_data;      ///< same slice layout as HsbcsrMatrix::d_data
-    std::vector<float> nd_data_up;  ///< same slice layout as nd_data_up
-
-    [[nodiscard]] std::size_t data_bytes() const {
-        return (d_data.size() + nd_data_up.size()) * sizeof(float);
-    }
-};
-
-/// Symbolic half of the shadow: copy the padded sizes from `h` and allocate
-/// zeroed fp32 slice arrays. Reusable while h's structure is unchanged.
-HsbcsrF32 hsbcsr_structure_f32(const HsbcsrMatrix& h);
-
-/// Numeric half: demote h's slice data into the shadow (padding included, so
-/// padded lanes stay exact +0.0f). `s` must have been built by
-/// hsbcsr_structure_f32() on a matrix with the same structure; throws
-/// std::invalid_argument on a dimension mismatch.
-void hsbcsr_refill_f32(HsbcsrF32& s, const HsbcsrMatrix& h);
-
 /// Convert the assembler's BSR matrix into HSBCSR. Equivalent to
 /// hsbcsr_structure() followed by hsbcsr_refill() — the symbolic/numeric
 /// split used by the structure-caching solve path.

@@ -117,84 +117,6 @@ void spmv_hsbcsr(const HsbcsrMatrix& a, const BlockVec& x, BlockVec& y,
     }
 }
 
-void spmv_hsbcsr_f32(const HsbcsrMatrix& idx, const HsbcsrF32& a32,
-                     const std::vector<float>& x, std::vector<float>& y,
-                     HsbcsrF32Workspace& ws, simt::KernelCost* cost) {
-    assert(x.size() == static_cast<std::size_t>(idx.n) * 6 && y.size() == x.size());
-    assert(a32.padded_m == idx.padded_m && a32.padded_n == idx.padded_n);
-    ws.resize(static_cast<std::size_t>(idx.m));
-
-    // Stage 1: mirror of the fp64 kernel — per block p at (r, c), the
-    // forward product into up_res[p] and the transposed product into
-    // low_res[p], all arithmetic in fp32 in the fp64 kernel's order.
-    par::parallel_for(static_cast<std::size_t>(idx.m), kBlockGrain, [&](std::size_t p) {
-        const std::uint32_t r = idx.row_of(p);
-        const std::uint32_t c = idx.col_of(p);
-        const float* xu = &x[static_cast<std::size_t>(c) * 6];
-        const float* xl = &x[static_cast<std::size_t>(r) * 6];
-        float up[6];
-        float low[6] = {0, 0, 0, 0, 0, 0};
-        for (int s = 0; s < 6; ++s) {
-            const float* row = &a32.nd_data_up[static_cast<std::size_t>(s) * a32.padded_m * 6 +
-                                               p * 6];
-            float acc = 0.0f;
-            for (int k = 0; k < 6; ++k) acc += row[k] * xu[k];
-            up[s] = acc;
-            const float sl = xl[s];
-            for (int k = 0; k < 6; ++k) low[k] += row[k] * sl;
-        }
-        for (int k = 0; k < 6; ++k) {
-            ws.up_res[p * 6 + k] = up[k];
-            ws.low_res[p * 6 + k] = low[k];
-        }
-    });
-
-    // Stage 2: per-row reduction, serial order within the row.
-    par::parallel_for(static_cast<std::size_t>(idx.n), kRowGrain, [&](std::size_t i) {
-        float acc[6];
-        const float* xi = &x[i * 6];
-        for (int s = 0; s < 6; ++s) {
-            const float* drow = &a32.d_data[static_cast<std::size_t>(s) * a32.padded_n * 6 +
-                                            i * 6];
-            float a = 0.0f;
-            for (int k = 0; k < 6; ++k) a += drow[k] * xi[k];
-            acc[s] = a;
-        }
-        const std::uint32_t ub = i > 0 ? idx.row_up_i[i - 1] : 0;
-        const std::uint32_t ue = idx.row_up_i[i];
-        for (std::uint32_t p = ub; p < ue; ++p)
-            for (int k = 0; k < 6; ++k) acc[k] += ws.up_res[static_cast<std::size_t>(p) * 6 + k];
-        const std::uint32_t lb = i > 0 ? idx.row_low_i[i - 1] : 0;
-        const std::uint32_t le = idx.row_low_i[i];
-        for (std::uint32_t k2 = lb; k2 < le; ++k2) {
-            const std::size_t p = idx.row_low_p[k2];
-            for (int k = 0; k < 6; ++k) acc[k] += ws.low_res[p * 6 + k];
-        }
-        for (int k = 0; k < 6; ++k) y[i * 6 + k] = acc[k];
-    });
-
-    if (cost) {
-        const double m = idx.m;
-        const double n = idx.n;
-        const double v6f = 6.0 * sizeof(float);
-        simt::KernelCost kc;
-        kc.name = "spmv_hsbcsr_f32";
-        kc.flops = m * 144.0 + n * 72.0 + (2.0 * m + n) * 6.0;
-        // Value traffic at fp32 width; index arrays identical to the fp64
-        // kernel (the structure is shared, not duplicated).
-        kc.bytes_coalesced = m * 36 * sizeof(float) + m * sizeof(std::uint64_t) +
-                             2.0 * m * v6f + m * v6f + n * 36 * sizeof(float) +
-                             2.0 * n * v6f + 2.0 * n * sizeof(std::uint32_t) +
-                             m * sizeof(std::uint32_t);
-        kc.bytes_texture = 3.0 * m * v6f * kBlockGatherAmp;
-        kc.depth = 24;
-        kc.branch_slots = (m + n) / 32.0;
-        kc.divergent_slots = 0.02 * kc.branch_slots;
-        kc.launches = 2;
-        simt::record_kernel(cost, kc);
-    }
-}
-
 void spmv_csr_scalar(const CsrMatrix& a, const std::vector<double>& x, std::vector<double>& y,
                      simt::KernelCost* cost) {
     csr_multiply(a, x, y);

@@ -31,26 +31,6 @@ struct HsbcsrWorkspace {
 void spmv_hsbcsr(const HsbcsrMatrix& a, const BlockVec& x, BlockVec& y,
                  HsbcsrWorkspace& ws, simt::KernelCost* cost = nullptr);
 
-/// Scratch for the fp32 two-stage kernel: flat 6-wide scatter buffers.
-struct HsbcsrF32Workspace {
-    std::vector<float> up_res;
-    std::vector<float> low_res;
-    void resize(std::size_t m) {
-        up_res.resize(m * 6);
-        low_res.resize(m * 6);
-    }
-};
-
-/// fp32 two-stage HSBCSR SpMV: y = A32 x with x, y flat fp32 vectors of 6n
-/// scalars. `idx` supplies the (shared) symbolic structure, `a32` the demoted
-/// slice data. Accumulation runs in fp32 in the identical order to the fp64
-/// kernel, and every write target is disjoint per parallel item, so any team
-/// size produces bit-identical fp32 results. This is the inner-solve kernel
-/// of the mixed-precision PCG path — half the value traffic of spmv_hsbcsr.
-void spmv_hsbcsr_f32(const HsbcsrMatrix& idx, const HsbcsrF32& a32,
-                     const std::vector<float>& x, std::vector<float>& y,
-                     HsbcsrF32Workspace& ws, simt::KernelCost* cost = nullptr);
-
 void spmv_csr_scalar(const CsrMatrix& a, const std::vector<double>& x, std::vector<double>& y,
                      simt::KernelCost* cost = nullptr);
 

@@ -146,11 +146,7 @@ void write_config(ByteWriter& w, const core::SimConfig& c) {
     w.f64(c.dt_grow);
     w.u8(c.exact_rotation ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(c.precond));
-    w.u8(static_cast<std::uint8_t>(c.spmv_backend));
-    // The step-wide team, resolved through the deprecated solver_threads
-    // alias: one i32 slot keeps the format stable, and the reader restores
-    // it into solver_threads, which effective_step_threads() falls back to.
-    w.i32(c.effective_step_threads());
+    w.i32(c.step_threads);
     w.u8(c.reuse_structure ? 1 : 0);
     w.u8(c.warm_start_across_passes ? 1 : 0);
     w.i32(c.checkpoint_interval);
@@ -158,11 +154,6 @@ void write_config(ByteWriter& w, const core::SimConfig& c) {
     w.f64(c.pcg.rel_tol);
     w.f64(c.pcg.abs_tol);
     w.u8(c.pcg.fused ? 1 : 0);
-    w.u8(static_cast<std::uint8_t>(c.pcg.precision));
-    w.i32(c.pcg.max_refine_iters);
-    w.i32(c.pcg.inner_max_iters);
-    w.f64(c.pcg.inner_rel_tol);
-    w.f64(c.pcg.refine_min_progress);
 }
 
 core::SimConfig read_config(ByteReader& r) {
@@ -187,8 +178,7 @@ core::SimConfig read_config(ByteReader& r) {
     c.dt_grow = r.f64();
     c.exact_rotation = r.u8() != 0;
     c.precond = static_cast<core::PrecondKind>(r.u8());
-    c.spmv_backend = static_cast<core::SpmvBackend>(r.u8());
-    c.solver_threads = r.i32();
+    c.step_threads = r.i32();
     c.reuse_structure = r.u8() != 0;
     c.warm_start_across_passes = r.u8() != 0;
     c.checkpoint_interval = r.i32();
@@ -196,11 +186,6 @@ core::SimConfig read_config(ByteReader& r) {
     c.pcg.rel_tol = r.f64();
     c.pcg.abs_tol = r.f64();
     c.pcg.fused = r.u8() != 0;
-    c.pcg.precision = static_cast<solver::PcgPrecision>(r.u8());
-    c.pcg.max_refine_iters = r.i32();
-    c.pcg.inner_max_iters = r.i32();
-    c.pcg.inner_rel_tol = r.f64();
-    c.pcg.refine_min_progress = r.f64();
     return c;
 }
 
@@ -450,16 +435,10 @@ std::uint64_t config_fingerprint(const core::SimConfig& c) {
     w.f64(c.dt_grow);
     w.u8(c.exact_rotation ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(c.precond));
-    w.u8(static_cast<std::uint8_t>(c.spmv_backend));
     w.u8(c.warm_start_across_passes ? 1 : 0);
     w.i32(c.pcg.max_iters);
     w.f64(c.pcg.rel_tol);
     w.f64(c.pcg.abs_tol);
-    w.u8(static_cast<std::uint8_t>(c.pcg.precision));
-    w.i32(c.pcg.max_refine_iters);
-    w.i32(c.pcg.inner_max_iters);
-    w.f64(c.pcg.inner_rel_tol);
-    w.f64(c.pcg.refine_min_progress);
     std::uint64_t h = kFnvOffset;
     fnv1a(h, w.bytes().data(), w.bytes().size());
     return h;
@@ -573,11 +552,13 @@ RawHeader read_raw_header(std::istream& in) {
     ByteReader pr(buf, 12);
     RawHeader raw;
     raw.header.version = pr.u32();
-    if (raw.header.version == 0 || raw.header.version > kSnapshotVersion)
+    // The payload layout is only known for the current version: an older
+    // file would be parsed with the wrong config layout, so reject it too.
+    if (raw.header.version != kSnapshotVersion)
         throw SnapshotError(SnapshotErrorCode::UnsupportedVersion,
                             "snapshot: schema version " + std::to_string(raw.header.version) +
-                                " not supported (reader max " +
-                                std::to_string(kSnapshotVersion) + ")");
+                                " not supported (reader reads v" +
+                                std::to_string(kSnapshotVersion) + " only)");
     std::uint64_t sha_len = pr.u64();
     if (sha_len > 4096)
         throw SnapshotError(SnapshotErrorCode::Corrupt, "snapshot: implausible git sha length");

@@ -15,7 +15,7 @@
 // length-prefixed, checksummed payload. Every field is little-endian and
 // doubles travel as their raw 64 bits — no text round-trip, no precision
 // loss (the older text `io::checkpoint` only achieves ~1e-9 on resume).
-// Malformed input of any kind — wrong magic, future version, truncation,
+// Malformed input of any kind — wrong magic, unknown version, truncation,
 // bit corruption — is rejected with a typed SnapshotError, never UB.
 
 #include <cstdint>
@@ -27,9 +27,10 @@
 
 namespace gdda::state {
 
-/// On-disk schema version. Bump on any layout change; readers reject
-/// versions they do not understand with UnsupportedVersion.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// On-disk schema version. Bump on any layout change; readers reject every
+/// other version with UnsupportedVersion, because the payload layout of
+/// another version is unknown to them (v1 stored a longer SimConfig).
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Leading file magic ("GDDASNAP", 8 bytes, no terminator on disk).
 inline constexpr char kSnapshotMagic[9] = "GDDASNAP";
@@ -37,7 +38,7 @@ inline constexpr char kSnapshotMagic[9] = "GDDASNAP";
 enum class SnapshotErrorCode : std::uint8_t {
     OpenFailed,         ///< file could not be opened / created
     BadMagic,           ///< not a gdda snapshot at all
-    UnsupportedVersion, ///< written by a newer (or unknown) schema
+    UnsupportedVersion, ///< written by any schema version but this build's
     Truncated,          ///< ran out of bytes mid-structure
     Corrupt,            ///< checksum/fingerprint mismatch or nonsense values
     Mismatch,           ///< snapshot does not fit the target engine
@@ -90,11 +91,10 @@ struct EngineSnapshot {
 
 /// FNV-1a over the trajectory-affecting subset of SimConfig: dt policy,
 /// displacement control, penalties, iteration limits, exact_rotation,
-/// preconditioner, SpMV backend, warm-start policy, and the PCG options
-/// (including the mixed-precision knobs). Deliberately EXCLUDES knobs with
-/// proven bitwise-identity contracts or observer-only roles: broad-phase
-/// backend/cell/cache, pair classification, solver_threads, reuse_structure,
-/// fused PCG, checkpoint_interval, telemetry/trace/metrics.
+/// preconditioner, warm-start policy, and the PCG tolerances. Deliberately
+/// EXCLUDES knobs with proven bitwise-identity contracts or observer-only
+/// roles: broad-phase backend/cell/cache, pair classification, step_threads,
+/// reuse_structure, fused PCG, checkpoint_interval, telemetry/trace/metrics.
 [[nodiscard]] std::uint64_t config_fingerprint(const core::SimConfig& cfg);
 
 /// Capture a complete snapshot of a live engine (observer-only; the engine

@@ -206,6 +206,23 @@ TEST(ObsValidate, RejectsWrongSchemaOrVersion) {
     EXPECT_FALSE(obs::validate_line(doc.dump()));
 }
 
+TEST(ObsValidate, DecodesV4DocumentIgnoringItsSolverCounters) {
+    // v4 carried three mixed-precision counters that v5 dropped; a v4
+    // document must still decode, with those fields simply not read.
+    obs::JsonValue doc = obs::to_json(sample_record());
+    doc.set("version", obs::JsonValue::integer(4));
+    doc.set("pcg_refine_iterations", obs::JsonValue::integer(5));
+    doc.set("pcg_fp32_iterations", obs::JsonValue::integer(40));
+    doc.set("pcg_mixed_fallbacks", obs::JsonValue::integer(1));
+    obs::StepRecord back;
+    std::string err;
+    ASSERT_TRUE(obs::from_json(doc, back, &err)) << err;
+    EXPECT_EQ(back.pcg_solves, 3);
+    EXPECT_EQ(back.pcg_iterations, 41);
+    EXPECT_EQ(back.pcg_failed_solves, 1);
+    EXPECT_TRUE(obs::validate_line(doc.dump()));
+}
+
 TEST(ObsValidate, RejectsMissingOrMistypedField) {
     // Missing "dt".
     obs::JsonValue doc;

@@ -352,44 +352,8 @@ TEST(PcgThreads, ZeroWarmStartSkipChargesNoSpmv) {
 }
 
 // ---------------------------------------------------------------------------
-// Solver frontier: the new paths hold the same determinism contract.
-
-namespace {
-
-void expect_same_bits_f32(const std::vector<float>& a, const std::vector<float>& b,
-                          const std::string& what) {
-    ASSERT_EQ(a.size(), b.size()) << what;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        std::uint32_t ua, ub;
-        std::memcpy(&ua, &a[i], sizeof ua);
-        std::memcpy(&ub, &b[i], sizeof ub);
-        ASSERT_EQ(ua, ub) << what << ": entry " << i;
-    }
-}
-
-} // namespace
-
-TEST(SpmvHsbcsr, F32ShadowBitsInvariantAcrossTeams) {
-    const sparse::BsrMatrix a = random_spd_bsr(600, 900, 51);
-    const sparse::HsbcsrMatrix h = sparse::hsbcsr_from_bsr(a);
-    sparse::HsbcsrF32 s = sparse::hsbcsr_structure_f32(h);
-    sparse::hsbcsr_refill_f32(s, h);
-    std::vector<float> x(600 * 6);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.01f * float(i % 37) - 0.2f;
-    sparse::HsbcsrF32Workspace ws;
-    ws.resize(static_cast<std::size_t>(h.m));
-    std::vector<float> y1(x.size());
-    {
-        par::ScopedTeamSize base(1);
-        sparse::spmv_hsbcsr_f32(h, s, x, y1, ws);
-    }
-    for (int team : kTeams) {
-        par::ScopedTeamSize scope(team);
-        std::vector<float> y(x.size());
-        sparse::spmv_hsbcsr_f32(h, s, x, y, ws);
-        expect_same_bits_f32(y1, y, "f32 spmv team " + std::to_string(team));
-    }
-}
+// Comparison SpMV format: the sorted sliced-ELL kernel holds the same
+// determinism contract.
 
 TEST(SpmvSell, SortedSellBitsInvariantAcrossTeams) {
     const sparse::BsrMatrix a = random_spd_bsr(400, 700, 52);
@@ -410,109 +374,6 @@ TEST(SpmvSell, SortedSellBitsInvariantAcrossTeams) {
     }
 }
 
-TEST(PcgThreads, MixedPrecisionBitsInvariantAcrossTeams) {
-    const sparse::BsrMatrix a = random_spd_bsr(500, 800, 53);
-    const sparse::HsbcsrMatrix h = sparse::hsbcsr_from_bsr(a);
-    sparse::HsbcsrF32 h32 = sparse::hsbcsr_structure_f32(h);
-    sparse::hsbcsr_refill_f32(h32, h);
-    const sparse::BlockVec b = random_block_vec(500, 54);
-    const auto m = solver::make_block_jacobi(a);
-
-    solver::PcgMatrix view;
-    view.h = &h;
-    view.h32 = &h32;
-    solver::PcgOptions opts;
-    opts.max_iters = 600;
-    opts.rel_tol = 1e-11;
-    opts.precision = solver::PcgPrecision::MixedFp32;
-
-    sparse::BlockVec x1(500);
-    solver::PcgResult r1;
-    {
-        par::ScopedTeamSize one(1);
-        r1 = solver::pcg(view, b, x1, *m, opts);
-    }
-    ASSERT_TRUE(r1.converged);
-    ASSERT_GT(r1.fp32_iterations, 0);
-    for (int team : kTeams) {
-        par::ScopedTeamSize scope(team);
-        sparse::BlockVec x(500);
-        const solver::PcgResult r = solver::pcg(view, b, x, *m, opts);
-        EXPECT_EQ(r1.iterations, r.iterations) << "team " << team;
-        EXPECT_EQ(r1.refine_iterations, r.refine_iterations) << "team " << team;
-        EXPECT_EQ(r1.fp32_iterations, r.fp32_iterations) << "team " << team;
-        expect_same_bits(x1, x, "mixed pcg x, team " + std::to_string(team));
-    }
-}
-
-TEST(PcgThreads, SellBackendBitsInvariantAcrossTeams) {
-    const sparse::BsrMatrix a = random_spd_bsr(400, 600, 55);
-    const sparse::HsbcsrMatrix h = sparse::hsbcsr_from_bsr(a);
-    const sparse::CsrMatrix c = sparse::csr_from_bsr_full(a);
-    const sparse::SortedSellMatrix sell = sparse::sorted_sell_from_csr(c, 32);
-    const sparse::BlockVec b = random_block_vec(400, 56);
-    const auto m = solver::make_block_jacobi(a);
-
-    solver::PcgMatrix view;
-    view.h = &h;
-    view.sell = &sell;
-    solver::PcgOptions opts;
-    opts.max_iters = 600;
-    opts.rel_tol = 1e-11;
-
-    sparse::BlockVec x1(400);
-    solver::PcgResult r1;
-    {
-        par::ScopedTeamSize one(1);
-        r1 = solver::pcg(view, b, x1, *m, opts);
-    }
-    ASSERT_TRUE(r1.converged);
-    for (int team : kTeams) {
-        par::ScopedTeamSize scope(team);
-        sparse::BlockVec x(400);
-        const solver::PcgResult r = solver::pcg(view, b, x, *m, opts);
-        EXPECT_EQ(r1.iterations, r.iterations) << "team " << team;
-        expect_same_bits(x1, x, "sell pcg x, team " + std::to_string(team));
-    }
-}
-
-TEST(PcgThreads, EisenstatBitsInvariantAcrossTeams) {
-    const sparse::BsrMatrix a = random_spd_bsr(400, 600, 57);
-    const sparse::HsbcsrMatrix h = sparse::hsbcsr_from_bsr(a);
-    const sparse::BlockVec b = random_block_vec(400, 58);
-    const auto m = solver::make_ssor_eisenstat(a);
-
-    solver::PcgMatrix view;
-    view.h = &h;
-    solver::PcgOptions opts;
-    opts.max_iters = 800;
-    opts.rel_tol = 1e-10;
-
-    sparse::BlockVec x1(400);
-    solver::PcgResult r1;
-    {
-        par::ScopedTeamSize one(1);
-        r1 = solver::pcg(view, b, x1, *m, opts);
-    }
-    ASSERT_TRUE(r1.converged);
-    for (int team : kTeams) {
-        par::ScopedTeamSize scope(team);
-        sparse::BlockVec x(400);
-        const solver::PcgResult r = solver::pcg(view, b, x, *m, opts);
-        EXPECT_EQ(r1.iterations, r.iterations) << "team " << team;
-        expect_same_bits(x1, x, "eisenstat pcg x, team " + std::to_string(team));
-
-        // The exact-inverse apply must also be deterministic.
-        sparse::BlockVec z1(400), z(400);
-        {
-            par::ScopedTeamSize one(1);
-            m->apply(b, z1);
-        }
-        m->apply(b, z);
-        expect_same_bits(z1, z, "eisenstat apply, team " + std::to_string(team));
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Full pipeline
 
@@ -522,7 +383,7 @@ TEST(EngineThreads, TrajectoryBitsInvariantAcrossSolverThreads) {
         {
             block::BlockSystem sys = models::make_column(6);
             core::SimConfig cfg;
-            cfg.solver_threads = 0; // ambient
+            cfg.step_threads = 0; // ambient
             core::DdaEngine engine(sys, cfg, mode);
             for (int s = 0; s < 20; ++s) engine.step();
             baseline = sched::state_fingerprint(sys);
@@ -530,12 +391,12 @@ TEST(EngineThreads, TrajectoryBitsInvariantAcrossSolverThreads) {
         for (int threads : kTeams) {
             block::BlockSystem sys = models::make_column(6);
             core::SimConfig cfg;
-            cfg.solver_threads = threads;
+            cfg.step_threads = threads;
             core::DdaEngine engine(sys, cfg, mode);
             for (int s = 0; s < 20; ++s) engine.step();
             EXPECT_EQ(baseline, sched::state_fingerprint(sys))
                 << "mode " << (mode == core::EngineMode::Gpu ? "gpu" : "serial")
-                << " solver_threads " << threads;
+                << " step_threads " << threads;
         }
     }
 }
@@ -588,7 +449,6 @@ TEST(ManifestThreads, ThreadsKeyFlowsIntoSimConfig) {
     ASSERT_EQ(jobs.size(), 2u);
     // threads= now names the whole-step team (contact + assembly + solve).
     EXPECT_EQ(jobs[0].config.step_threads, 4);
-    EXPECT_EQ(jobs[0].config.effective_step_threads(), 4);
     EXPECT_EQ(jobs[1].config.step_threads, 0);
 
     std::istringstream bad("broken floor 3 threads=-2\n");

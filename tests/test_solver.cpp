@@ -5,16 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
-#include <cstring>
-#include <stdexcept>
 
 #include "solver/ilu0.hpp"
 #include "solver/pcg.hpp"
 #include "solver/preconditioner.hpp"
 #include "solver/vector_ops.hpp"
-#include "sparse/ell.hpp"
-#include "sparse/spmv.hpp"
 #include "test_util.hpp"
 
 namespace sp = gdda::sparse;
@@ -229,280 +224,3 @@ TEST_P(PcgAllPreconds, Solves) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PcgAllPreconds, ::testing::Range(0, 8));
-
-// ---------------------------------------------------------------------------
-// Solver frontier: precision transfers, mixed-precision refinement, the
-// sliced-ELL backend view, and the Eisenstat SSOR preconditioner.
-
-namespace {
-
-std::uint64_t dbits(double v) {
-    std::uint64_t u;
-    std::memcpy(&u, &v, sizeof u);
-    return u;
-}
-
-sv::PcgMatrix strict_view(const sp::HsbcsrMatrix& h) {
-    sv::PcgMatrix a;
-    a.h = &h;
-    return a;
-}
-
-} // namespace
-
-TEST(PrecisionTransfer, DemotePromoteRoundTrips) {
-    std::vector<double> src = {1.0, -2.5, 3.14159265358979, 1e-30, -1e30, 0.0, -0.0};
-    std::vector<float> f;
-    sv::demote(src, f);
-    ASSERT_EQ(f.size(), src.size());
-    for (std::size_t i = 0; i < src.size(); ++i)
-        EXPECT_EQ(f[i], static_cast<float>(src[i]));
-
-    // fp32 -> fp64 -> fp32 is lossless: every float is exactly representable
-    // as a double, so the round trip reproduces the original bits.
-    std::vector<double> d;
-    sv::promote(f, d);
-    std::vector<float> f2;
-    sv::demote(d, f2);
-    for (std::size_t i = 0; i < f.size(); ++i) {
-        std::uint32_t ua, ub;
-        std::memcpy(&ua, &f[i], sizeof ua);
-        std::memcpy(&ub, &f2[i], sizeof ub);
-        EXPECT_EQ(ua, ub) << "f32->f64->f32 must be exact at " << i;
-    }
-
-    // Values exactly representable in fp32 survive f64 -> f32 -> f64 too.
-    const std::vector<double> exact = {1.0, 0.5, -0.25, 1024.0, 0.0};
-    std::vector<float> ef;
-    sv::demote(exact, ef);
-    std::vector<double> ed;
-    sv::promote(ef, ed);
-    for (std::size_t i = 0; i < exact.size(); ++i)
-        EXPECT_EQ(dbits(ed[i]), dbits(exact[i]));
-}
-
-TEST(PrecisionTransfer, ScaledDemoteAndPromoteAxpy) {
-    const std::vector<double> r = {2.0, -4.0, 8.0};
-    std::vector<float> r32;
-    sv::demote_scaled(r, 0.5, r32);
-    EXPECT_EQ(r32, (std::vector<float>{1.0f, -2.0f, 4.0f}));
-
-    std::vector<double> y = {10.0, 20.0, 30.0};
-    sv::promote_axpy(2.0, r32, y);
-    EXPECT_EQ(y, (std::vector<double>{12.0, 16.0, 38.0}));
-}
-
-TEST(VectorOpsF32, Fp64AccumulatedBlas1) {
-    const std::vector<float> a = {1.0f, 2.0f, 3.0f};
-    std::vector<float> b = {4.0f, 5.0f, 6.0f};
-    EXPECT_DOUBLE_EQ(sv::dot_f32(a, b), 32.0);
-    EXPECT_DOUBLE_EQ(sv::norm2_f32(std::vector<float>{3.0f, 4.0f}), 5.0);
-    sv::axpy_f32(2.0f, a, b);
-    EXPECT_EQ(b, (std::vector<float>{6.0f, 9.0f, 12.0f}));
-    sv::xpay_f32(a, 0.5f, b); // b = a + 0.5 b
-    EXPECT_EQ(b, (std::vector<float>{4.0f, 6.5f, 9.0f}));
-}
-
-TEST(Hsbcsr, F32ShadowRefillAndSpmv) {
-    const sp::BsrMatrix a = random_spd_bsr(25, 40, 61);
-    const sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
-    sp::HsbcsrF32 s = sp::hsbcsr_structure_f32(h);
-    sp::hsbcsr_refill_f32(s, h);
-
-    // fp32 SpMV against the fp64 product, within fp32 round-off.
-    const sp::BlockVec x = random_block_vec(25, 62);
-    std::vector<float> x32(25 * 6), y32(25 * 6);
-    for (int i = 0; i < 25; ++i)
-        for (int k = 0; k < 6; ++k) x32[i * 6 + k] = static_cast<float>(x[i][k]);
-    sp::HsbcsrF32Workspace ws32;
-    ws32.resize(static_cast<std::size_t>(h.m));
-    sp::spmv_hsbcsr_f32(h, s, x32, y32, ws32);
-
-    sp::BlockVec y(25);
-    sp::HsbcsrWorkspace ws;
-    sp::spmv_hsbcsr(h, x, y, ws);
-    double scale = 0.0;
-    for (int i = 0; i < 25; ++i)
-        for (int k = 0; k < 6; ++k) scale = std::max(scale, std::abs(y[i][k]));
-    for (int i = 0; i < 25; ++i)
-        for (int k = 0; k < 6; ++k)
-            EXPECT_NEAR(static_cast<double>(y32[i * 6 + k]), y[i][k], 1e-5 * (1.0 + scale));
-}
-
-TEST(PcgMixed, ConvergesToStrictToleranceWithRefinement) {
-    const sp::BsrMatrix a = random_spd_bsr(40, 70, 71);
-    const sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
-    const sp::HsbcsrF32 h32 = [&] {
-        sp::HsbcsrF32 s = sp::hsbcsr_structure_f32(h);
-        sp::hsbcsr_refill_f32(s, h);
-        return s;
-    }();
-    const sp::BlockVec b = random_block_vec(40, 72);
-    const auto pre = sv::make_block_jacobi(a);
-
-    sv::PcgMatrix view = strict_view(h);
-    view.h32 = &h32;
-    sv::PcgOptions opts;
-    opts.max_iters = 600;
-    opts.rel_tol = 1e-11;
-    opts.precision = sv::PcgPrecision::MixedFp32;
-    sp::BlockVec x(40);
-    const sv::PcgResult r = sv::pcg(view, b, x, *pre, opts);
-    EXPECT_TRUE(r.converged);
-    EXPECT_GT(r.refine_iterations, 0);
-    EXPECT_GT(r.fp32_iterations, 0);
-    EXPECT_LT(residual_norm(a, x, b), 1e-8 * (1.0 + sp::norm(b)));
-}
-
-TEST(PcgMixed, StrictModeIgnoresShadowAndMatchesLegacyEntryBitwise) {
-    const sp::BsrMatrix a = random_spd_bsr(35, 50, 73);
-    const sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
-    const sp::HsbcsrF32 h32 = [&] {
-        sp::HsbcsrF32 s = sp::hsbcsr_structure_f32(h);
-        sp::hsbcsr_refill_f32(s, h);
-        return s;
-    }();
-    const sp::BlockVec b = random_block_vec(35, 74);
-    const auto pre = sv::make_block_jacobi(a);
-    const sv::PcgOptions opts{.max_iters = 500, .rel_tol = 1e-11};
-
-    sp::BlockVec x_old(35);
-    const sv::PcgResult r_old = sv::pcg(h, b, x_old, *pre, opts);
-
-    // Same options through the PcgMatrix entry, with the fp32 shadow
-    // attached but precision left strict: the shadow must be inert.
-    sv::PcgMatrix view = strict_view(h);
-    view.h32 = &h32;
-    sp::BlockVec x_new(35);
-    const sv::PcgResult r_new = sv::pcg(view, b, x_new, *pre, opts);
-
-    EXPECT_EQ(r_old.iterations, r_new.iterations);
-    EXPECT_EQ(r_old.refine_iterations, 0);
-    EXPECT_EQ(r_new.refine_iterations, 0);
-    for (int i = 0; i < 35; ++i)
-        for (int k = 0; k < 6; ++k)
-            ASSERT_EQ(dbits(x_old[i][k]), dbits(x_new[i][k])) << "block " << i;
-}
-
-TEST(PcgMixed, FallsBackToFp64WhenFp32Stagnates) {
-    const sp::BsrMatrix a = random_spd_bsr(30, 45, 75);
-    const sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
-    const sp::HsbcsrF32 h32 = [&] {
-        sp::HsbcsrF32 s = sp::hsbcsr_structure_f32(h);
-        sp::hsbcsr_refill_f32(s, h);
-        return s;
-    }();
-    const sp::BlockVec b = random_block_vec(30, 76);
-    const auto pre = sv::make_block_jacobi(a);
-
-    // Starve the refinement loop: one pass of a one-iteration inner solve
-    // cannot reach 1e-12, so the solver must finish the job in strict fp64
-    // and report the fallback.
-    sv::PcgOptions opts;
-    opts.max_iters = 600;
-    opts.rel_tol = 1e-12;
-    opts.precision = sv::PcgPrecision::MixedFp32;
-    opts.max_refine_iters = 1;
-    opts.inner_max_iters = 1;
-    sv::PcgMatrix view = strict_view(h);
-    view.h32 = &h32;
-    sp::BlockVec x(30);
-    const sv::PcgResult r = sv::pcg(view, b, x, *pre, opts);
-    EXPECT_TRUE(r.fell_back_fp64);
-    EXPECT_TRUE(r.converged) << "the fp64 fallback must still solve the system";
-    EXPECT_LT(residual_norm(a, x, b), 1e-8 * (1.0 + sp::norm(b)));
-}
-
-TEST(PcgSell, SlicedEllBackendSolvesIdenticallyWell) {
-    const sp::BsrMatrix a = random_spd_bsr(45, 80, 77);
-    const sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
-    const sp::CsrMatrix c = sp::csr_from_bsr_full(a);
-    const sp::SortedSellMatrix sell = sp::sorted_sell_from_csr(c, 32);
-    const sp::BlockVec b = random_block_vec(45, 78);
-    const auto pre = sv::make_block_jacobi(a);
-    const sv::PcgOptions opts{.max_iters = 600, .rel_tol = 1e-11};
-
-    sp::BlockVec x_h(45);
-    const sv::PcgResult r_h = sv::pcg(h, b, x_h, *pre, opts);
-    ASSERT_TRUE(r_h.converged);
-
-    sv::PcgMatrix view = strict_view(h);
-    view.sell = &sell;
-    sp::BlockVec x_s(45);
-    const sv::PcgResult r_s = sv::pcg(view, b, x_s, *pre, opts);
-    EXPECT_TRUE(r_s.converged);
-    EXPECT_LT(residual_norm(a, x_s, b), 1e-8 * (1.0 + sp::norm(b)));
-    // Backends are exact alternatives: solutions agree to solver tolerance
-    // (not bitwise — each backend owns its summation order).
-    for (int i = 0; i < 45; ++i)
-        for (int k = 0; k < 6; ++k)
-            EXPECT_NEAR(x_s[i][k], x_h[i][k], 1e-7 * (1.0 + std::abs(x_h[i][k])));
-}
-
-TEST(Eisenstat, ApplyMatchesExactSsorInverseSymmetry) {
-    // M^-1 must be symmetric: (M^-1 u) . w == u . (M^-1 w).
-    const sp::BsrMatrix a = random_spd_bsr(14, 18, 79);
-    const auto pre = sv::make_ssor_eisenstat(a);
-    EXPECT_NE(pre->eisenstat(), nullptr);
-    const sp::BlockVec u = random_block_vec(14, 1);
-    const sp::BlockVec w = random_block_vec(14, 2);
-    sp::BlockVec mu(14), mw(14);
-    pre->apply(u, mu);
-    pre->apply(w, mw);
-    EXPECT_NEAR(sp::dot(mu, w), sp::dot(u, mw), 1e-9 * (1.0 + std::abs(sp::dot(mu, w))));
-    for (unsigned seed = 0; seed < 3; ++seed) {
-        const sp::BlockVec r = random_block_vec(14, 90 + seed);
-        sp::BlockVec z(14);
-        pre->apply(r, z);
-        EXPECT_GT(sp::dot(r, z), 0.0) << "M^-1 must stay positive definite";
-    }
-}
-
-TEST(Eisenstat, HatSpaceCgSolvesTheOriginalSystem) {
-    for (unsigned seed : {81u, 82u}) {
-        const sp::BsrMatrix a = random_spd_bsr(40, 60, seed);
-        const sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
-        const sp::BlockVec b = random_block_vec(40, seed + 10);
-        const auto pre = sv::make_ssor_eisenstat(a);
-        const sv::PcgOptions opts{.max_iters = 800, .rel_tol = 1e-10};
-
-        sp::BlockVec x(40);
-        const sv::PcgResult r = sv::pcg(strict_view(h), b, x, *pre, opts);
-        EXPECT_TRUE(r.converged) << "seed " << seed;
-        EXPECT_LT(residual_norm(a, x, b), 1e-7 * (1.0 + sp::norm(b))) << "seed " << seed;
-
-        // Warm start from the solution: the hat-space round trip
-        // (hat_warm_start then unhat) must keep it converged immediately.
-        sp::BlockVec warm = x;
-        const sv::PcgResult rw = sv::pcg(strict_view(h), b, warm, *pre, opts);
-        EXPECT_TRUE(rw.converged);
-        EXPECT_LE(rw.iterations, 2) << "seed " << seed;
-    }
-}
-
-TEST(Eisenstat, FewerIterationsThanBlockJacobi) {
-    // The point of SSOR: better spectrum than block-Jacobi on coupled
-    // systems (the paper's Table I ordering, now on the Eisenstat form).
-    const sp::BsrMatrix a = random_spd_bsr(60, 90, 83, /*coupling=*/0.8);
-    const sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
-    const sp::BlockVec b = random_block_vec(60, 84);
-    const sv::PcgOptions opts{.max_iters = 2000, .rel_tol = 1e-10};
-
-    sp::BlockVec x_bj(60);
-    const auto bj = sv::make_block_jacobi(a);
-    const sv::PcgResult r_bj = sv::pcg(h, b, x_bj, *bj, opts);
-    ASSERT_TRUE(r_bj.converged);
-
-    sp::BlockVec x_e(60);
-    const auto eis = sv::make_ssor_eisenstat(a);
-    const sv::PcgResult r_e = sv::pcg(strict_view(h), b, x_e, *eis, opts);
-    ASSERT_TRUE(r_e.converged);
-    EXPECT_LE(r_e.iterations, r_bj.iterations);
-}
-
-TEST(Eisenstat, RejectsInvalidOmega) {
-    const sp::BsrMatrix a = random_spd_bsr(6, 6, 85);
-    EXPECT_THROW(sv::make_ssor_eisenstat(a, 0.0), std::invalid_argument);
-    EXPECT_THROW(sv::make_ssor_eisenstat(a, 2.0), std::invalid_argument);
-    EXPECT_NO_THROW(sv::make_ssor_eisenstat(a, 1.5));
-}

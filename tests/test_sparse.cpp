@@ -388,39 +388,3 @@ TEST(SortedSell, SpmvMatchesCsrIncludingDegenerateSizes) {
         }
     }
 }
-
-TEST(SortedSell, RefillRebindsValuesBitwise) {
-    const sp::BsrMatrix a = random_spd_bsr(17, 30, 95);
-    const sp::CsrMatrix c1 = sp::csr_from_bsr_full(a);
-    sp::SortedSellMatrix s = sp::sorted_sell_from_csr(c1, 8);
-
-    // Same structure, different values: scale every block.
-    sp::BsrMatrix b = a;
-    for (auto& m : b.vals)
-        for (double& v : m.a) v *= 1.5;
-    for (auto& m : b.diag)
-        for (double& v : m.a) v *= 1.5;
-    const sp::CsrMatrix c2 = sp::csr_from_bsr_full(b);
-    sp::sorted_sell_refill(s, c2);
-
-    const sp::SortedSellMatrix fresh = sp::sorted_sell_from_csr(c2, 8);
-    ASSERT_EQ(s.vals.size(), fresh.vals.size());
-    for (std::size_t i = 0; i < s.vals.size(); ++i)
-        EXPECT_EQ(dbits(s.vals[i]), dbits(fresh.vals[i])) << "refill differs at " << i;
-    EXPECT_EQ(s.cols, fresh.cols);
-    EXPECT_EQ(s.perm, fresh.perm);
-}
-
-TEST(SortedSell, RefillThrowsOnStructureMismatch) {
-    const sp::BsrMatrix a = random_spd_bsr(12, 20, 96);
-    const sp::CsrMatrix c = sp::csr_from_bsr_full(a);
-    sp::SortedSellMatrix s = sp::sorted_sell_from_csr(c, 8);
-
-    // Different row count.
-    const sp::CsrMatrix small = sp::csr_from_bsr_full(random_spd_bsr(11, 20, 96));
-    EXPECT_THROW(sp::sorted_sell_refill(s, small), std::invalid_argument);
-
-    // Same row count, different sparsity (different coupling graph).
-    const sp::CsrMatrix other = sp::csr_from_bsr_full(random_spd_bsr(12, 40, 97));
-    EXPECT_THROW(sp::sorted_sell_refill(s, other), std::invalid_argument);
-}

@@ -1,8 +1,8 @@
 // gdda::state tests: versioned binary snapshot/restore. The load-bearing
 // contract is bitwise determinism — restoring a snapshot and continuing must
 // be indistinguishable (by block::state_fingerprint) from never having
-// paused, across the model zoo, both engine modes, and the solver-frontier
-// knobs. The rest is defense: every malformed input (wrong magic, future
+// paused, across the model zoo, both engine modes, and non-default solver
+// knobs. The rest is defense: every malformed input (wrong magic, foreign
 // version, truncation, bit flips, engine/config mismatch) must be rejected
 // with a typed SnapshotError, never UB.
 
@@ -177,16 +177,13 @@ TEST(Snapshot, PauseResumeBitwiseIdenticalAcrossZooAndModes) {
     }
 }
 
-TEST(Snapshot, PauseResumeHoldsForSolverFrontierKnobs) {
-    // Each config flips one solver-frontier knob; resume must stay bitwise
-    // clean for all of them (the snapshot carries the PCG warm start, and the
-    // invalidated solve workspace has a warm==cold identity contract).
-    core::SimConfig mixed;
-    mixed.pcg.precision = solver::PcgPrecision::MixedFp32;
-    core::SimConfig sell;
-    sell.spmv_backend = core::SpmvBackend::SlicedEll;
-    core::SimConfig eisenstat;
-    eisenstat.precond = core::PrecondKind::SsorEisenstat;
+TEST(Snapshot, PauseResumeHoldsForNonDefaultSolverKnobs) {
+    // Each config flips one solver knob away from its default; resume must
+    // stay bitwise clean for all of them (the snapshot carries the PCG warm
+    // start, and the invalidated solve workspace has a warm==cold identity
+    // contract, including ILU(0)'s cached symbolic pattern).
+    core::SimConfig ilu;
+    ilu.precond = core::PrecondKind::Ilu0;
     core::SimConfig exact;
     exact.exact_rotation = true;
 
@@ -194,10 +191,7 @@ TEST(Snapshot, PauseResumeHoldsForSolverFrontierKnobs) {
         const char* name;
         const core::SimConfig* cfg;
     };
-    const Named cfgs[] = {{"mixed_fp32", &mixed},
-                          {"sliced_ell", &sell},
-                          {"ssor_eisenstat", &eisenstat},
-                          {"exact_rotation", &exact}};
+    const Named cfgs[] = {{"ilu0", &ilu}, {"exact_rotation", &exact}};
     constexpr int kSteps = 16;
     constexpr int kPause = 7; // odd split: resume mid-cadence, not on a boundary
     for (const Named& n : cfgs) {
@@ -261,6 +255,26 @@ TEST(Snapshot, MalformedInputsRejectedWithTypedCodes) {
     std::string zeroed = good;
     zeroed[8] = '\0';
     EXPECT_EQ(load_error_code(zeroed), SnapshotErrorCode::UnsupportedVersion);
+
+    // An older version carries an older config layout; the header sits
+    // outside the payload checksum, so only the version check stops the
+    // reader from misparsing it. Both entry points must refuse it.
+    std::string older = good;
+    ASSERT_GT(state::kSnapshotVersion, 1u);
+    older[8] = '\x01';
+    EXPECT_EQ(load_error_code(older), SnapshotErrorCode::UnsupportedVersion);
+    const std::string older_path = temp_path("older_version");
+    {
+        std::ofstream out(older_path, std::ios::binary);
+        out.write(older.data(), static_cast<std::streamsize>(older.size()));
+    }
+    try {
+        (void)state::peek_header(older_path);
+        ADD_FAILURE() << "peek_header accepted an older snapshot version";
+    } catch (const SnapshotError& ex) {
+        EXPECT_EQ(ex.code(), SnapshotErrorCode::UnsupportedVersion);
+    }
+    std::remove(older_path.c_str());
 
     // Truncations at every structural boundary.
     EXPECT_EQ(load_error_code(good.substr(0, 4)), SnapshotErrorCode::Truncated);
@@ -335,7 +349,7 @@ TEST(Snapshot, ConfigFingerprintGatesTrajectoryKnobsOnly) {
     // even when they changed between runs).
     core::SimConfig observer = base;
     observer.checkpoint_interval = 17;
-    observer.solver_threads = 8;
+    observer.step_threads = 8;
     EXPECT_EQ(state::config_fingerprint(base), state::config_fingerprint(observer));
 
     block::BlockSystem sys = models::make_column(4);

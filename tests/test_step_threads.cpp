@@ -4,7 +4,7 @@
 // assembly refill paths — produces bitwise-identical results for ANY step
 // team size (1, 2, 4, 8), in both engine modes, warm or cold cache paths.
 // Also pins the candidate-sequence order-identity contract of the parallel
-// hash build and the step_threads / solver_threads alias rules.
+// hash build and the step_threads validation rule.
 
 #include <gtest/gtest.h>
 
@@ -40,6 +40,7 @@ namespace {
 const int kTeams[] = {1, 2, 4, 8};
 
 block::BlockSystem zoo_slope() { return models::make_slope_with_blocks(40); }
+block::BlockSystem zoo_slope60() { return models::make_slope_with_blocks(60); }
 block::BlockSystem zoo_rocks() { return models::make_falling_rocks_with_blocks(16); }
 block::BlockSystem zoo_column() { return models::make_column(6); }
 block::BlockSystem zoo_tunnel() { return models::make_tunnel(); }
@@ -50,6 +51,7 @@ struct ZooEntry {
 };
 const ZooEntry kZoo[] = {
     {"slope", zoo_slope},
+    {"slope60", zoo_slope60},
     {"rocks", zoo_rocks},
     {"column", zoo_column},
     {"tunnel", zoo_tunnel},
@@ -369,43 +371,10 @@ TEST(ContactPipelineThreads, LatticeStepsBitwiseAcrossTeams) {
 }
 
 // ---------------------------------------------------------------------------
-// Config plumbing: the step_threads knob and its deprecated alias
-
-TEST(StepThreads, StepThreadsWinsOverDeprecatedAlias) {
-    core::SimConfig cfg;
-    EXPECT_EQ(cfg.effective_step_threads(), 0);
-    cfg.solver_threads = 2;
-    EXPECT_EQ(cfg.effective_step_threads(), 2) << "alias alone must still work";
-    cfg.step_threads = 4;
-    EXPECT_EQ(cfg.effective_step_threads(), 4) << "step_threads wins when both are set";
-}
+// Config plumbing: the step_threads knob
 
 TEST(StepThreads, NegativeStepThreadsRejected) {
     core::SimConfig cfg;
     cfg.step_threads = -1;
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    cfg.step_threads = 0;
-    cfg.solver_threads = -3;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-}
-
-TEST(StepThreads, AliasRunsBitIdenticalToStepThreads) {
-    std::uint64_t via_alias = 0, via_step = 0;
-    {
-        block::BlockSystem sys = zoo_column();
-        core::SimConfig cfg;
-        cfg.solver_threads = 4;
-        core::DdaEngine engine(sys, cfg, core::EngineMode::Serial);
-        for (int s = 0; s < 6; ++s) engine.step();
-        via_alias = block::state_fingerprint(sys);
-    }
-    {
-        block::BlockSystem sys = zoo_column();
-        core::SimConfig cfg;
-        cfg.step_threads = 4;
-        core::DdaEngine engine(sys, cfg, core::EngineMode::Serial);
-        for (int s = 0; s < 6; ++s) engine.step();
-        via_step = block::state_fingerprint(sys);
-    }
-    EXPECT_EQ(via_alias, via_step);
 }
