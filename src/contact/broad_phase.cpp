@@ -13,7 +13,7 @@ namespace {
 std::vector<geom::Aabb> inflated_bounds(const block::BlockSystem& sys, double rho) {
     std::vector<geom::Aabb> boxes(sys.size());
     par::parallel_for(sys.size(), par::kDefaultGrain, [&](std::size_t i) {
-        boxes[i] = sys.blocks[i].bounds().inflated(rho * 0.5);
+        boxes[i] = search_box(sys.blocks[i].bounds(), rho);
     });
     return boxes;
 }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "block/block_system.hpp"
+#include "geometry/aabb.hpp"
 #include "simt/cost_model.hpp"
 
 namespace gdda::contact {
@@ -32,6 +33,14 @@ struct BlockPair {
 };
 
 enum class BroadPhaseBackend { AllPairs, Hash };
+
+/// The broad-phase predicate's box: a block's raw bounds grown by rho/2 on
+/// every side. Two blocks are candidates iff their search boxes overlap and
+/// they are not both fixed. Every backend, and the pair cache's exact
+/// re-filter, evaluates this one expression, so their sets agree bit for bit.
+inline geom::Aabb search_box(const geom::Aabb& raw_bounds, double rho) {
+    return raw_bounds.inflated(rho * 0.5);
+}
 
 /// Scene size at which `SimConfig::broad_phase = Auto` switches from the
 /// all-pairs mapping to the spatial hash. Below it the paper's argument

@@ -57,10 +57,8 @@ using Chunk = NarrowPhaseWorkspace::Chunk;
 constexpr std::size_t kPairChunk = 256;
 
 /// The canonical contact order: key() first, then the full identity.
-/// Contacts equal under it come from one pair's single visit — the
-/// distance pass and the containment safety net can both report the same
-/// vertex-edge contact, with different edge_ratio — and stable sorting
-/// keeps them in emission order (distance pass first).
+/// Contacts equal under it come from one pair's single visit (see
+/// dedupe_pair), and stable sorting keeps them in emission order.
 bool canonical_less(const Contact& x, const Contact& y) {
     const std::uint64_t kx = x.key();
     const std::uint64_t ky = y.key();
@@ -102,18 +100,18 @@ std::uint64_t pair_id(const BlockPair& p) {
     return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
-/// Flags every pair that repeats an earlier one (in either orientation) so
-/// it runs once. Broad-phase output is strictly (a, b)-sorted, which one
-/// pass confirms; any other order (a classified schedule, a hand-built
-/// list) goes through a two-pass stable counting sort on (lo, hi) that
-/// brings repeats next to each other, first occurrence first.
-void flag_repeated_pairs(std::span<const BlockPair> pairs, std::size_t blocks,
-                         NarrowPhaseWorkspace& ws) {
-    ws.repeat.clear();
+/// Whether the narrow phase can visit `pairs` in input order: broad-phase
+/// output is strictly (a, b)-sorted, which one pass confirms. Any other
+/// order (a classified schedule, a hand-built list) gets a two-pass stable
+/// counting sort on (lo, hi) into ws.order instead, which brings repeats
+/// next to each other, first occurrence first, and keeps each chunk's bi
+/// range narrow for the bucketing pass.
+bool visit_in_input_order(std::span<const BlockPair> pairs, std::size_t blocks,
+                          NarrowPhaseWorkspace& ws) {
     bool strictly_sorted = true;
     for (std::size_t i = 1; i < pairs.size() && strictly_sorted; ++i)
         strictly_sorted = pair_id(pairs[i - 1]) < pair_id(pairs[i]);
-    if (strictly_sorted) return;
+    if (strictly_sorted) return true;
 
     ws.order.resize(pairs.size());
     for (std::size_t i = 0; i < pairs.size(); ++i) ws.order[i] = static_cast<std::uint32_t>(i);
@@ -121,10 +119,48 @@ void flag_repeated_pairs(std::span<const BlockPair> pairs, std::size_t blocks,
                   [&](std::uint32_t i) { return pair_id(pairs[i]) & 0xffffffffu; });
     counting_pass(ws.order_tmp, ws.order, ws.offsets, blocks,
                   [&](std::uint32_t i) { return pair_id(pairs[i]) >> 32; });
-    ws.repeat.assign(pairs.size(), 0);
-    for (std::size_t k = 1; k < ws.order.size(); ++k)
-        if (pair_id(pairs[ws.order[k]]) == pair_id(pairs[ws.order[k - 1]]))
-            ws.repeat[ws.order[k]] = 1;
+    return false;
+}
+
+/// Canonical order and key dedupe of one pair's contacts, the tail of `cs`
+/// from `first`. A key names both blocks, so equal keys only ever come
+/// from one pair's visit (the distance pass and the containment safety net
+/// can both report the same vertex-edge contact, with different
+/// edge_ratio). The stable sort keeps them in emission order and the first,
+/// canonically least, survives.
+void dedupe_pair(std::vector<Contact>& cs, std::size_t first) {
+    if (cs.size() - first < 2) return;
+    sort_bucket(cs.begin() + static_cast<std::ptrdiff_t>(first), cs.end());
+    std::size_t kept = first + 1;
+    for (std::size_t i = first + 1; i < cs.size(); ++i) {
+        if (cs[i].key() == cs[kept - 1].key()) continue;
+        if (kept != i) cs[kept] = cs[i];
+        ++kept;
+    }
+    cs.resize(kept);
+}
+
+/// Chunk-local histogram of the chunk's contacts over its own bi range.
+/// A range much wider than the chunk's output (a scene whose block
+/// numbering scatters neighbours) marks the chunk wide instead.
+void chunk_histogram(Chunk& o) {
+    o.hist.clear();
+    o.wide = false;
+    if (o.contacts.empty()) return;
+    std::int32_t lo = o.contacts.front().bi;
+    std::int32_t hi = lo;
+    for (const Contact& c : o.contacts) {
+        lo = std::min(lo, c.bi);
+        hi = std::max(hi, c.bi);
+    }
+    const std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
+    if (span > 4 * o.contacts.size() + 64) {
+        o.wide = true;
+        return;
+    }
+    o.bi_lo = lo;
+    o.hist.assign(span, 0);
+    for (const Contact& c : o.contacts) ++o.hist[c.bi - lo];
 }
 
 } // namespace
@@ -139,6 +175,36 @@ bool ve_angle_admissible(const Block& bi, int vi, const Block& bj, int e1) {
 void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pairs,
                   double rho, NarrowPhaseWorkspace& ws, NarrowPhaseResult& out,
                   simt::KernelCost* cost, const PairScheduleStats* sched) {
+    // Every pair reuses its blocks' bisectors and edge vectors, so they are
+    // computed once per block, with the very expressions a per-pair
+    // evaluation would use (bitwise the same values).
+    const std::size_t blocks = sys.size();
+    ws.first_vert.resize(blocks + 1);
+    ws.first_vert[0] = 0;
+    for (std::size_t b = 0; b < blocks; ++b)
+        ws.first_vert[b + 1] =
+            ws.first_vert[b] + static_cast<std::uint32_t>(sys.blocks[b].verts.size());
+    ws.bisector.resize(ws.first_vert[blocks]);
+    ws.edge_dir.resize(ws.first_vert[blocks]);
+    ws.edge_normal.resize(ws.first_vert[blocks]);
+    par::parallel_for(blocks, par::kDefaultGrain, [&](std::size_t b) {
+        const Block& blk = sys.blocks[b];
+        const int n = static_cast<int>(blk.verts.size());
+        for (int v = 0; v < n; ++v) {
+            const std::size_t at = ws.first_vert[b] + static_cast<std::size_t>(v);
+            ws.bisector[at] = outward_bisector(blk, v);
+            ws.edge_dir[at] = (blk.verts[(v + 1) % n] - blk.verts[v]).normalized();
+            ws.edge_normal[at] = edge_outward_normal(blk, v);
+        }
+    });
+    auto vert = [&](std::int32_t b, int v) {
+        return ws.first_vert[b] + static_cast<std::size_t>(v);
+    };
+    // ve_angle_admissible on the cached vectors.
+    auto admissible = [&](std::int32_t xb, int v, std::int32_t yb, int e) {
+        return ws.bisector[vert(xb, v)].dot(ws.edge_normal[vert(yb, e)]) < -0.1;
+    };
+
     auto consider_vertex_edges = [&](Chunk& o, std::int32_t xb, std::int32_t yb) {
         const Block& X = sys.blocks[xb];
         const Block& Y = sys.blocks[yb];
@@ -169,7 +235,7 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
                     // already-penetrating vertex must keep its contact no
                     // matter how the wedge is oriented (fast tumbling blocks
                     // otherwise lose the contact and keep tunneling).
-                    if (!penetrating && !ve_angle_admissible(X, v, Y, e)) {
+                    if (!penetrating && !admissible(xb, v, yb, e)) {
                         ++o.stats.abandoned;
                         continue;
                     }
@@ -245,9 +311,9 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
         int par_a = -1;
         int par_b = -1;
         for (int ea : a_edges) {
-            const Vec2 da = (A.verts[(ea + 1) % na] - A.verts[ea]).normalized();
+            const Vec2 da = ws.edge_dir[vert(c.ba, ea)];
             for (int eb : b_edges) {
-                const Vec2 db = (B.verts[(eb + 1) % nb] - B.verts[eb]).normalized();
+                const Vec2 db = ws.edge_dir[vert(c.bb, eb)];
                 if (std::abs(da.cross(db)) < 0.05 && da.dot(db) < 0.0) {
                     par_a = ea;
                     par_b = eb;
@@ -270,11 +336,11 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
             c2.bj = c.ba;
             c2.e1 = par_a;
             c2.e2 = (par_a + 1) % na;
-            if (ve_angle_admissible(A, c.va, B, par_b)) {
+            if (admissible(c.ba, c.va, c.bb, par_b)) {
                 o.contacts.push_back(c1);
                 ++o.stats.vv1;
             }
-            if (ve_angle_admissible(B, c.vb, A, par_a)) {
+            if (admissible(c.bb, c.vb, c.ba, par_a)) {
                 o.contacts.push_back(c2);
                 ++o.stats.vv1;
             }
@@ -319,8 +385,10 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
     // One pair: distance and angle judgment in both directions, then its
     // VV candidates. A VV candidate comes only from its own pair (both
     // vertex-edge directions can report the same corner pair), so an exact
-    // sort + unique over this pair's few candidates is the whole dedupe.
+    // sort + unique over this pair's few candidates is the whole dedupe;
+    // the same holds for the pair's contacts (dedupe_pair).
     auto run_pair = [&](Chunk& o, std::int32_t a, std::int32_t b) {
+        const std::size_t first = o.contacts.size();
         o.vv.clear();
         consider_vertex_edges(o, a, b);
         consider_vertex_edges(o, b, a);
@@ -330,12 +398,13 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
         o.vv.erase(std::unique(o.vv.begin(), o.vv.end()), o.vv.end());
         o.vv_candidates += o.vv.size();
         for (const VvCandidate& c : o.vv) judge_vv(o, c);
+        dedupe_pair(o.contacts, first);
     };
 
     // Pairs are independent: fixed-size chunks run in parallel, each into
-    // its own persistent buffer and counters.
-    const std::size_t blocks = sys.size();
-    flag_repeated_pairs(pairs, blocks, ws);
+    // its own persistent buffer and counters, and each ends with a
+    // histogram of its output over bi.
+    const bool in_order = visit_in_input_order(pairs, blocks, ws);
     const std::size_t nchunks = (pairs.size() + kPairChunk - 1) / kPairChunk;
     if (ws.chunks.size() < nchunks) ws.chunks.resize(nchunks);
     par::parallel_for(nchunks, 1, [&](std::size_t ci) {
@@ -345,22 +414,30 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
         o.vv_candidates = 0;
         o.stats = {};
         const std::size_t p1 = std::min(pairs.size(), (ci + 1) * kPairChunk);
-        for (std::size_t pi = ci * kPairChunk; pi < p1; ++pi) {
-            if (!ws.repeat.empty() && ws.repeat[pi]) continue;
-            run_pair(o, pairs[pi].a, pairs[pi].b);
+        for (std::size_t k = ci * kPairChunk; k < p1; ++k) {
+            if (in_order) {
+                run_pair(o, pairs[k].a, pairs[k].b);
+                continue;
+            }
+            const BlockPair& p = pairs[ws.order[k]];
+            if (k > 0 && pair_id(p) == pair_id(pairs[ws.order[k - 1]])) continue; // repeat
+            run_pair(o, p.a, p.b);
         }
+        chunk_histogram(o);
     });
 
     // Canonical order for transfer and assembly: key, then full identity
-    // (canonical_less), so the surviving contact per key is independent of
-    // the pair order. That independence is what lets the classified pair
-    // schedule and the pair cache's candidate supersets stay bit-identical
-    // to the plain broad-phase order. key() leads with bi (for fewer than
-    // 2^24 blocks), so a stable counting sort on bi does the bulk of the
-    // work; each block's few contacts then sort in their own bucket, in
-    // parallel.
+    // (canonical_less). Keys are unique after dedupe_pair, so the result is
+    // independent of the pair order — what lets the classified pair
+    // schedule and hand-built lists stay bit-identical to the plain
+    // broad-phase order. key() leads with bi (for fewer than 2^24 blocks),
+    // so a counting sort on bi does the bulk of the work: bucket starts
+    // from the chunk histograms, each chunk's cursors from the chunks
+    // before it, then a parallel scatter. Each block's few contacts then
+    // sort in their own bucket, in parallel.
     std::size_t distance_tests = 0;
     std::size_t vv_candidates = 0;
+    bool local = true;
     out.stats = {};
     ws.offsets.assign(blocks + 1, 0);
     for (std::size_t ci = 0; ci < nchunks; ++ci) {
@@ -372,26 +449,42 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
         out.stats.vv1 += o.stats.vv1;
         out.stats.vv2 += o.stats.vv2;
         out.stats.abandoned += o.stats.abandoned;
-        for (const Contact& c : o.contacts) ++ws.offsets[c.bi + 1];
+        local = local && !o.wide;
+    }
+    for (std::size_t ci = 0; ci < nchunks; ++ci) {
+        const Chunk& o = ws.chunks[ci];
+        if (local) {
+            for (std::size_t b = 0; b < o.hist.size(); ++b)
+                ws.offsets[o.bi_lo + b + 1] += o.hist[b];
+        } else {
+            for (const Contact& c : o.contacts) ++ws.offsets[c.bi + 1];
+        }
     }
     for (std::size_t b = 0; b < blocks; ++b) ws.offsets[b + 1] += ws.offsets[b];
     out.contacts.resize(ws.offsets[blocks]);
-    // Scatter advances offsets[b] to the end of bucket b.
-    for (std::size_t ci = 0; ci < nchunks; ++ci)
-        for (const Contact& c : ws.chunks[ci].contacts) out.contacts[ws.offsets[c.bi]++] = c;
+    ws.cursor.assign(ws.offsets.begin(), ws.offsets.end() - 1);
+    if (local) {
+        for (std::size_t ci = 0; ci < nchunks; ++ci) {
+            Chunk& o = ws.chunks[ci];
+            for (std::size_t b = 0; b < o.hist.size(); ++b) {
+                const std::uint32_t count = o.hist[b];
+                o.hist[b] = ws.cursor[o.bi_lo + b];
+                ws.cursor[o.bi_lo + b] += count;
+            }
+        }
+        par::parallel_for(nchunks, 1, [&](std::size_t ci) {
+            Chunk& o = ws.chunks[ci];
+            for (const Contact& c : o.contacts) out.contacts[o.hist[c.bi - o.bi_lo]++] = c;
+        });
+    } else {
+        for (std::size_t ci = 0; ci < nchunks; ++ci)
+            for (const Contact& c : ws.chunks[ci].contacts) out.contacts[ws.cursor[c.bi]++] = c;
+    }
     par::parallel_for(blocks, par::kDefaultGrain, [&](std::size_t b) {
-        const auto first = out.contacts.begin() + (b == 0 ? 0 : ws.offsets[b - 1]);
-        const auto last = out.contacts.begin() + ws.offsets[b];
+        const auto first = out.contacts.begin() + ws.offsets[b];
+        const auto last = out.contacts.begin() + ws.offsets[b + 1];
         if (last - first > 1) sort_bucket(first, last);
     });
-    // Dedupe by key, keeping the first (canonically least) of each run.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < out.contacts.size(); ++i) {
-        if (kept > 0 && out.contacts[i].key() == out.contacts[kept - 1].key()) continue;
-        if (kept != i) out.contacts[kept] = out.contacts[i];
-        ++kept;
-    }
-    out.contacts.resize(kept);
 
     if (cost) {
         simt::KernelCost kc;

@@ -37,22 +37,32 @@ struct NarrowPhaseWorkspace {
         std::size_t distance_tests = 0;
         std::size_t vv_candidates = 0;
         ClassificationStats stats;
+        /// Contacts per bi over [bi_lo, bi_lo + hist.size()), later this
+        /// chunk's write cursor per bucket; empty when the range is too wide.
+        std::vector<std::uint32_t> hist;
+        std::int32_t bi_lo = 0;
+        bool wide = false; ///< bi range too wide for a chunk-local histogram
     };
     std::vector<Chunk> chunks;
-    std::vector<std::uint32_t> offsets;          ///< counting-sort bucket offsets
+    /// Unit vectors of the angle judgments, computed once per call for
+    /// every block: block b's vertex (and edge) v sits at first_vert[b] + v.
+    std::vector<std::uint32_t> first_vert;
+    std::vector<geom::Vec2> bisector;    ///< outward bisector per vertex
+    std::vector<geom::Vec2> edge_dir;    ///< unit direction per edge
+    std::vector<geom::Vec2> edge_normal; ///< unit outward normal per edge
+    std::vector<std::uint32_t> offsets;          ///< bucket starts, by bi
+    std::vector<std::uint32_t> cursor;           ///< bucket write cursors
     std::vector<std::uint32_t> order, order_tmp; ///< pair counting-sort permutation
-    std::vector<unsigned char> repeat;           ///< pair i repeats an earlier pair
 };
 
 /// rho: contact search distance (typically 2-3x the max step displacement).
 ///
 /// The result is canonical: contacts are sorted by a total order over their
-/// full identity and deduplicated, so any permutation of `pairs`, any
-/// repetition of a pair, and any superset whose extra pairs are separated
-/// by more than rho produce a bit-identical contact list and identical
-/// statistics. This is the property the divergence-aware schedule
-/// (pair_classes.hpp) and the persistent pair cache (pair_cache.hpp) rely
-/// on; see docs/CONTACTS.md.
+/// full identity and deduplicated by key, so any permutation of `pairs`,
+/// any repetition of a pair, and any superset whose extra pairs are
+/// separated by more than rho produce a bit-identical contact list and
+/// identical statistics. This is why the divergence-aware schedule
+/// (pair_classes.hpp) need never be materialised; see docs/CONTACTS.md.
 ///
 /// `sched`, when given, prices the modeled narrow-phase launch with the
 /// classified schedule's measured warp divergence instead of the default

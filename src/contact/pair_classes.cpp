@@ -28,8 +28,7 @@ std::uint64_t pair_work(const block::BlockSystem& sys, const BlockPair& p) {
 /// Warp-serialized slots of a schedule: 32 consecutive pairs share a warp,
 /// which issues max(work) slots — the lane-accurate model bench_broadphase
 /// cross-checks against WarpExecutor.
-std::uint64_t schedule_slots(const block::BlockSystem& sys,
-                             const std::vector<BlockPair>& pairs) {
+std::uint64_t schedule_slots(const block::BlockSystem& sys, std::span<const BlockPair> pairs) {
     std::uint64_t slots = 0;
     for (std::size_t w = 0; w < pairs.size(); w += 32) {
         std::uint64_t mx = 0;
@@ -40,32 +39,64 @@ std::uint64_t schedule_slots(const block::BlockSystem& sys,
     return slots;
 }
 
+/// The same warp model fed with runs of equal-work pairs in schedule order.
+struct SlotWalk {
+    std::uint64_t slots = 0;
+    std::uint64_t warp_max = 0;
+    std::size_t fill = 0;
+
+    void add(std::uint64_t work, std::size_t count) {
+        while (count > 0) {
+            const std::size_t take = std::min<std::size_t>(count, 32 - fill);
+            warp_max = std::max(warp_max, work);
+            fill += take;
+            count -= take;
+            if (fill == 32) {
+                slots += warp_max;
+                warp_max = 0;
+                fill = 0;
+            }
+        }
+    }
+    [[nodiscard]] std::uint64_t total() const { return slots + (fill ? warp_max : 0); }
+};
+
 } // namespace
 
-std::vector<BlockPair> classify_pairs(const block::BlockSystem& sys,
-                                      std::vector<BlockPair> pairs,
-                                      PairScheduleStats* stats,
+PairScheduleStats pair_schedule_stats(const block::BlockSystem& sys,
+                                      std::span<const BlockPair> pairs,
                                       simt::KernelCost* cost) {
     PairScheduleStats st;
     st.pairs = pairs.size();
-    for (const BlockPair& p : pairs) st.work += pair_work(sys, p);
+    std::array<std::size_t, kClassCount> count{};
+    std::array<std::uint64_t, kClassCount> work_min;
+    std::array<std::uint64_t, kClassCount> work_max{};
+    work_min.fill(~std::uint64_t{0});
+    for (const BlockPair& p : pairs) {
+        const int c = pair_class(sys, p);
+        const std::uint64_t w = pair_work(sys, p);
+        ++count[c];
+        st.work += w;
+        work_min[c] = std::min(work_min[c], w);
+        work_max[c] = std::max(work_max[c], w);
+    }
     st.slots_unsorted = schedule_slots(sys, pairs);
 
-    // Stable counting sort by work class: count, exclusive scan, scatter.
-    std::array<std::size_t, kClassCount> count{};
-    for (const BlockPair& p : pairs) ++count[pair_class(sys, p)];
-    for (std::size_t c : count)
-        if (c) ++st.buckets;
-    std::array<std::size_t, kClassCount> offset{};
-    std::size_t run = 0;
+    // The classified schedule is the classes in ascending order, each in
+    // its stable input order. A class is one run of equal work unless it
+    // holds a block beyond kClipVerts; only then are its pairs walked.
+    SlotWalk walk;
     for (int c = 0; c < kClassCount; ++c) {
-        offset[c] = run;
-        run += count[c];
+        if (!count[c]) continue;
+        ++st.buckets;
+        if (work_min[c] == work_max[c]) {
+            walk.add(work_min[c], count[c]);
+            continue;
+        }
+        for (const BlockPair& p : pairs)
+            if (pair_class(sys, p) == c) walk.add(pair_work(sys, p), 1);
     }
-    std::vector<BlockPair> scheduled(pairs.size());
-    for (const BlockPair& p : pairs) scheduled[offset[pair_class(sys, p)]++] = p;
-
-    st.slots_sorted = schedule_slots(sys, scheduled);
+    st.slots_sorted = walk.total();
 
     if (cost) {
         simt::KernelCost kc;
@@ -81,6 +112,27 @@ std::vector<BlockPair> classify_pairs(const block::BlockSystem& sys,
         kc.divergent_slots = 0.02 * kc.branch_slots;
         simt::record_kernel(cost, kc);
     }
+    return st;
+}
+
+std::vector<BlockPair> classify_pairs(const block::BlockSystem& sys,
+                                      std::vector<BlockPair> pairs,
+                                      PairScheduleStats* stats,
+                                      simt::KernelCost* cost) {
+    const PairScheduleStats st = pair_schedule_stats(sys, pairs, cost);
+
+    // Stable counting sort by work class: count, exclusive scan, scatter.
+    std::array<std::size_t, kClassCount> offset{};
+    for (const BlockPair& p : pairs) ++offset[pair_class(sys, p)];
+    std::size_t run = 0;
+    for (std::size_t& o : offset) {
+        const std::size_t c = o;
+        o = run;
+        run += c;
+    }
+    std::vector<BlockPair> scheduled(pairs.size());
+    for (const BlockPair& p : pairs) scheduled[offset[pair_class(sys, p)]++] = p;
+
     if (stats) *stats = st;
     return scheduled;
 }

@@ -13,10 +13,13 @@
 //
 // The reorder is a pure permutation: the narrow phase canonicalizes its
 // output (sort by full contact identity + dedup), so the classified
-// schedule produces bit-identical contacts to the unclassified one. The
+// schedule produces bit-identical contacts to the unclassified one — which
+// is why the engine only prices the schedule (pair_schedule_stats) and
+// never materialises it. The
 // candidate-set CONTENT contract lives in docs/CONTACTS.md.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "contact/broad_phase.hpp"
@@ -54,6 +57,15 @@ struct PairScheduleStats {
 std::vector<BlockPair> classify_pairs(const block::BlockSystem& sys,
                                       std::vector<BlockPair> pairs,
                                       PairScheduleStats* stats = nullptr,
+                                      simt::KernelCost* cost = nullptr);
+
+/// The statistics classify_pairs reports, and the same `pair_class_bucket`
+/// charge, without materialising the permutation: the classified slots are
+/// counted from per-class pair counts and per-block vertex counts. The
+/// engine uses this form, since the narrow phase's canonical output makes
+/// the schedule's order irrelevant to the contacts.
+PairScheduleStats pair_schedule_stats(const block::BlockSystem& sys,
+                                      std::span<const BlockPair> pairs,
                                       simt::KernelCost* cost = nullptr);
 
 } // namespace gdda::contact

@@ -30,7 +30,7 @@ std::vector<BlockPair> broad_phase_spatial_hash(const block::BlockSystem& sys, d
 
     std::vector<geom::Aabb> boxes(static_cast<std::size_t>(n));
     par::parallel_for(static_cast<std::size_t>(n), par::kDefaultGrain, [&](std::size_t i) {
-        boxes[i] = sys.blocks[i].bounds().inflated(rho * 0.5);
+        boxes[i] = search_box(sys.blocks[i].bounds(), rho);
     });
 
     auto cell_key = [](std::int64_t cx, std::int64_t cy) {

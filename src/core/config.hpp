@@ -43,19 +43,20 @@ struct SimConfig {
     /// diameter (see contact/spatial_hash.hpp). Ignored by AllPairs.
     double broad_phase_cell = 0.0;
     /// Persistent candidate-pair cache across steps: the broad phase is
-    /// rebuilt with an extra motion margin and then revalidated in O(n) per
-    /// step, rerunning only when a block's AABB leaves its cached margin.
+    /// rebuilt with an extra motion margin, then revalidated and re-filtered
+    /// to the exact set per step, rerunning only when the blocks' AABBs move
+    /// apart by more than the margin (a common translation is free).
     /// Warm steps are bitwise identical to cold ones (docs/CONTACTS.md).
     bool broad_phase_cache = true;
-    /// Per-block motion budget of the pair cache, as a multiple of the
-    /// contact search distance rho. Larger values keep the cache warm
-    /// longer but admit more spurious candidates per rebuild.
+    /// Motion budget of the pair cache, as a multiple of the contact search
+    /// distance rho. Larger values keep the cache warm longer but make each
+    /// rebuild and each step's re-filter scan a larger superset.
     double pair_cache_margin = 1.0;
     /// Divergence-aware pair classification: bucket candidate pairs by
     /// work class before the narrow phase so SIMT warps run uniform trip
     /// counts (Nakahara & Washizawa). Pure permutation — trajectories are
-    /// bit-identical either way; the SIMT trace prices the narrow phase
-    /// with the schedule's measured divergence.
+    /// bit-identical either way — so only Gpu mode computes it: the SIMT
+    /// trace prices the narrow phase with the schedule's divergence.
     bool classify_pairs = true;
 
     /// Contact penalty as a multiple of the stiffest Young's modulus.

@@ -105,7 +105,8 @@ public:
     }
 
     /// Divergence-aware pair schedule of the last contact detection
-    /// (warp-efficiency model of the classified narrow phase).
+    /// (warp-efficiency model of the classified narrow phase). Gpu mode
+    /// only; all zeros in Serial mode or with classify_pairs off.
     [[nodiscard]] const contact::PairScheduleStats& pair_schedule() const {
         return sched_stats_;
     }

@@ -151,8 +151,8 @@ void DdaEngine::detect_contacts() {
     if (mode_ == EngineMode::Gpu) sink = &cost;
 
     // Broad phase: selectable backend behind an optional persistent pair
-    // cache. A warm cache skips the backend entirely (the candidate
-    // superset is provably equivalent downstream, see pair_cache.hpp).
+    // cache. A warm cache skips the backend entirely and re-filters its
+    // superset to the exact set the backend would return (pair_cache.hpp).
     const contact::BroadPhaseBackend backend = broad_phase_backend();
     const bool balanced = mode_ == EngineMode::Gpu;
     std::span<const contact::BlockPair> pairs;
@@ -166,19 +166,17 @@ void DdaEngine::detect_contacts() {
         pairs = fresh;
     }
 
-    // Divergence-aware classification: bucket candidates by work class so
-    // narrow-phase warps run uniform trip counts (pure permutation).
-    std::vector<contact::BlockPair> scheduled;
-    if (cfg_.classify_pairs) {
-        scheduled = contact::classify_pairs(*sys_, {pairs.begin(), pairs.end()},
-                                            &sched_stats_, sink);
-        pairs = scheduled;
-    } else {
-        sched_stats_ = {};
-    }
+    // Divergence-aware classification buckets candidates by work class so
+    // narrow-phase warps run uniform trip counts. It is a pure permutation
+    // and the narrow phase's output is canonical, so only the modeled GPU
+    // schedule needs it: Gpu mode prices it, and the CPU narrow phase keeps
+    // the broad-phase order.
+    const bool classified = cfg_.classify_pairs && mode_ == EngineMode::Gpu;
+    sched_stats_ = classified ? contact::pair_schedule_stats(*sys_, pairs, sink)
+                              : contact::PairScheduleStats{};
 
     contact::narrow_phase(*sys_, pairs, rho, np_ws_, detected_, sink,
-                          cfg_.classify_pairs ? &sched_stats_ : nullptr);
+                          classified ? &sched_stats_ : nullptr);
     class_stats_ = detected_.stats;
     contact::transfer_contacts(contacts_, detected_.contacts, sink);
     // The retired list keeps its capacity for the next detection.

@@ -109,6 +109,13 @@ struct JobResult {
     /// Non-converged PCG solves summed over the job's completed steps
     /// (silent solver failures surfaced by `gdda-serve --verify`).
     long long pcg_failed_solves = 0;
+    /// Completed steps that did not converge: the engine accepted them at
+    /// dt_min as a last resort (StepStats::converged false). `last`
+    /// alone hides every such step but the final one.
+    long long nonconverged_steps = 0;
+    /// Shrunken-dt step retries (StepStats::retries) summed over the job's
+    /// completed steps.
+    long long step_retries = 0;
     /// Post-mortem bundle written for this job ("" when none was dumped).
     std::string postmortem_path;
     core::ModuleTimers timers;    ///< merged per-module wall seconds

@@ -46,6 +46,8 @@ BatchReport BatchReport::from(std::vector<JobResult> jobs, int workers, double w
         r.steps_recomputed += j.steps_recomputed;
         r.pcg_failed_solves += j.pcg_failed_solves;
         if (j.pcg_failed_solves > 0) ++r.jobs_with_failed_solves;
+        r.nonconverged_steps += j.nonconverged_steps;
+        r.step_retries += j.step_retries;
         r.busy_ms += j.wall_ms;
         r.timers.merge(j.timers);
         r.ledgers.merge(j.ledgers);
@@ -112,10 +114,12 @@ std::string BatchReport::summary() const {
                       steps_recomputed, steps_computed, steps_total);
         out += line;
     }
-    if (pcg_failed_solves > 0) {
+    if (pcg_failed_solves > 0 || nonconverged_steps > 0 || step_retries > 0) {
         std::snprintf(line, sizeof line,
-                      "solver health: %lld non-converged solve(s) across %d job(s)\n",
-                      pcg_failed_solves, jobs_with_failed_solves);
+                      "solver health: %lld non-converged solve(s) across %d job(s), "
+                      "%lld last-resort step(s), %lld step retries\n",
+                      pcg_failed_solves, jobs_with_failed_solves, nonconverged_steps,
+                      step_retries);
         out += line;
     }
     std::snprintf(line, sizeof line,
@@ -142,6 +146,8 @@ obs::JsonValue BatchReport::to_json() const {
     doc.set("steps_recomputed", JsonValue::integer(steps_recomputed));
     doc.set("pcg_failed_solves", JsonValue::integer(pcg_failed_solves));
     doc.set("jobs_with_failed_solves", JsonValue::integer(jobs_with_failed_solves));
+    doc.set("nonconverged_steps", JsonValue::integer(nonconverged_steps));
+    doc.set("step_retries", JsonValue::integer(step_retries));
     doc.set("jobs_per_s", JsonValue::number(jobs_per_s));
     doc.set("steps_per_s", JsonValue::number(steps_per_s));
     doc.set("p50_step_ms", JsonValue::number(p50_step_ms));
@@ -174,6 +180,8 @@ obs::JsonValue BatchReport::to_json() const {
                       static_cast<unsigned long long>(j.state_hash));
         row.set("state_hash", JsonValue::string(hash));
         row.set("pcg_failed_solves", JsonValue::integer(j.pcg_failed_solves));
+        row.set("nonconverged_steps", JsonValue::integer(j.nonconverged_steps));
+        row.set("step_retries", JsonValue::integer(j.step_retries));
         if (!j.postmortem_path.empty())
             row.set("postmortem_path", JsonValue::string(j.postmortem_path));
         if (!j.error.empty()) row.set("error", JsonValue::string(j.error));

@@ -45,6 +45,10 @@ struct BatchReport {
     long long pcg_failed_solves = 0;
     /// Jobs with at least one non-converged solve.
     int jobs_with_failed_solves = 0;
+    /// Last-resort (non-converged) steps and shrunken-dt step retries,
+    /// summed over every job's completed steps.
+    long long nonconverged_steps = 0;
+    long long step_retries = 0;
     double jobs_per_s = 0.0;  ///< finished-ok jobs per wall second
     double steps_per_s = 0.0; ///< completed steps per wall second (all jobs)
     double p50_step_ms = 0.0;
@@ -79,12 +83,13 @@ struct BatchReport {
     /// postmortem_path when a flight-recorder bundle was written; v3 adds
     /// the unique-vs-computed step accounting — steps_computed and
     /// steps_recomputed fleet-wide, steps_computed / steps_recomputed /
-    /// resumed_from_step per job).
+    /// resumed_from_step per job; v4 adds nonconverged_steps and
+    /// step_retries fleet-wide and per job).
     [[nodiscard]] obs::JsonValue to_json() const;
 };
 
 inline constexpr std::string_view kBatchSchemaName = "gdda.sched.batch";
-inline constexpr int kBatchSchemaVersion = 3;
+inline constexpr int kBatchSchemaVersion = 4;
 
 /// Write every job's collected trace events (SchedulerConfig::collect_traces)
 /// as one Chrome trace file: one pid, one tid lane per worker, span ids

@@ -162,6 +162,8 @@ JobResult Scheduler::run_job(JobTicket& ticket, int lane) {
         res.steps_done = 0;
         res.resumed_from_step = 0;
         res.pcg_failed_solves = 0;
+        res.nonconverged_steps = 0;
+        res.step_retries = 0;
         res.error.clear();
         // steps_computed / steps_recomputed deliberately NOT reset: they
         // accumulate real engine work across attempts, so report consumers
@@ -241,6 +243,8 @@ JobResult Scheduler::run_job(JobTicket& ticket, int lane) {
                 res.last = engine->step();
                 res.step_ms.push_back((trace::now_us() - s0) * 1e-3);
                 res.pcg_failed_solves += res.last.pcg_failed_solves;
+                res.nonconverged_steps += res.last.converged ? 0 : 1;
+                res.step_retries += res.last.retries;
                 steps_total_->inc();
                 ++res.steps_done;
                 ++res.steps_computed;

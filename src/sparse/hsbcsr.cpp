@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "par/parallel_for.hpp"
+
 namespace gdda::sparse {
 
 namespace {
@@ -61,24 +63,21 @@ void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a) {
     if (h.n != a.n || h.m != a.nnz_blocks_upper())
         throw std::invalid_argument("hsbcsr_refill: structure mismatch");
 
-    for (int b = 0; b < h.n; ++b) {
+    // Every block is written to its own slice positions, so both loops run
+    // in parallel with a result independent of the team size.
+    const std::size_t dstride = static_cast<std::size_t>(h.padded_n) * 6;
+    par::parallel_for(static_cast<std::size_t>(h.n), par::kDefaultGrain, [&](std::size_t b) {
         for (int r = 0; r < 6; ++r)
-            for (int c = 0; c < 6; ++c)
-                h.d_data[static_cast<std::size_t>(r) * h.padded_n * 6 + static_cast<std::size_t>(b) * 6 + c] =
-                    a.diag[b](r, c);
-    }
+            for (int c = 0; c < 6; ++c) h.d_data[r * dstride + b * 6 + c] = a.diag[b](r, c);
+    });
 
-    // Same traversal as the structure build, so slice position p of value q
-    // is reproduced exactly; the index arrays are not touched.
-    std::size_t p = 0;
-    for (int i = 0; i < a.n; ++i) {
-        for (int q = a.row_ptr[i]; q < a.row_ptr[i + 1]; ++q, ++p) {
-            for (int r = 0; r < 6; ++r)
-                for (int c = 0; c < 6; ++c)
-                    h.nd_data_up[static_cast<std::size_t>(r) * h.padded_m * 6 + p * 6 + c] =
-                        a.vals[q](r, c);
-        }
-    }
+    // The structure build numbers the upper blocks in BSR order, so slice
+    // position p is BSR value q = p; the index arrays are not touched.
+    const std::size_t ndstride = static_cast<std::size_t>(h.padded_m) * 6;
+    par::parallel_for(static_cast<std::size_t>(h.m), par::kDefaultGrain, [&](std::size_t p) {
+        for (int r = 0; r < 6; ++r)
+            for (int c = 0; c < 6; ++c) h.nd_data_up[r * ndstride + p * 6 + c] = a.vals[p](r, c);
+    });
 }
 
 HsbcsrMatrix hsbcsr_from_bsr(const BsrMatrix& a) {

@@ -13,6 +13,7 @@
 #include "contact/narrow_phase.hpp"
 #include "contact/open_close.hpp"
 #include "contact/transfer.hpp"
+#include "models/large_scene.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
 
@@ -188,6 +189,36 @@ TEST(NarrowPhase, CanonicalUnderShuffleAndSuperset) {
     }
     for (std::size_t i = 1; i < ref.contacts.size(); ++i)
         EXPECT_LT(ref.contacts[i - 1].key(), ref.contacts[i].key());
+}
+
+TEST(NarrowPhase, ScatteredBlockNumberingMatchesCoherentNumbering) {
+    // The same lattice twice: numbered row by row, and with its blocks
+    // shuffled, so each 256-pair chunk's bi range spans the whole scene and
+    // the canonical sort takes its wide-range scatter. Mapped back to the
+    // coherent numbering, both contact lists must agree bit for bit.
+    const bl::BlockSystem sys = gdda::models::make_block_lattice_with_blocks(6000);
+    const double rho = 0.05 * sys.characteristic_length();
+    const auto ref = ct::narrow_phase(sys, ct::broad_phase_triangular(sys, rho), rho);
+    ASSERT_GT(ref.contacts.size(), 4 * sys.size());
+
+    std::vector<std::int32_t> to_new(sys.size());
+    for (std::size_t i = 0; i < to_new.size(); ++i) to_new[i] = static_cast<std::int32_t>(i);
+    std::shuffle(to_new.begin(), to_new.end(), std::mt19937(11));
+    bl::BlockSystem shuffled = sys;
+    for (std::size_t i = 0; i < sys.size(); ++i) shuffled.blocks[to_new[i]] = sys.blocks[i];
+    const auto np = ct::narrow_phase(shuffled, ct::broad_phase_triangular(shuffled, rho), rho);
+    EXPECT_TRUE(same_stats(ref.stats, np.stats));
+
+    std::vector<std::int32_t> to_old(sys.size());
+    for (std::size_t i = 0; i < sys.size(); ++i) to_old[to_new[i]] = static_cast<std::int32_t>(i);
+    std::vector<ct::Contact> mapped = np.contacts;
+    for (ct::Contact& c : mapped) {
+        c.bi = to_old[c.bi];
+        c.bj = to_old[c.bj];
+    }
+    std::sort(mapped.begin(), mapped.end(),
+              [](const ct::Contact& x, const ct::Contact& y) { return x.key() < y.key(); });
+    EXPECT_TRUE(same_contacts(ref.contacts, mapped));
 }
 
 TEST(NarrowPhase, VvCandidatesBeyond65536BlocksAreNotMerged) {

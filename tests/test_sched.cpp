@@ -17,6 +17,7 @@
 #include <omp.h>
 #endif
 
+#include "models/slope.hpp"
 #include "models/stacks.hpp"
 #include "sched/manifest.hpp"
 #include "sched/scheduler.hpp"
@@ -245,6 +246,52 @@ TEST(Scheduler, FailureWithoutRetriesIsTerminal) {
     EXPECT_EQ(r.attempts, 1);
     EXPECT_NE(r.error.find("no such scene"), std::string::npos);
     EXPECT_FALSE(report.all_done());
+}
+
+TEST(Scheduler, LastResortStepsAndRetriesReachTheReport) {
+    pin_inner_parallelism();
+    // Seed 2 of the 60-block slope: the cold first step exhausts its
+    // shrunken-dt retries and is accepted at dt_min as a last resort.
+    Job j;
+    j.name = "slope-cold";
+    j.scene = [] {
+        models::SlopeParams p;
+        p.seed = 2;
+        return models::make_slope_with_blocks(60, p);
+    };
+    j.steps = 3;
+    long long nonconverged = 0;
+    long long retries = 0;
+    {
+        block::BlockSystem sys = j.scene();
+        core::DdaEngine engine(sys, j.config, j.mode);
+        for (int s = 0; s < j.steps; ++s) {
+            const core::StepStats st = engine.step();
+            nonconverged += st.converged ? 0 : 1;
+            retries += st.retries;
+        }
+    }
+    ASSERT_GT(nonconverged, 0) << "the seeded cold step must take the dt_min path";
+
+    sched::SchedulerConfig cfg;
+    cfg.workers = 1;
+    std::vector<Job> jobs;
+    jobs.push_back(std::move(j));
+    const sched::BatchReport report = sched::Scheduler::run_batch(std::move(jobs), cfg);
+    const sched::JobResult& r = report.jobs.at(0);
+    EXPECT_EQ(r.state, JobState::Done);
+    EXPECT_EQ(r.nonconverged_steps, nonconverged);
+    EXPECT_EQ(r.step_retries, retries);
+    EXPECT_EQ(report.nonconverged_steps, nonconverged);
+    EXPECT_EQ(report.step_retries, retries);
+    EXPECT_NE(report.summary().find("last-resort step(s)"), std::string::npos);
+
+    const obs::JsonValue doc = report.to_json();
+    EXPECT_EQ(doc.find("nonconverged_steps")->as_number(), static_cast<double>(nonconverged));
+    EXPECT_EQ(doc.find("step_retries")->as_number(), static_cast<double>(retries));
+    const obs::JsonValue& row = doc.find("jobs")->items().at(0);
+    EXPECT_EQ(row.find("nonconverged_steps")->as_number(), static_cast<double>(nonconverged));
+    EXPECT_EQ(row.find("step_retries")->as_number(), static_cast<double>(retries));
 }
 
 // ---------------------------------------------------------------------------

@@ -375,6 +375,56 @@ TEST(SpmvSell, SortedSellBitsInvariantAcrossTeams) {
 }
 
 // ---------------------------------------------------------------------------
+// Solve set-up: the HSBCSR numeric refill and the Block-Jacobi refactor run
+// per block in parallel, so their outputs are the same bytes for any team.
+
+TEST(SolveSetupThreads, RefillAndBlockJacobiBitsInvariantAcrossTeams) {
+    const int n = 3000; // several grains of both parallel loops
+    const sparse::BsrMatrix a = random_spd_bsr(n, 4500, 13);
+    struct Setup {
+        std::vector<double> diag, upper, inverses;
+    };
+    auto run = [&] {
+        Setup s;
+        sparse::HsbcsrMatrix h = sparse::hsbcsr_structure(a);
+        sparse::hsbcsr_refill(h, a);
+        s.diag = h.d_data;
+        s.upper = h.nd_data_up;
+        // Column k of every block inverse is the preconditioner applied to
+        // the k-th unit vector (exact: the other five products are zeros).
+        const auto pre = solver::make_block_jacobi(a);
+        for (int k = 0; k < 6; ++k) {
+            sparse::BlockVec e(n);
+            for (sparse::Vec6& v : e) v[k] = 1.0;
+            sparse::BlockVec col(n);
+            pre->apply(e, col, nullptr);
+            for (const sparse::Vec6& v : col)
+                for (int r = 0; r < 6; ++r) s.inverses.push_back(v[r]);
+        }
+        return s;
+    };
+    Setup base;
+    {
+        par::ScopedTeamSize one(1);
+        base = run();
+    }
+    for (int team : {1, 2, 4}) {
+        par::ScopedTeamSize scope(team);
+        const Setup s = run();
+        const std::string tag = "team " + std::to_string(team);
+        ASSERT_EQ(base.diag.size(), s.diag.size()) << tag;
+        ASSERT_EQ(base.upper.size(), s.upper.size()) << tag;
+        ASSERT_EQ(base.inverses.size(), s.inverses.size()) << tag;
+        EXPECT_EQ(0, std::memcmp(base.diag.data(), s.diag.data(),
+                                 s.diag.size() * sizeof(double))) << tag;
+        EXPECT_EQ(0, std::memcmp(base.upper.data(), s.upper.data(),
+                                 s.upper.size() * sizeof(double))) << tag;
+        EXPECT_EQ(0, std::memcmp(base.inverses.data(), s.inverses.data(),
+                                 s.inverses.size() * sizeof(double))) << tag;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Full pipeline
 
 TEST(EngineThreads, TrajectoryBitsInvariantAcrossSolverThreads) {

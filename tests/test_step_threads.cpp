@@ -370,6 +370,41 @@ TEST(ContactPipelineThreads, LatticeStepsBitwiseAcrossTeams) {
     }
 }
 
+TEST(ContactPipelineThreads, FreefallLatticeCacheStaysWarmAndBitwiseExact) {
+    // A floorless lattice falls as one rigid body: the translation-aware
+    // pair cache builds once and stays warm, and its re-filtered set drives
+    // the same trajectory and contact list as the uncached broad phase.
+    for (core::EngineMode mode : {core::EngineMode::Serial, core::EngineMode::Gpu}) {
+        for (int team : {1, 2}) {
+            const std::string where = std::string(mode == core::EngineMode::Gpu ? "gpu" : "serial") +
+                                      " team " + std::to_string(team);
+            struct Outcome {
+                std::uint64_t fingerprint = 0;
+                std::vector<std::uint64_t> contacts;
+                std::uint64_t rebuilds = 0;
+            };
+            auto run = [&](bool cache) {
+                models::LatticeParams lp;
+                lp.fixed_floor = false;
+                block::BlockSystem sys = models::make_block_lattice_with_blocks(2000, lp);
+                core::SimConfig cfg;
+                cfg.step_threads = team;
+                cfg.broad_phase_cache = cache;
+                core::DdaEngine engine(sys, cfg, mode);
+                for (int s = 0; s < 30; ++s) engine.step();
+                return Outcome{block::state_fingerprint(sys), contact_words(engine.contacts()),
+                               engine.pair_cache().stats().rebuilds};
+            };
+            const Outcome cached = run(true);
+            const Outcome cold = run(false);
+            EXPECT_EQ(cached.rebuilds, 1u) << where;
+            EXPECT_EQ(cached.fingerprint, cold.fingerprint) << where;
+            EXPECT_EQ(cached.contacts, cold.contacts) << where;
+            EXPECT_FALSE(cached.contacts.empty()) << where;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Config plumbing: the step_threads knob
 
