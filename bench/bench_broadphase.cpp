@@ -20,9 +20,8 @@
 //   * modeled hash cost at 8x blocks <= 10x the 1x tier, wall-clock <= 12x
 //     (near-linear scaling; docs/CONTACTS.md);
 //   * whole-trajectory state fingerprints identical across backend x pair
-//     cache x classification x engine mode — the backends are
-//     interchangeable bit for bit, the cache and the divergence-aware
-//     reorder are invisible to the physics;
+//     cache x engine mode — the backends are interchangeable bit for bit,
+//     and the cache is invisible to the physics;
 //   * on a static scene the persistent pair cache rebuilds exactly once and
 //     revalidates every later step (zero candidate-set rebuilds while warm).
 //
@@ -145,16 +144,14 @@ void growth_tiers(int base, bench::MetricReport& rep) {
         double best = 1e300;
         for (int rep_i = 0; rep_i < 3; ++rep_i) {
             const auto t0 = bench::Clock::now();
-            hashed = contact::run_broad_phase(sys, rho, contact::BroadPhaseBackend::Hash,
-                                              /*balanced=*/false);
+            hashed = contact::run_broad_phase(sys, rho, contact::BroadPhaseBackend::Hash);
             best = std::min(best, bench::ms_since(t0));
         }
         wall_ms[t] = best;
 
         // Modeled SIMT cost of the multi-kernel hash build + query.
         simt::KernelCost cost = simt::KernelCost::accumulator();
-        (void)contact::run_broad_phase(sys, rho, contact::BroadPhaseBackend::Hash,
-                                       /*balanced=*/false, 0.0, &cost);
+        (void)contact::run_broad_phase(sys, rho, contact::BroadPhaseBackend::Hash, 0.0, &cost);
         model_ms[t] = simt::modeled_ms(cost, simt::tesla_k40());
 
         // All-pairs contrast + equality oracle where O(n^2) is affordable.
@@ -203,18 +200,16 @@ struct TrajConfig {
     const char* name;
     core::BroadPhase backend;
     bool cache;
-    bool classify;
 };
 
 void trajectory_gates(bool short_mode, bench::MetricReport& rep) {
-    bench::header("BITWISE GATES -- backend x cache x classification x mode");
+    bench::header("BITWISE GATES -- backend x cache x mode");
 
     const TrajConfig configs[] = {
-        {"allpairs/cache/classified", core::BroadPhase::AllPairs, true, true},
-        {"allpairs/nocache/classified", core::BroadPhase::AllPairs, false, true},
-        {"hash/cache/classified", core::BroadPhase::Hash, true, true},
-        {"hash/nocache/classified", core::BroadPhase::Hash, false, true},
-        {"hash/cache/unclassified", core::BroadPhase::Hash, true, false},
+        {"allpairs/cache", core::BroadPhase::AllPairs, true},
+        {"allpairs/nocache", core::BroadPhase::AllPairs, false},
+        {"hash/cache", core::BroadPhase::Hash, true},
+        {"hash/nocache", core::BroadPhase::Hash, false},
     };
     const int steps = short_mode ? 15 : 40;
 
@@ -237,7 +232,6 @@ void trajectory_gates(bool short_mode, bench::MetricReport& rep) {
                 core::SimConfig cfg;
                 cfg.broad_phase = tc.backend;
                 cfg.broad_phase_cache = tc.cache;
-                cfg.classify_pairs = tc.classify;
                 core::DdaEngine engine(sys, cfg, mode);
                 for (int s = 0; s < steps; ++s) engine.step();
                 const std::uint64_t fp = sched::state_fingerprint(sys);
@@ -266,8 +260,7 @@ void cache_gates(bench::MetricReport& rep) {
         const double rho = 0.02 * sys.characteristic_length();
         contact::BroadPhasePairCache cache;
         for (int i = 0; i < 10; ++i)
-            (void)cache.pairs(sys, rho, rho, contact::BroadPhaseBackend::Hash,
-                              /*balanced=*/false);
+            (void)cache.pairs(sys, rho, rho, contact::BroadPhaseBackend::Hash);
         const auto& st = cache.stats();
         std::printf("  static lattice: rebuilds=%llu reuses=%llu cached_pairs=%zu\n",
                     (unsigned long long)st.rebuilds, (unsigned long long)st.reuses,

@@ -4,7 +4,7 @@
 //
 // Measured layers, each cold (structure rebuilt from scratch) vs warm
 // (cached symbolic state, numeric-only refill):
-//   assembly        sort/scan plan build + fill  vs  indexed refill
+//   assembly        plan build + fill            vs  indexed refill
 //   conversion      hsbcsr_from_bsr              vs  hsbcsr_refill
 //   preconditioner  construction                 vs  refactor()
 //   PCG             zero start                   vs  warm start
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     std::printf("slope-stability case: %zu blocks, %zu contacts, %d reps%s\n", c.sys.size(),
                 c.contacts.size(), reps, short_mode ? " (short)" : "");
 
-    // ---- workspace-level: cold pass vs warm pass (GPU sort/scan plan) ----
+    // ---- workspace-level: cold pass vs warm pass ----
     bench::header("solve path: cold vs warm (per pass, averaged)");
 
     // Cold: a fresh workspace every rep — full symbolic rebuild.
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     assembly::AssembledSystem cold_ref;
     sparse::HsbcsrMatrix cold_h;
     for (int r = 0; r < reps; ++r) {
-        core::SolveWorkspace ws(/*gpu_mode=*/true, /*reuse=*/true);
+        core::SolveWorkspace ws;
         auto t0 = bench::Clock::now();
         ws.assemble(c.sys, c.att, c.contacts, c.geo, c.sp, 1, nullptr, nullptr);
         cold_asm += bench::ms_since(t0);
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     cold_prep /= reps;
 
     // Warm: one workspace, first (cold) pass untimed, then warm reps.
-    core::SolveWorkspace ws(/*gpu_mode=*/true, /*reuse=*/true);
+    core::SolveWorkspace ws;
     ws.assemble(c.sys, c.att, c.contacts, c.geo, c.sp, 1, nullptr, nullptr);
     ws.prepare_solve(core::PrecondKind::BlockJacobi, nullptr);
     double warm_asm = 0.0, warm_prep = 0.0;

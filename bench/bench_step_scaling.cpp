@@ -6,9 +6,8 @@
 // Two gates, reflected in the exit status:
 //   * determinism (always on, any host): the state fingerprint after every
 //     run must be bit-identical to the 1-thread baseline — for BOTH engine
-//     modes, and for the cache-off / classify-off / all-pairs /
-//     reuse_structure-off variants (each documented bitwise-equivalent to
-//     the default path);
+//     modes, and for the cache-off / all-pairs variants (each documented
+//     bitwise-equivalent to the default path);
 //   * scaling (only on hosts with >= 4 hardware cores, or when forced with
 //     --require-speedup): the 4-thread whole-step wall clock on the lattice
 //     tier must reach >= 2.2x the 1-thread run.
@@ -174,11 +173,9 @@ int main(int argc, char** argv) {
             };
             const std::vector<Variant> variants = {
                 {"cache_off", [](core::SimConfig& c) { c.broad_phase_cache = false; }, true},
-                {"classify_off", [](core::SimConfig& c) { c.classify_pairs = false; }, true},
                 {"allpairs",
                  [](core::SimConfig& c) { c.broad_phase = core::BroadPhase::AllPairs; },
                  scene.allpairs_variant},
-                {"reuse_off", [](core::SimConfig& c) { c.reuse_structure = false; }, true},
             };
             for (const Variant& v : variants) {
                 if (!v.enabled) continue;

@@ -27,6 +27,95 @@ ContactFingerprint contact_fingerprint(int n, std::span<const Contact> contacts)
     return fp;
 }
 
+CategoryStats classify_categories(std::span<const Contact> contacts) {
+    CategoryStats s;
+    for (const Contact& c : contacts) {
+        const bool vv2 = c.kind == contact::ContactKind::VV2;
+        if (!vv2) {
+            if (c.p1 != 0)
+                ++s.c1;
+            else if (c.p2 != 0)
+                ++s.c2;
+            else if (c.state != contact::ContactState::Open)
+                ++s.c3;
+            else
+                ++s.abandoned;
+        } else {
+            if (c.p1 != 0)
+                ++s.c4;
+            else if (c.p2 != 0 || c.state != contact::ContactState::Open)
+                ++s.c5;
+            else
+                ++s.abandoned;
+        }
+    }
+    return s;
+}
+
+void record_assembly_costs(AssemblyCosts& costs, int n, std::size_t contacts, bool diag_hit,
+                           bool warm) {
+    const double nn = n;
+    const double m = static_cast<double>(contacts);
+    const double e = 3.0 * m + nn; // emitted entries: a diagonal per block, 3 per contact
+    // Module hints (1 = DiagBuild, 2 = NondiagBuild): these costs are
+    // recorded after both assembly phases ran, outside any module span.
+    if (diag_hit) {
+        // The physics kernel is replaced by a straight copy of the cached
+        // blocks and loads.
+        simt::KernelCost kc;
+        kc.name = "diag_copy";
+        kc.bytes_coalesced = 2.0 * nn * (36 + 6) * sizeof(double);
+        kc.depth = 2;
+        kc.launches = 1;
+        simt::record_kernel(&costs.diagonal, kc, 1);
+        simt::record_skipped_kernel(&costs.diagonal, "diag_build", 1);
+    } else {
+        simt::KernelCost kc;
+        kc.name = "diag_build";
+        // Mass moments, elasticity, fixed springs: one uniform kernel.
+        kc.flops = nn * 700.0;
+        kc.bytes_coalesced = nn * (36 + 6 + 16) * sizeof(double);
+        kc.bytes_texture = nn * 8.0 * sizeof(double); // vertex walks
+        kc.depth = 10;
+        kc.branch_slots = nn / 4.0;
+        kc.divergent_slots = 0.06 * kc.branch_slots;
+        kc.launches = 2;
+        simt::record_kernel(&costs.diagonal, kc, 1);
+    }
+    if (warm) {
+        simt::KernelCost kc;
+        kc.name = "nondiag_refill";
+        // Contribution kernel + segmented gather-sum through the cached
+        // permutation; the 8 radix passes and the scan are structural and
+        // were skipped.
+        kc.flops = m * 500.0 + e * 36.0;
+        kc.bytes_coalesced = e * 36 * sizeof(double); // write D
+        kc.bytes_random = e * 36 * sizeof(double);    // gather via perm
+        kc.depth = 14;
+        kc.branch_slots = e;
+        kc.divergent_slots = 0.22 * e; // ragged segments
+        kc.launches = 2;
+        simt::record_kernel(&costs.nondiagonal, kc, 2);
+        simt::record_skipped_kernel(&costs.nondiagonal, "nondiag_sort_scan", 2);
+    } else {
+        simt::KernelCost kc;
+        kc.name = "nondiag_build";
+        // Contribution kernel (4 outer products) + 8 radix passes on the
+        // keys + scan + segmented gather-sum moving each Mat6 twice.
+        kc.flops = m * 500.0 + e * 40.0;
+        kc.bytes_coalesced = e * (sizeof(std::uint64_t) + 4) * 8.0 /* sort passes */ +
+                             e * sizeof(std::uint32_t) * 4.0 /* scan/ends */ +
+                             e * 36 * sizeof(double) /* write D */;
+        // Final assembly gathers sub-matrices through the permutation.
+        kc.bytes_random = e * 36 * sizeof(double);
+        kc.depth = 8.0 * 14.0; // sort passes each have scan depth
+        kc.branch_slots = e;
+        kc.divergent_slots = 0.22 * e; // ragged segments
+        kc.launches = 30;
+        simt::record_kernel(&costs.nondiagonal, kc, 2);
+    }
+}
+
 AssembledSystem assemble_serial(const BlockSystem& sys, const BlockAttachments& att,
                                 std::span<const Contact> contacts,
                                 std::span<const ContactGeometry> geo,
@@ -145,7 +234,9 @@ void AssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys,
     out.k.n = n_;
     out.k.row_ptr = row_ptr_;
     out.k.col_idx = col_idx_;
-    out.k.diag.assign(n_, Mat6{});
+    // block_diagonal and the cache copy below assign every diagonal block,
+    // so only the off-diagonal values (summed into) need a zero fill.
+    out.k.diag.resize(n_);
     out.k.vals.assign(col_idx_.size(), Mat6{});
     out.f.assign(n_, Vec6{});
 

@@ -1,8 +1,9 @@
 #pragma once
-// Global stiffness matrix assembly. The serial assembler is the CPU
-// reference (Fig. 1 pipeline); the GPU-style assembler reproduces the
-// sort-and-scan segmented assembly of the paper's Fig. 4 and must produce a
-// bit-identical matrix (tests enforce this).
+// Global stiffness matrix assembly. assemble_serial is the CPU reference
+// (Fig. 1 pipeline); AssemblyPlan is the one assembly path both engine modes
+// run, bit-identical to it (tests enforce this). The paper's Fig. 4
+// sort-and-scan segmented assembly is a GPU schedule of the same sums: it is
+// not executed here, only priced from counts by record_assembly_costs.
 
 #include <bit>
 #include <cstdint>
@@ -10,6 +11,7 @@
 
 #include "assembly/submatrices.hpp"
 #include "par/scratch_array.hpp"
+#include "simt/cost_model.hpp"
 #include "sparse/bsr.hpp"
 
 namespace gdda::assembly {
@@ -89,6 +91,34 @@ struct DiagPhysicsCache {
     }
 };
 
+/// Per-category contact counts for the paper's C1..C5 classification
+/// (section III.A, third classification): VE/VV1 split by the state-switch
+/// indicators p1/p2 into C1..C3, VV2 into C4..C5.
+struct CategoryStats {
+    std::size_t c1 = 0, c2 = 0, c3 = 0, c4 = 0, c5 = 0, abandoned = 0;
+};
+CategoryStats classify_categories(std::span<const Contact> contacts);
+
+/// The two Table-II matrix-building ledgers: diagonal (per-block physics)
+/// and non-diagonal (contact contributions plus the sort/scan machinery).
+struct AssemblyCosts {
+    simt::KernelCost diagonal = simt::KernelCost::accumulator();
+    simt::KernelCost nondiagonal = simt::KernelCost::accumulator();
+};
+
+/// Price one assembly pass as the paper's Fig. 4 GPU pipeline runs it:
+/// every contribution computes its sub-matrix into array D, D is
+/// radix-sorted by packed (row, col) key, a scan of the segment heads gives
+/// each unique sub-matrix its slot, and segmented sums reduce it. The
+/// kernels depend only on counts — `n` blocks, `contacts` contacts, whether
+/// the diagonal physics came from the cache (`diag_hit`: diag_copy instead
+/// of diag_build) and whether the structure was cached (`warm`: the numeric
+/// nondiag_refill instead of nondiag_build, with the skipped sort/scan as a
+/// zero-cost "[cached]" event). Records accumulate into `costs` and reach
+/// the kernel trace hook under the DiagBuild / NondiagBuild module rows.
+void record_assembly_costs(AssemblyCosts& costs, int n, std::size_t contacts, bool diag_hit,
+                           bool warm);
+
 inline bool bits_equal(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -125,10 +155,10 @@ AssembledSystem assemble_serial(const BlockSystem& sys, const BlockAttachments& 
                                 const StepParams& sp, double* diag_seconds = nullptr);
 
 /// Symbolic assembly plan: the sparsity structure and per-contact slot map
-/// computed once per time step (the contact set is fixed across the
+/// computed once per contact structure (the contact set is fixed across the
 /// open-close iterations), so each numeric pass is a direct indexed fill —
-/// how a production serial DDA assembles. Produces bit-identical results to
-/// assemble_serial (same summation order).
+/// how a production serial DDA assembles. Both engine modes run it; it
+/// produces bit-identical results to assemble_serial (same summation order).
 class AssemblyPlan {
 public:
     AssemblyPlan() = default;

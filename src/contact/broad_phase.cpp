@@ -90,37 +90,41 @@ std::vector<BlockPair> broad_phase_balanced(const block::BlockSystem& sys, doubl
     std::sort(pairs.begin(), pairs.end(), [](BlockPair x, BlockPair y) {
         return std::pair{x.a, x.b} < std::pair{y.a, y.b};
     });
-
-    if (cost) {
-        simt::KernelCost kc;
-        kc.name = "broad_phase_balanced";
-        const double cells = static_cast<double>(n) * static_cast<double>(cols);
-        kc.flops = cells * 8.0; // four interval comparisons per AABB test
-        // Tiled kernel: each m x m tile reloads 2m-1 boxes into shared memory
-        // (m = 32), so global traffic is ~cells/m boxes plus the row boxes.
-        kc.bytes_coalesced = (cells / 32.0 * 2.0 + static_cast<double>(n)) * 4 * sizeof(double) +
-                             static_cast<double>(pairs.size()) * sizeof(BlockPair);
-        kc.depth = 8;
-        kc.branch_slots = cells / 32.0;
-        kc.divergent_slots = 0.05 * kc.branch_slots; // rare hits diverge
-        kc.launches = 1;
-        simt::record_kernel(cost, kc);
-    }
+    if (cost) simt::record_kernel(cost, broad_phase_balanced_cost(n, pairs.size()));
     return pairs;
 }
 
-std::vector<BlockPair> run_broad_phase(const block::BlockSystem& sys, double rho,
-                                       BroadPhaseBackend backend, bool balanced,
-                                       double cell_size, simt::KernelCost* cost) {
-    if (backend == BroadPhaseBackend::Hash)
-        return broad_phase_spatial_hash(sys, rho, cell_size, nullptr, cost);
-    return balanced ? broad_phase_balanced(sys, rho, cost)
-                    : broad_phase_triangular(sys, rho);
+simt::KernelCost broad_phase_balanced_cost(std::int64_t n, std::size_t pairs) {
+    simt::KernelCost kc;
+    kc.name = "broad_phase_balanced";
+    const double cells = static_cast<double>(n) * static_cast<double>(balanced_columns(n));
+    kc.flops = cells * 8.0; // four interval comparisons per AABB test
+    // Tiled kernel: each m x m tile reloads 2m-1 boxes into shared memory
+    // (m = 32), so global traffic is ~cells/m boxes plus the row boxes.
+    kc.bytes_coalesced = (cells / 32.0 * 2.0 + static_cast<double>(n)) * 4 * sizeof(double) +
+                         static_cast<double>(pairs) * sizeof(BlockPair);
+    kc.depth = 8;
+    kc.branch_slots = cells / 32.0;
+    kc.divergent_slots = 0.05 * kc.branch_slots; // rare hits diverge
+    kc.launches = 1;
+    return kc;
 }
 
-const char* broad_phase_kernel_name(BroadPhaseBackend backend, bool balanced) {
-    if (backend == BroadPhaseBackend::Hash) return "broad_phase_spatial_hash";
-    return balanced ? "broad_phase_balanced" : "broad_phase_triangular";
+std::vector<BlockPair> run_broad_phase(const block::BlockSystem& sys, double rho,
+                                       BroadPhaseBackend backend, double cell_size,
+                                       simt::KernelCost* cost) {
+    if (backend == BroadPhaseBackend::Hash)
+        return broad_phase_spatial_hash(sys, rho, cell_size, nullptr, cost);
+    std::vector<BlockPair> pairs = broad_phase_triangular(sys, rho);
+    if (cost)
+        simt::record_kernel(cost, broad_phase_balanced_cost(
+                                      static_cast<std::int64_t>(sys.size()), pairs.size()));
+    return pairs;
+}
+
+const char* broad_phase_kernel_name(BroadPhaseBackend backend) {
+    return backend == BroadPhaseBackend::Hash ? "broad_phase_spatial_hash"
+                                              : "broad_phase_balanced";
 }
 
 } // namespace gdda::contact

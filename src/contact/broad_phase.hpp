@@ -5,11 +5,14 @@
 // Two backends produce the same candidate set (see docs/CONTACTS.md for the
 // full contract):
 //
-//   AllPairs  the paper's quadratic enumeration. The GPU mapping reshapes
-//             the n x n upper-triangular pair matrix into a balanced
-//             n x ceil(n/2) full matrix so every CUDA block performs the
-//             same number of tests (section III.B); the serial reference is
-//             the plain triangular loop.
+//   AllPairs  the paper's quadratic enumeration, run as the plain
+//             triangular loop in both engine modes. The GPU mapping
+//             reshapes the n x n upper-triangular pair matrix into a
+//             balanced n x ceil(n/2) full matrix so every CUDA block
+//             performs the same number of tests (section III.B); it finds
+//             the same set, so Gpu mode only prices it
+//             (broad_phase_balanced_cost). broad_phase_balanced() stays as
+//             the mapping's executable reference for tests and benches.
 //   Hash      the spatial-hash grid (spatial_hash.hpp) — near-linear in the
 //             block count at physical packing densities, the default at the
 //             100k+ scales the all-pairs mapping cannot reach.
@@ -49,19 +52,17 @@ inline geom::Aabb search_box(const geom::Aabb& raw_bounds, double rho) {
 /// dominates every other pipeline module.
 inline constexpr std::size_t kAutoHashMinBlocks = 4096;
 
-/// Run the selected backend. For AllPairs, `balanced` picks the GPU-layout
-/// balanced enumeration (used by EngineMode::Gpu) over the serial
-/// triangular loop; the Hash backend is identical in both modes.
-/// `cell_size` is forwarded to the hash (0 = auto-size, see
-/// spatial_hash.hpp). All backends return the same (a, b)-sorted set.
+/// Run the selected backend. AllPairs runs the triangular loop; with a
+/// `cost` sink it is priced as the balanced mapping. `cell_size` is
+/// forwarded to the hash (0 = auto-size, see spatial_hash.hpp). All
+/// backends return the same (a, b)-sorted set.
 std::vector<BlockPair> run_broad_phase(const block::BlockSystem& sys, double rho,
-                                       BroadPhaseBackend backend, bool balanced,
-                                       double cell_size = 0.0,
+                                       BroadPhaseBackend backend, double cell_size = 0.0,
                                        simt::KernelCost* cost = nullptr);
 
-/// Trace/ledger kernel name of a backend (used for the `[cached]` events the
-/// pair cache emits when it skips a rebuild).
-const char* broad_phase_kernel_name(BroadPhaseBackend backend, bool balanced);
+/// Trace/ledger kernel name a backend is priced under (used for the
+/// `[cached]` events the pair cache emits when it skips a rebuild).
+const char* broad_phase_kernel_name(BroadPhaseBackend backend);
 
 /// Triangular enumeration (i < j), serial reference.
 std::vector<BlockPair> broad_phase_triangular(const block::BlockSystem& sys, double rho);
@@ -73,6 +74,10 @@ std::vector<BlockPair> broad_phase_triangular(const block::BlockSystem& sys, dou
 /// receives the analytic GPU trace of the tiled kernel.
 std::vector<BlockPair> broad_phase_balanced(const block::BlockSystem& sys, double rho,
                                             simt::KernelCost* cost = nullptr);
+
+/// Analytic GPU trace of the balanced tiled kernel over `n` blocks that
+/// emits `pairs` candidates (n x balanced_columns(n) cells).
+simt::KernelCost broad_phase_balanced_cost(std::int64_t n, std::size_t pairs);
 
 /// Map a balanced-matrix cell (row, k) to the unordered pair it tests, or
 /// return false when the cell is a padding cell. Exposed for tests and for

@@ -131,7 +131,7 @@ void BroadPhasePairCache::filter(double rho) {
 
 const std::vector<BlockPair>& BroadPhasePairCache::pairs(
     const block::BlockSystem& sys, double rho, double margin, BroadPhaseBackend backend,
-    bool balanced, double cell_size, simt::KernelCost* cost) {
+    double cell_size, simt::KernelCost* cost) {
     const std::size_t n = sys.size();
     const bool valid = refresh_and_revalidate(sys, rho, margin, backend, cell_size);
 
@@ -142,15 +142,14 @@ const std::vector<BlockPair>& BroadPhasePairCache::pairs(
     if (valid) {
         warm_ = true;
         ++stats_.reuses;
-        if (cost) simt::record_skipped_kernel(cost, broad_phase_kernel_name(backend, balanced));
+        if (cost) simt::record_skipped_kernel(cost, broad_phase_kernel_name(backend));
     } else {
         warm_ = false;
         // Build with the widened search distance: each box is inflated by an
         // extra `margin`, buying the scene a motion budget of `margin` per
         // block around a common translation before the superset stops
         // covering the exact rho-overlap set.
-        superset_ =
-            run_broad_phase(sys, rho + 2.0 * margin, backend, balanced, cell_size, cost);
+        superset_ = run_broad_phase(sys, rho + 2.0 * margin, backend, cell_size, cost);
         ref_boxes_ = current_;
         fixed_.resize(n);
         for (std::size_t i = 0; i < n; ++i) fixed_[i] = sys.blocks[i].fixed ? 1 : 0;

@@ -50,7 +50,7 @@ public:
     /// skipped-kernel idiom. The `pair_cache_filter` kernel runs on every call.
     const std::vector<BlockPair>& pairs(const block::BlockSystem& sys, double rho,
                                         double margin, BroadPhaseBackend backend,
-                                        bool balanced, double cell_size = 0.0,
+                                        double cell_size = 0.0,
                                         simt::KernelCost* cost = nullptr);
 
     /// Drop the cached set; the next call rebuilds (checkpoint restore,

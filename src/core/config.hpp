@@ -16,8 +16,8 @@ enum class PrecondKind { Identity, Jacobi, BlockJacobi, SsorAi, Ilu0 };
 /// Broad-phase backend selection (see docs/CONTACTS.md for the contract).
 /// All backends produce the identical candidate set, so this knob trades
 /// asymptotics, never answers:
-///   AllPairs  the paper's mapping — triangular in Serial mode, balanced
-///             n x ceil(n/2) in Gpu mode; quadratic in the block count.
+///   AllPairs  the paper's quadratic enumeration — triangular in both
+///             modes; Gpu mode prices the balanced n x ceil(n/2) mapping.
 ///   Hash      spatial-hash grid — near-linear at physical densities.
 ///   Auto      Hash at or above contact::kAutoHashMinBlocks blocks,
 ///             AllPairs below (the paper's own crossover argument).
@@ -52,12 +52,6 @@ struct SimConfig {
     /// distance rho. Larger values keep the cache warm longer but make each
     /// rebuild and each step's re-filter scan a larger superset.
     double pair_cache_margin = 1.0;
-    /// Divergence-aware pair classification: bucket candidate pairs by
-    /// work class before the narrow phase so SIMT warps run uniform trip
-    /// counts (Nakahara & Washizawa). Pure permutation — trajectories are
-    /// bit-identical either way — so only Gpu mode computes it: the SIMT
-    /// trace prices the narrow phase with the schedule's divergence.
-    bool classify_pairs = true;
 
     /// Contact penalty as a multiple of the stiffest Young's modulus.
     double penalty_scale = 10.0;
@@ -88,18 +82,6 @@ struct SimConfig {
     /// the team size — so this knob trades latency against throughput,
     /// never answers (docs/PERFORMANCE.md, "CPU execution backend").
     int step_threads = 0;
-
-    /// Structure-caching solve path: when the contact-set fingerprint is
-    /// unchanged between solve passes, reuse the cached assembly plan,
-    /// HSBCSR index arrays, and preconditioner symbolic pattern, redoing
-    /// only numerics. Warm passes are bitwise identical to cold ones; off
-    /// forces the cold path every pass (debugging / A-B comparison).
-    bool reuse_structure = true;
-
-    /// Warm-start each open-close re-solve from the previous pass's solution
-    /// instead of the last committed step's. Applied independently of
-    /// reuse_structure so structural caching stays bitwise comparable.
-    bool warm_start_across_passes = true;
 
     /// Periodic checkpointing (the gdda::state subsystem): when > 0, a
     /// scheduler job with a checkpoint path snapshots its engine every N

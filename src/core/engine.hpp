@@ -1,24 +1,24 @@
 #pragma once
 // The DDA pipeline engine: executes one time step (loop 1 iteration) with
 // the maximum-displacement control (loop 2) and open-close iteration
-// (loop 3) inside. Two modes share the same physics:
+// (loop 3) inside. Both modes execute the same code path; the mode only
+// decides whether the SIMT cost model is charged:
 //
-//   Serial  the CPU reference pipeline of Fig. 1 (triangular broad phase,
-//           straightforward assembly) — this is what gets *measured* for
-//           the E5620 column of Tables II/III;
-//   Gpu     the data-classified pipeline of Fig. 2 (balanced broad phase,
-//           sort/scan segmented assembly, HSBCSR SpMV), with every kernel's
-//           analytic cost accounted into per-module ledgers that the SIMT
-//           model converts into K20/K40 modeled times.
+//   Serial  the CPU pipeline of Fig. 1, uncharged — this is what gets
+//           *measured* for the E5620 column of Tables II/III;
+//   Gpu     the same computation priced as the data-classified pipeline of
+//           Fig. 2 (balanced broad phase, divergence-classified narrow
+//           phase, sort/scan segmented assembly, HSBCSR SpMV): every
+//           kernel's analytic cost is accounted into per-module ledgers
+//           that the SIMT model converts into K20/K40 modeled times.
 //
-// Both modes produce numerically identical trajectories (enforced by
+// Both modes therefore produce bitwise-identical trajectories (enforced by
 // integration tests), which is the paper's own correctness criterion for
 // the GPU port.
 
 #include <memory>
 #include <vector>
 
-#include "assembly/gpu_assembler.hpp"
 #include "contact/narrow_phase.hpp"
 #include "contact/open_close.hpp"
 #include "contact/pair_cache.hpp"
@@ -106,7 +106,7 @@ public:
 
     /// Divergence-aware pair schedule of the last contact detection
     /// (warp-efficiency model of the classified narrow phase). Gpu mode
-    /// only; all zeros in Serial mode or with classify_pairs off.
+    /// only; all zeros in Serial mode.
     [[nodiscard]] const contact::PairScheduleStats& pair_schedule() const {
         return sched_stats_;
     }
@@ -162,8 +162,7 @@ private:
     /// One assemble+solve+update pass; returns open-close state changes.
     /// `fresh_pass` marks the first pass of a displacement attempt: it
     /// resets the PCG start vector to the last committed step's solution,
-    /// later open-close passes iterate from the previous pass's (see
-    /// SimConfig::warm_start_across_passes).
+    /// later open-close passes iterate from the previous pass's.
     int solve_pass(const std::vector<contact::ContactGeometry>& geo,
                    sparse::BlockVec& d, StepStats& stats, bool fresh_pass);
     double max_vertex_displacement(const sparse::BlockVec& d) const;

@@ -85,7 +85,6 @@ obs::JsonValue config_to_json(const SimConfig& cfg) {
     j.set("step_threads", obs::JsonValue::integer(cfg.step_threads));
     j.set("precond", obs::JsonValue::integer(static_cast<int>(cfg.precond)));
     j.set("exact_rotation", obs::JsonValue::boolean(cfg.exact_rotation));
-    j.set("reuse_structure", obs::JsonValue::boolean(cfg.reuse_structure));
     j.set("broad_phase_cache", obs::JsonValue::boolean(cfg.broad_phase_cache));
     j.set("pcg_max_iters", obs::JsonValue::integer(cfg.pcg.max_iters));
     j.set("pcg_rel_tol", obs::JsonValue::number(cfg.pcg.rel_tol));
@@ -95,8 +94,7 @@ obs::JsonValue config_to_json(const SimConfig& cfg) {
 } // namespace
 
 DdaEngine::DdaEngine(BlockSystem& sys, SimConfig cfg, EngineMode mode)
-    : sys_(&sys), cfg_(cfg), mode_(mode), dt_(cfg.dt),
-      ws_(mode == EngineMode::Gpu, cfg.reuse_structure) {
+    : sys_(&sys), cfg_(cfg), mode_(mode), dt_(cfg.dt) {
     cfg_.validate();
     recorder_ = obs::Recorder::from_config(cfg_.telemetry);
     attach_tracer(trace::Tracer::from_config(cfg_.trace));
@@ -153,30 +151,28 @@ void DdaEngine::detect_contacts() {
     // Broad phase: selectable backend behind an optional persistent pair
     // cache. A warm cache skips the backend entirely and re-filters its
     // superset to the exact set the backend would return (pair_cache.hpp).
+    // Both modes run the same enumeration; the sink prices it.
     const contact::BroadPhaseBackend backend = broad_phase_backend();
-    const bool balanced = mode_ == EngineMode::Gpu;
     std::span<const contact::BlockPair> pairs;
     std::vector<contact::BlockPair> fresh;
     if (cfg_.broad_phase_cache) {
         pairs = pair_cache_.pairs(*sys_, rho, cfg_.pair_cache_margin * rho, backend,
-                                  balanced, cfg_.broad_phase_cell, sink);
+                                  cfg_.broad_phase_cell, sink);
     } else {
-        fresh = contact::run_broad_phase(*sys_, rho, backend, balanced,
-                                         cfg_.broad_phase_cell, sink);
+        fresh = contact::run_broad_phase(*sys_, rho, backend, cfg_.broad_phase_cell, sink);
         pairs = fresh;
     }
 
     // Divergence-aware classification buckets candidates by work class so
     // narrow-phase warps run uniform trip counts. It is a pure permutation
     // and the narrow phase's output is canonical, so only the modeled GPU
-    // schedule needs it: Gpu mode prices it, and the CPU narrow phase keeps
-    // the broad-phase order.
-    const bool classified = cfg_.classify_pairs && mode_ == EngineMode::Gpu;
-    sched_stats_ = classified ? contact::pair_schedule_stats(*sys_, pairs, sink)
-                              : contact::PairScheduleStats{};
+    // schedule needs it: Gpu mode prices it from counts, and the CPU narrow
+    // phase keeps the broad-phase order.
+    sched_stats_ = sink ? contact::pair_schedule_stats(*sys_, pairs, sink)
+                        : contact::PairScheduleStats{};
 
     contact::narrow_phase(*sys_, pairs, rho, np_ws_, detected_, sink,
-                          classified ? &sched_stats_ : nullptr);
+                          sink ? &sched_stats_ : nullptr);
     class_stats_ = detected_.stats;
     contact::transfer_contacts(contacts_, detected_.contacts, sink);
     // The retired list keeps its capacity for the next detection.
@@ -208,15 +204,13 @@ int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
         const double par0 = par::parallel_region_seconds();
         double diag_seconds = 0.0;
         double diag_par_seconds = 0.0;
-        if (mode_ == EngineMode::Gpu) {
-            assembly::GpuAssemblyCosts costs;
-            ws_.assemble(*sys_, attachments_, contacts_, geo, sp, values_epoch_, &costs,
-                         &diag_seconds, &diag_par_seconds);
+        assembly::AssemblyCosts costs;
+        const bool priced = mode_ == EngineMode::Gpu;
+        ws_.assemble(*sys_, attachments_, contacts_, geo, sp, values_epoch_,
+                     priced ? &costs : nullptr, &diag_seconds, &diag_par_seconds);
+        if (priced) {
             ledgers_.add(Module::DiagBuild, costs.diagonal);
             ledgers_.add(Module::NondiagBuild, costs.nondiagonal);
-        } else {
-            ws_.assemble(*sys_, attachments_, contacts_, geo, sp, values_epoch_, nullptr,
-                         &diag_seconds, &diag_par_seconds);
         }
         const double end_us = trace::now_us();
         const double total = (end_us - t0_us) * 1e-6;
@@ -249,8 +243,8 @@ int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
 
         // First pass of an attempt starts PCG from the last committed
         // step's solution; later open-close passes continue from the
-        // previous pass's solution (unless disabled), which is closer.
-        if (fresh_pass || !cfg_.warm_start_across_passes) d = warm_start_;
+        // previous pass's solution, which is closer.
+        if (fresh_pass) d = warm_start_;
         solver::PcgOptions popts = cfg_.pcg;
         std::vector<double> residuals;
         if (recorder_ && recorder_->record_pcg_residuals) popts.residual_log = &residuals;

@@ -9,11 +9,11 @@ void SolveWorkspace::assemble(const block::BlockSystem& sys,
                               std::span<const contact::Contact> contacts,
                               std::span<const contact::ContactGeometry> geo,
                               const assembly::StepParams& sp, std::uint64_t values_epoch,
-                              assembly::GpuAssemblyCosts* costs, double* diag_seconds,
+                              assembly::AssemblyCosts* costs, double* diag_seconds,
                               double* diag_par_seconds) {
     const int n = static_cast<int>(sys.size());
     const assembly::ContactFingerprint fp = assembly::contact_fingerprint(n, contacts);
-    warm_ = reuse_ && have_structure_ && fp == fp_;
+    warm_ = have_structure_ && fp == fp_;
 
     if (values_epoch != diag_epoch_) {
         // Block state / dt changed: both the diagonal physics and the
@@ -22,15 +22,11 @@ void SolveWorkspace::assemble(const block::BlockSystem& sys,
         diag_cache_.memo_valid = false;
         diag_epoch_ = values_epoch;
     }
-    const bool diag_hit = reuse_ && diag_cache_.valid;
+    const bool diag_hit = diag_cache_.valid;
 
     if (!warm_) {
         fp_ = fp;
-        if (gpu_mode_) {
-            gpu_plan_.build(n, contacts);
-        } else {
-            serial_plan_ = assembly::AssemblyPlan(n, contacts);
-        }
+        plan_ = assembly::AssemblyPlan(n, contacts);
         have_structure_ = true;
         // Downstream structure (HSBCSR indices, preconditioner pattern) is
         // keyed on the same fingerprint: force their cold paths too.
@@ -40,17 +36,12 @@ void SolveWorkspace::assemble(const block::BlockSystem& sys,
         ++stats_.cold_structure_builds;
     } else {
         ++stats_.warm_numeric_refills;
-        ++stats_.structural_kernels_skipped; // sort/scan (GPU) / slot map (serial)
+        ++stats_.structural_kernels_skipped; // the plan's slot map
     }
 
-    assembly::DiagPhysicsCache* dc = reuse_ ? &diag_cache_ : nullptr;
-    if (gpu_mode_) {
-        gpu_plan_.assemble_into(as_, sys, att, contacts, geo, sp, costs, diag_seconds, dc,
-                                warm_, diag_par_seconds);
-    } else {
-        serial_plan_.assemble_into(as_, sys, att, contacts, geo, sp, diag_seconds, dc,
-                                   diag_par_seconds);
-    }
+    plan_.assemble_into(as_, sys, att, contacts, geo, sp, diag_seconds, &diag_cache_,
+                        diag_par_seconds);
+    if (costs) assembly::record_assembly_costs(*costs, n, contacts.size(), diag_hit, warm_);
     if (diag_hit) {
         ++stats_.diag_physics_reuses;
         ++stats_.structural_kernels_skipped;

@@ -9,7 +9,7 @@
 // The workspace keys its caches on a cheap contact-set fingerprint
 // (assembly::contact_fingerprint). While the fingerprint is unchanged, warm
 // passes reuse:
-//   * the assembly plan (serial slot map / GPU sort permutation + segments),
+//   * the assembly plan (sparsity structure + per-contact slot map),
 //   * the per-block diagonal physics (constant within one dt attempt,
 //     tracked by a caller-supplied values epoch),
 //   * the HSBCSR index arrays (numeric refill of the slice data only),
@@ -18,15 +18,17 @@
 // Warm passes are bitwise identical to cold ones (tests enforce it); any
 // fingerprint change falls back to the cold path for that pass.
 //
-// In GPU mode the analytic cost trace records the skipped structural
-// kernels as zero-cost "[cached]" events so gdda-prof shows warm passes
+// Engine mode does not reach this class: both modes run the same plan. A
+// Gpu-mode caller passes cost sinks, and the analytic trace then prices the
+// pass as the paper's Fig. 4 pipeline and records the skipped structural
+// kernels as zero-cost "[cached]" events, so gdda-prof shows warm passes
 // explicitly (docs/PERFORMANCE.md).
 
 #include <cstdint>
 #include <memory>
 #include <span>
 
-#include "assembly/gpu_assembler.hpp"
+#include "assembly/assembler.hpp"
 #include "core/config.hpp"
 #include "solver/pcg.hpp"
 #include "sparse/hsbcsr.hpp"
@@ -38,29 +40,28 @@ namespace gdda::core {
 struct SolveWorkspaceStats {
     std::uint64_t cold_structure_builds = 0;   ///< assembly plans (re)built
     std::uint64_t warm_numeric_refills = 0;    ///< passes served from cache
-    std::uint64_t structural_kernels_skipped = 0; ///< sort/scan, hsbcsr index, precond symbolic
+    std::uint64_t structural_kernels_skipped = 0; ///< slot map, hsbcsr index, precond symbolic
     std::uint64_t diag_physics_reuses = 0;     ///< diagonal physics copied, not recomputed
     std::uint64_t precond_refactors = 0;       ///< preconditioner numeric-only rebuilds
     std::uint64_t ilu_pattern_rebuilds = 0;    ///< ILU(0) scalar-pattern fallbacks
+    friend bool operator==(const SolveWorkspaceStats&, const SolveWorkspaceStats&) = default;
 };
 
 class SolveWorkspace {
 public:
-    SolveWorkspace() = default;
-    SolveWorkspace(bool gpu_mode, bool reuse) : gpu_mode_(gpu_mode), reuse_(reuse) {}
-
     /// Assemble K and F for the current contact state into the persistent
     /// AssembledSystem. Decides cold vs warm from the contact fingerprint;
     /// `values_epoch` tracks when the diagonal physics inputs (block state,
     /// dt) last changed — bump it per displacement attempt. GPU callers pass
-    /// `costs` for the two Table-II ledgers; serial callers pass nullptr.
+    /// `costs` to have the pass priced into the two Table-II ledgers
+    /// (assembly::record_assembly_costs); serial callers pass nullptr.
     /// `diag_par_seconds`, when given, receives the slice of `diag_seconds`
     /// spent inside dispatch-eligible parallel_for regions (the per-module
     /// serial-fraction split between the two matrix-building rows).
     void assemble(const block::BlockSystem& sys, const assembly::BlockAttachments& att,
                   std::span<const contact::Contact> contacts,
                   std::span<const contact::ContactGeometry> geo, const assembly::StepParams& sp,
-                  std::uint64_t values_epoch, assembly::GpuAssemblyCosts* costs,
+                  std::uint64_t values_epoch, assembly::AssemblyCosts* costs,
                   double* diag_seconds, double* diag_par_seconds = nullptr);
 
     /// HSBCSR conversion + preconditioner setup for the system assembled by
@@ -83,13 +84,9 @@ public:
     void invalidate();
 
 private:
-    bool gpu_mode_ = false;
-    bool reuse_ = true;
-
     assembly::ContactFingerprint fp_;
     bool have_structure_ = false;
-    assembly::AssemblyPlan serial_plan_;
-    assembly::GpuAssemblyPlan gpu_plan_;
+    assembly::AssemblyPlan plan_;
     assembly::DiagPhysicsCache diag_cache_;
     std::uint64_t diag_epoch_ = 0;
 

@@ -136,7 +136,6 @@ void write_config(ByteWriter& w, const core::SimConfig& c) {
     w.f64(c.broad_phase_cell);
     w.u8(c.broad_phase_cache ? 1 : 0);
     w.f64(c.pair_cache_margin);
-    w.u8(c.classify_pairs ? 1 : 0);
     w.f64(c.penalty_scale);
     w.f64(c.shear_penalty_ratio);
     w.f64(c.fixed_penalty_ratio);
@@ -147,8 +146,6 @@ void write_config(ByteWriter& w, const core::SimConfig& c) {
     w.u8(c.exact_rotation ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(c.precond));
     w.i32(c.step_threads);
-    w.u8(c.reuse_structure ? 1 : 0);
-    w.u8(c.warm_start_across_passes ? 1 : 0);
     w.i32(c.checkpoint_interval);
     w.i32(c.pcg.max_iters);
     w.f64(c.pcg.rel_tol);
@@ -168,7 +165,6 @@ core::SimConfig read_config(ByteReader& r) {
     c.broad_phase_cell = r.f64();
     c.broad_phase_cache = r.u8() != 0;
     c.pair_cache_margin = r.f64();
-    c.classify_pairs = r.u8() != 0;
     c.penalty_scale = r.f64();
     c.shear_penalty_ratio = r.f64();
     c.fixed_penalty_ratio = r.f64();
@@ -179,8 +175,6 @@ core::SimConfig read_config(ByteReader& r) {
     c.exact_rotation = r.u8() != 0;
     c.precond = static_cast<core::PrecondKind>(r.u8());
     c.step_threads = r.i32();
-    c.reuse_structure = r.u8() != 0;
-    c.warm_start_across_passes = r.u8() != 0;
     c.checkpoint_interval = r.i32();
     c.pcg.max_iters = r.i32();
     c.pcg.rel_tol = r.f64();
@@ -416,8 +410,8 @@ const char* to_string(SnapshotErrorCode code) {
 
 std::uint64_t config_fingerprint(const core::SimConfig& c) {
     // Canonical buffer over the trajectory-affecting knobs only. Knobs with
-    // proven bitwise-identity contracts (broad phase, classification,
-    // caches, threads, fused PCG) and observer-only knobs are excluded so a
+    // proven bitwise-identity contracts (broad phase, caches, threads,
+    // fused PCG) and observer-only knobs are excluded so a
     // resume may freely retune them without voiding the contract.
     ByteWriter w;
     w.f64(c.dt);
@@ -435,7 +429,6 @@ std::uint64_t config_fingerprint(const core::SimConfig& c) {
     w.f64(c.dt_grow);
     w.u8(c.exact_rotation ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(c.precond));
-    w.u8(c.warm_start_across_passes ? 1 : 0);
     w.i32(c.pcg.max_iters);
     w.f64(c.pcg.rel_tol);
     w.f64(c.pcg.abs_tol);

@@ -29,8 +29,8 @@ namespace gdda::state {
 
 /// On-disk schema version. Bump on any layout change; readers reject every
 /// other version with UnsupportedVersion, because the payload layout of
-/// another version is unknown to them (v1 stored a longer SimConfig).
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// another version is unknown to them (v1 and v2 stored longer SimConfigs).
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Leading file magic ("GDDASNAP", 8 bytes, no terminator on disk).
 inline constexpr char kSnapshotMagic[9] = "GDDASNAP";
@@ -91,10 +91,10 @@ struct EngineSnapshot {
 
 /// FNV-1a over the trajectory-affecting subset of SimConfig: dt policy,
 /// displacement control, penalties, iteration limits, exact_rotation,
-/// preconditioner, warm-start policy, and the PCG tolerances. Deliberately
-/// EXCLUDES knobs with proven bitwise-identity contracts or observer-only
-/// roles: broad-phase backend/cell/cache, pair classification, step_threads,
-/// reuse_structure, fused PCG, checkpoint_interval, telemetry/trace/metrics.
+/// preconditioner, and the PCG tolerances. Deliberately EXCLUDES knobs with
+/// proven bitwise-identity contracts or observer-only roles: broad-phase
+/// backend/cell/cache, step_threads, fused PCG, checkpoint_interval,
+/// telemetry/trace/metrics.
 [[nodiscard]] std::uint64_t config_fingerprint(const core::SimConfig& cfg);
 
 /// Capture a complete snapshot of a live engine (observer-only; the engine

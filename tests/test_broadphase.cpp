@@ -28,6 +28,7 @@
 namespace ct = gdda::contact;
 namespace bl = gdda::block;
 namespace core = gdda::core;
+namespace simt = gdda::simt;
 namespace models = gdda::models;
 using gdda::geom::Vec2;
 
@@ -132,15 +133,25 @@ TEST(BroadPhaseBackends, RunBroadPhaseDispatch) {
     const bl::BlockSystem sys = models::make_falling_rocks_with_blocks(60);
     const double rho = 0.02 * sys.characteristic_length();
     const auto tri = ct::broad_phase_triangular(sys, rho);
-    EXPECT_EQ(tri, ct::run_broad_phase(sys, rho, ct::BroadPhaseBackend::AllPairs, false));
-    EXPECT_EQ(tri, ct::run_broad_phase(sys, rho, ct::BroadPhaseBackend::AllPairs, true));
-    EXPECT_EQ(tri, ct::run_broad_phase(sys, rho, ct::BroadPhaseBackend::Hash, false));
-    EXPECT_STREQ(ct::broad_phase_kernel_name(ct::BroadPhaseBackend::Hash, false),
+    EXPECT_EQ(tri, ct::run_broad_phase(sys, rho, ct::BroadPhaseBackend::AllPairs));
+    EXPECT_EQ(tri, ct::run_broad_phase(sys, rho, ct::BroadPhaseBackend::Hash));
+    EXPECT_STREQ(ct::broad_phase_kernel_name(ct::BroadPhaseBackend::Hash),
                  "broad_phase_spatial_hash");
-    EXPECT_STREQ(ct::broad_phase_kernel_name(ct::BroadPhaseBackend::AllPairs, true),
+    EXPECT_STREQ(ct::broad_phase_kernel_name(ct::BroadPhaseBackend::AllPairs),
                  "broad_phase_balanced");
-    EXPECT_STREQ(ct::broad_phase_kernel_name(ct::BroadPhaseBackend::AllPairs, false),
-                 "broad_phase_triangular");
+
+    // With a sink, AllPairs runs the triangular loop but is priced as the
+    // balanced mapping — the same record broad_phase_balanced() makes.
+    simt::KernelCost priced = simt::KernelCost::accumulator();
+    EXPECT_EQ(tri,
+              ct::run_broad_phase(sys, rho, ct::BroadPhaseBackend::AllPairs, 0.0, &priced));
+    simt::KernelCost mapped = simt::KernelCost::accumulator();
+    EXPECT_EQ(tri, ct::broad_phase_balanced(sys, rho, &mapped));
+    EXPECT_EQ(priced.flops, mapped.flops);
+    EXPECT_EQ(priced.bytes_coalesced, mapped.bytes_coalesced);
+    EXPECT_EQ(priced.branch_slots, mapped.branch_slots);
+    EXPECT_EQ(priced.launches, 1);
+    EXPECT_EQ(mapped.launches, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -191,12 +202,10 @@ TEST(PairCache, StaticSceneRebuildsOnce) {
     bl::BlockSystem sys = models::make_falling_rocks_with_blocks(60);
     const double rho = 0.02 * sys.characteristic_length();
     ct::BroadPhasePairCache cache;
-    const auto first =
-        cache.pairs(sys, rho, rho, ct::BroadPhaseBackend::Hash, false);
+    const auto first = cache.pairs(sys, rho, rho, ct::BroadPhaseBackend::Hash);
     EXPECT_FALSE(cache.warm());
     for (int i = 0; i < 5; ++i) {
-        const auto& again =
-            cache.pairs(sys, rho, rho, ct::BroadPhaseBackend::Hash, false);
+        const auto& again = cache.pairs(sys, rho, rho, ct::BroadPhaseBackend::Hash);
         EXPECT_TRUE(cache.warm());
         EXPECT_EQ(first, again);
     }
@@ -209,11 +218,10 @@ TEST(PairCache, MotionWithinMarginStaysWarmAndSuperset) {
     const double rho = 0.05;
     const double margin = 0.04;
     ct::BroadPhasePairCache cache;
-    (void)cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs, false);
+    (void)cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs);
 
     translate_block(sys, 3, 0.5 * margin, -0.5 * margin);
-    const auto& cached =
-        cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs, false);
+    const auto& cached = cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs);
     EXPECT_TRUE(cache.warm());
     EXPECT_EQ(cache.stats().rebuilds, 1u);
 
@@ -229,16 +237,16 @@ TEST(PairCache, CommonTranslationStaysWarmAndExact) {
     const double rho = 0.02 * sys.characteristic_length();
     const double margin = rho;
     ct::BroadPhasePairCache cache;
-    (void)cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::Hash, false);
+    (void)cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::Hash);
 
     // The whole scene moves 5 margins diagonally: every box leaves its
     // per-block budget, but the common translation keeps the superset valid.
     for (int i = 0; i < static_cast<int>(sys.size()); ++i)
         translate_block(sys, i, 5.0 * margin, -5.0 * margin);
-    const auto& moved = cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::Hash, false);
+    const auto& moved = cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::Hash);
     EXPECT_TRUE(cache.warm());
     EXPECT_EQ(cache.stats().rebuilds, 1u);
-    EXPECT_EQ(moved, ct::run_broad_phase(sys, rho, ct::BroadPhaseBackend::Hash, false));
+    EXPECT_EQ(moved, ct::run_broad_phase(sys, rho, ct::BroadPhaseBackend::Hash));
     EXPECT_EQ(moved, ct::broad_phase_triangular(sys, rho));
 }
 
@@ -250,14 +258,13 @@ TEST(PairCache, FlooredLatticeFallingPastTheMarginRebuilds) {
     const double rho = 0.05;
     const double margin = 0.04;
     ct::BroadPhasePairCache cache;
-    (void)cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs, false);
+    (void)cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs);
 
     // The fixed floor pins the common translation: mobile blocks falling
     // 2.5 margins toward it leave the superset's budget.
     for (int i = 0; i < static_cast<int>(sys.size()); ++i)
         if (!sys.blocks[i].fixed) translate_block(sys, i, 0.0, -2.5 * margin);
-    const auto& fallen =
-        cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs, false);
+    const auto& fallen = cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs);
     EXPECT_FALSE(cache.warm());
     EXPECT_EQ(cache.stats().rebuilds, 2u);
     EXPECT_EQ(fallen, ct::broad_phase_triangular(sys, rho));
@@ -268,11 +275,10 @@ TEST(PairCache, CrossingTheMarginRebuilds) {
     const double rho = 0.05;
     const double margin = 0.04;
     ct::BroadPhasePairCache cache;
-    (void)cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs, false);
+    (void)cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs);
 
     translate_block(sys, 3, 0.0, 2.5 * margin);
-    const auto& rebuilt =
-        cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs, false);
+    const auto& rebuilt = cache.pairs(sys, rho, margin, ct::BroadPhaseBackend::AllPairs);
     EXPECT_FALSE(cache.warm());
     EXPECT_EQ(cache.stats().rebuilds, 2u);
     EXPECT_EQ(rebuilt, ct::broad_phase_triangular(sys, rho));
@@ -281,26 +287,26 @@ TEST(PairCache, CrossingTheMarginRebuilds) {
 TEST(PairCache, ParameterChangesRebuild) {
     bl::BlockSystem sys = models::make_column(6, 0.05);
     ct::BroadPhasePairCache cache;
-    (void)cache.pairs(sys, 0.05, 0.04, ct::BroadPhaseBackend::AllPairs, false);
-    (void)cache.pairs(sys, 0.06, 0.04, ct::BroadPhaseBackend::AllPairs, false);
+    (void)cache.pairs(sys, 0.05, 0.04, ct::BroadPhaseBackend::AllPairs);
+    (void)cache.pairs(sys, 0.06, 0.04, ct::BroadPhaseBackend::AllPairs);
     EXPECT_EQ(cache.stats().rebuilds, 2u) << "rho change must rebuild";
-    (void)cache.pairs(sys, 0.06, 0.03, ct::BroadPhaseBackend::AllPairs, false);
+    (void)cache.pairs(sys, 0.06, 0.03, ct::BroadPhaseBackend::AllPairs);
     EXPECT_EQ(cache.stats().rebuilds, 3u) << "margin change must rebuild";
-    (void)cache.pairs(sys, 0.06, 0.03, ct::BroadPhaseBackend::Hash, false);
+    (void)cache.pairs(sys, 0.06, 0.03, ct::BroadPhaseBackend::Hash);
     EXPECT_EQ(cache.stats().rebuilds, 4u) << "backend change must rebuild";
     // Structural change: fixed flag flips invalidate the cached skip set.
     sys.blocks[2].fixed = true;
-    (void)cache.pairs(sys, 0.06, 0.03, ct::BroadPhaseBackend::Hash, false);
+    (void)cache.pairs(sys, 0.06, 0.03, ct::BroadPhaseBackend::Hash);
     EXPECT_EQ(cache.stats().rebuilds, 5u) << "fixed-flag change must rebuild";
 }
 
 TEST(PairCache, ExplicitInvalidateForcesRebuild) {
     bl::BlockSystem sys = models::make_column(6, 0.05);
     ct::BroadPhasePairCache cache;
-    (void)cache.pairs(sys, 0.05, 0.04, ct::BroadPhaseBackend::AllPairs, false);
+    (void)cache.pairs(sys, 0.05, 0.04, ct::BroadPhaseBackend::AllPairs);
     cache.invalidate();
     EXPECT_EQ(cache.stats().invalidations, 1u);
-    (void)cache.pairs(sys, 0.05, 0.04, ct::BroadPhaseBackend::AllPairs, false);
+    (void)cache.pairs(sys, 0.05, 0.04, ct::BroadPhaseBackend::AllPairs);
     EXPECT_FALSE(cache.warm());
     EXPECT_EQ(cache.stats().rebuilds, 2u);
 }
@@ -387,13 +393,12 @@ TEST(PairClasses, ScheduleStatsMatchTheMaterialisedSchedule) {
 // same trajectory, in both engine modes.
 
 namespace {
-std::uint64_t trajectory_fp(core::BroadPhase backend, bool cache, bool classify,
-                            core::EngineMode mode, int steps) {
+std::uint64_t trajectory_fp(core::BroadPhase backend, bool cache, core::EngineMode mode,
+                            int steps) {
     bl::BlockSystem sys = models::make_falling_rocks_with_blocks(40);
     core::SimConfig cfg;
     cfg.broad_phase = backend;
     cfg.broad_phase_cache = cache;
-    cfg.classify_pairs = classify;
     core::DdaEngine engine(sys, cfg, mode);
     for (int s = 0; s < steps; ++s) engine.step();
     return gdda::sched::state_fingerprint(sys);
@@ -403,12 +408,10 @@ std::uint64_t trajectory_fp(core::BroadPhase backend, bool cache, bool classify,
 TEST(BroadPhasePipeline, TrajectoriesBitwiseIdenticalAcrossConfigs) {
     for (core::EngineMode mode : {core::EngineMode::Serial, core::EngineMode::Gpu}) {
         const int steps = 10;
-        const std::uint64_t ref =
-            trajectory_fp(core::BroadPhase::AllPairs, false, true, mode, steps);
-        EXPECT_EQ(ref, trajectory_fp(core::BroadPhase::AllPairs, true, true, mode, steps));
-        EXPECT_EQ(ref, trajectory_fp(core::BroadPhase::Hash, false, true, mode, steps));
-        EXPECT_EQ(ref, trajectory_fp(core::BroadPhase::Hash, true, true, mode, steps));
-        EXPECT_EQ(ref, trajectory_fp(core::BroadPhase::Hash, true, false, mode, steps));
+        const std::uint64_t ref = trajectory_fp(core::BroadPhase::AllPairs, false, mode, steps);
+        EXPECT_EQ(ref, trajectory_fp(core::BroadPhase::AllPairs, true, mode, steps));
+        EXPECT_EQ(ref, trajectory_fp(core::BroadPhase::Hash, false, mode, steps));
+        EXPECT_EQ(ref, trajectory_fp(core::BroadPhase::Hash, true, mode, steps));
     }
 }
 

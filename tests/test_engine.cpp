@@ -6,6 +6,8 @@
 #include "core/engine.hpp"
 #include "core/interpenetration.hpp"
 #include "core/simulation.hpp"
+#include "models/falling_rocks.hpp"
+#include "models/slope.hpp"
 #include "models/stacks.hpp"
 
 namespace co = gdda::core;
@@ -123,6 +125,64 @@ TEST(Engine, SerialAndGpuTrajectoriesMatch) {
         for (std::size_t v = 0; v < sa.blocks[b].verts.size(); ++v) {
             EXPECT_NEAR(sa.blocks[b].verts[v].x, sg.blocks[b].verts[v].x, 1e-9);
             EXPECT_NEAR(sa.blocks[b].verts[v].y, sg.blocks[b].verts[v].y, 1e-9);
+        }
+    }
+}
+
+// Gpu mode only prices the run, so its per-module ledgers are a pure
+// function of the counts the shared pipeline produces. These values were
+// recorded at commit 415d8bf, when Gpu mode still executed a separate
+// sort/scan assembly plan and the balanced all-pairs enumeration; pricing
+// the single shared path from counts must reproduce them exactly.
+TEST(Engine, GpuLedgersMatchRecordedPricing) {
+    struct Expected {
+        double flops, bytes_coalesced, bytes_texture, bytes_random;
+        int launches;
+    };
+    struct Case {
+        const char* name;
+        bl::BlockSystem (*make)();
+        co::BroadPhase broad_phase;
+        Expected modules[co::kModuleCount];
+    };
+    const Case cases[] = {
+        // AllPairs via Auto; diagonal-cache hits and warm passes included.
+        {"slope:120",
+         [] { return gdda::models::make_slope_with_blocks(120); },
+         co::BroadPhase::Auto,
+         {{10896736, 26775000, 4720984, 41920, 222},
+          {2028600, 4590432, 185472, 0, 66},
+          {72916272, 111015296, 0, 105150528, 292},
+          {99061478, 362338028, 72041795.999999955, 10174464, 5019},
+          {7147560, 35261296, 22872192, 0, 96},
+          {1054420, 2231968, 312000, 0, 40}}},
+        {"rocks:64 hash",
+         [] { return gdda::models::make_falling_rocks_with_blocks(64); },
+         co::BroadPhase::Hash,
+         {{35138283, 95155828, 15694840, 113664, 209},
+          {560000, 371200, 51200, 0, 20},
+          {66145596, 97655888, 0, 94000320, 48},
+          {3050020, 11630540, 2564316, 2672640, 111},
+          {6511800, 32124880, 20837760, 0, 20},
+          {3415900, 8050960, 153600, 0, 40}}},
+    };
+    for (const Case& c : cases) {
+        bl::BlockSystem sys = c.make();
+        co::SimConfig cfg;
+        cfg.broad_phase = c.broad_phase;
+        co::DdaEngine eng(sys, cfg, co::EngineMode::Gpu);
+        eng.run(10);
+        for (int m = 0; m < co::kModuleCount; ++m) {
+            SCOPED_TRACE(std::string(c.name) + " / " +
+                         std::string(co::kModuleNames[static_cast<std::size_t>(m)]));
+            const gdda::simt::KernelCost t =
+                eng.ledgers().ledger(static_cast<co::Module>(m)).total();
+            const Expected& e = c.modules[m];
+            EXPECT_EQ(t.flops, e.flops);
+            EXPECT_EQ(t.bytes_coalesced, e.bytes_coalesced);
+            EXPECT_EQ(t.bytes_texture, e.bytes_texture);
+            EXPECT_EQ(t.bytes_random, e.bytes_random);
+            EXPECT_EQ(t.launches, e.launches);
         }
     }
 }

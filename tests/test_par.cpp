@@ -88,8 +88,9 @@ TEST(RadixSort, SmallKeyRangeSkipsPasses) {
 }
 
 TEST(RadixSort, PairsStable) {
-    // Duplicate keys must preserve payload order (stability is what makes
-    // the GPU assembler bit-identical to the serial one).
+    // Duplicate keys must preserve payload order (stability is what keeps
+    // the spatial-hash grid layout, and a Fig. 4 sort/scan assembly,
+    // independent of the emission chunking).
     std::vector<std::uint64_t> keys = {2, 1, 2, 1, 2};
     std::vector<std::uint32_t> vals = {0, 1, 2, 3, 4};
     p::radix_sort_pairs(keys, vals);

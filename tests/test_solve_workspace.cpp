@@ -197,7 +197,7 @@ TEST(SolveWorkspace, WarmPassBitIdenticalToColdAndToReference) {
     Scene s = make_scene();
     ASSERT_FALSE(s.contacts.empty());
 
-    co::SolveWorkspace ws(/*gpu_mode=*/false, /*reuse=*/true);
+    co::SolveWorkspace ws;
     double diag_s = 0.0;
     ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
     ws.prepare_solve(co::PrecondKind::BlockJacobi, nullptr);
@@ -235,29 +235,39 @@ TEST(SolveWorkspace, WarmPassBitIdenticalToColdAndToReference) {
     expect_bitwise_eq(f_cold, ref.f);
 }
 
-TEST(SolveWorkspace, GpuPlanBitIdenticalColdAndWarm) {
+TEST(SolveWorkspace, PricedPassesBitIdenticalColdAndWarm) {
     Scene s = make_scene();
     ASSERT_FALSE(s.contacts.empty());
 
-    co::SolveWorkspace ws(/*gpu_mode=*/true, /*reuse=*/true);
-    as::GpuAssemblyCosts costs;
+    // A Gpu-mode caller passes cost sinks; the numbers must not notice.
+    co::SolveWorkspace priced;
+    co::SolveWorkspace plain;
+    as::AssemblyCosts costs;
     double diag_s = 0.0;
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, &costs, &diag_s);
-    const auto dense_cold = sp::to_dense(ws.assembled().k);
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, &costs, &diag_s);
-    EXPECT_TRUE(ws.warm());
-    EXPECT_EQ(dense_cold, sp::to_dense(ws.assembled().k));
+    priced.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, &costs, &diag_s);
+    plain.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    const auto dense_cold = sp::to_dense(priced.assembled().k);
+    EXPECT_EQ(dense_cold, sp::to_dense(plain.assembled().k));
+    priced.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, &costs, &diag_s);
+    EXPECT_TRUE(priced.warm());
+    EXPECT_EQ(dense_cold, sp::to_dense(priced.assembled().k));
 
     const auto ref = as::assemble_serial(s.sys, s.att, s.contacts, s.geo, s.sp);
     EXPECT_EQ(dense_cold, sp::to_dense(ref.k));
-    expect_bitwise_eq(ws.assembled().f, ref.f);
+    expect_bitwise_eq(priced.assembled().f, ref.f);
+
+    // The workspace priced the cold pass as a full build (diag_build: 2
+    // launches, nondiag_build: 30) and the warm one as a refill (diag_copy:
+    // 1, nondiag_refill: 2).
+    EXPECT_EQ(costs.diagonal.launches, 2 + 1);
+    EXPECT_EQ(costs.nondiagonal.launches, 30 + 2);
 }
 
 TEST(SolveWorkspace, InvalidatesWhenContactsAppearOrDisappear) {
     Scene s = make_scene();
     ASSERT_GE(s.contacts.size(), 2u);
 
-    co::SolveWorkspace ws(false, true);
+    co::SolveWorkspace ws;
     double diag_s = 0.0;
     ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
     ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
@@ -272,7 +282,7 @@ TEST(SolveWorkspace, InvalidatesWhenContactsAppearOrDisappear) {
     ws.assemble(s.sys, s.att, fewer, fewer_geo, s.sp, 1, nullptr, &diag_s);
     EXPECT_FALSE(ws.warm());
     EXPECT_EQ(ws.stats().cold_structure_builds, 2u);
-    co::SolveWorkspace fresh(false, true);
+    co::SolveWorkspace fresh;
     fresh.assemble(s.sys, s.att, fewer, fewer_geo, s.sp, 1, nullptr, &diag_s);
     EXPECT_EQ(sp::to_dense(fresh.assembled().k), sp::to_dense(ws.assembled().k));
     expect_bitwise_eq(fresh.assembled().f, ws.assembled().f);
@@ -290,59 +300,75 @@ TEST(SolveWorkspace, InvalidatesWhenContactsAppearOrDisappear) {
     EXPECT_FALSE(ws.warm());
 }
 
-TEST(SolveWorkspace, ReuseDisabledAlwaysRunsCold) {
+TEST(SolveWorkspace, InvalidateForcesExactlyOneColdBuild) {
     Scene s = make_scene();
-    co::SolveWorkspace ws(false, /*reuse=*/false);
+    co::SolveWorkspace ws;
     double diag_s = 0.0;
     ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
     ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    ASSERT_TRUE(ws.warm());
+    const auto dense_warm = sp::to_dense(ws.assembled().k);
+    const auto f_warm = ws.assembled().f;
+
+    ws.invalidate();
+    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
     EXPECT_FALSE(ws.warm());
     EXPECT_EQ(ws.stats().cold_structure_builds, 2u);
-    EXPECT_EQ(ws.stats().warm_numeric_refills, 0u);
-    EXPECT_EQ(ws.stats().diag_physics_reuses, 0u);
+    EXPECT_EQ(ws.stats().diag_physics_reuses, 1u); // the dropped cache recomputed
+    EXPECT_EQ(dense_warm, sp::to_dense(ws.assembled().k));
+    expect_bitwise_eq(f_warm, ws.assembled().f);
+
+    // The very next pass is warm again: one invalidate, one cold build.
+    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    EXPECT_TRUE(ws.warm());
+    EXPECT_EQ(ws.stats().cold_structure_builds, 2u);
+    EXPECT_EQ(ws.stats().warm_numeric_refills, 2u);
+    EXPECT_EQ(ws.stats().diag_physics_reuses, 2u);
 }
 
-TEST(Engine, ReuseOnAndOffProduceBitwiseIdenticalTrajectories) {
+namespace {
+
+// Structure reuse on vs off, without a switch: restore(capture()) drops the
+// solve workspace and the pair cache, so every step of the "off" run starts
+// from a cold rebuild. Warm structure reuse must be bitwise invisible.
+void expect_reuse_invisible(co::EngineMode mode) {
+    constexpr int kSteps = 20;
     for (auto kind : {co::PrecondKind::BlockJacobi, co::PrecondKind::SsorAi,
                       co::PrecondKind::Ilu0}) {
-        SCOPED_TRACE(static_cast<int>(kind));
-        co::SimConfig on = static_config();
-        on.precond = kind;
-        on.reuse_structure = true;
-        co::SimConfig off = on;
-        off.reuse_structure = false;
+        SCOPED_TRACE("precond " + std::to_string(static_cast<int>(kind)));
+        co::SimConfig cfg = static_config();
+        cfg.precond = kind;
 
         bl::BlockSystem sys_on = mo::make_column(4, 0.005);
         bl::BlockSystem sys_off = mo::make_column(4, 0.005);
-        co::DdaEngine eng_on(sys_on, on, co::EngineMode::Serial);
-        co::DdaEngine eng_off(sys_off, off, co::EngineMode::Serial);
-        eng_on.run(20);
-        eng_off.run(20);
+        co::DdaEngine eng_on(sys_on, cfg, mode);
+        co::DdaEngine eng_off(sys_off, cfg, mode);
+        for (int s = 0; s < kSteps; ++s) {
+            eng_on.step();
+            eng_off.restore(eng_off.capture());
+            eng_off.step();
+        }
 
+        EXPECT_EQ(bl::state_fingerprint(sys_on), bl::state_fingerprint(sys_off));
         expect_same_state(sys_on, sys_off);
         expect_bitwise_eq(eng_on.warm_start(), eng_off.warm_start());
-        // The reuse-on engine actually took warm passes.
+        // The reuse-on engine actually took warm passes; the restored one
+        // rebuilt its structure and its candidate set every step.
         EXPECT_GT(eng_on.solve_workspace().stats().warm_numeric_refills, 0u);
-        EXPECT_EQ(eng_off.solve_workspace().stats().warm_numeric_refills, 0u);
+        EXPECT_GE(eng_off.solve_workspace().stats().cold_structure_builds,
+                  static_cast<std::uint64_t>(kSteps));
+        EXPECT_EQ(eng_off.pair_cache().stats().rebuilds, static_cast<std::uint64_t>(kSteps));
     }
 }
 
+} // namespace
+
+TEST(Engine, ReuseOnAndOffProduceBitwiseIdenticalTrajectories) {
+    expect_reuse_invisible(co::EngineMode::Serial);
+}
+
 TEST(Engine, GpuModeReuseOnAndOffBitwiseIdentical) {
-    co::SimConfig on = static_config();
-    on.reuse_structure = true;
-    co::SimConfig off = on;
-    off.reuse_structure = false;
-
-    bl::BlockSystem sys_on = mo::make_column(4, 0.005);
-    bl::BlockSystem sys_off = mo::make_column(4, 0.005);
-    co::DdaEngine eng_on(sys_on, on, co::EngineMode::Gpu);
-    co::DdaEngine eng_off(sys_off, off, co::EngineMode::Gpu);
-    eng_on.run(20);
-    eng_off.run(20);
-
-    expect_same_state(sys_on, sys_off);
-    expect_bitwise_eq(eng_on.warm_start(), eng_off.warm_start());
-    EXPECT_GT(eng_on.solve_workspace().stats().warm_numeric_refills, 0u);
+    expect_reuse_invisible(co::EngineMode::Gpu);
 }
 
 TEST(Engine, StaticContactSetDoesZeroStructuralRecomputation) {

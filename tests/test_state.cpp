@@ -256,12 +256,13 @@ TEST(Snapshot, MalformedInputsRejectedWithTypedCodes) {
     zeroed[8] = '\0';
     EXPECT_EQ(load_error_code(zeroed), SnapshotErrorCode::UnsupportedVersion);
 
-    // An older version carries an older config layout; the header sits
-    // outside the payload checksum, so only the version check stops the
-    // reader from misparsing it. Both entry points must refuse it.
+    // An older version carries an older config layout (v2 stored three
+    // more config flags); the header sits outside the payload checksum, so
+    // only the version check stops the reader from misparsing it. Both
+    // entry points must refuse it.
     std::string older = good;
-    ASSERT_GT(state::kSnapshotVersion, 1u);
-    older[8] = '\x01';
+    ASSERT_EQ(state::kSnapshotVersion, 3u);
+    older[8] = '\x02';
     EXPECT_EQ(load_error_code(older), SnapshotErrorCode::UnsupportedVersion);
     const std::string older_path = temp_path("older_version");
     {

@@ -1,7 +1,7 @@
 // Whole-step thread-count invariance: the PR-10 contract that EVERY stage
 // of the pre-solve pipeline — spatial-hash build, candidate generation,
-// narrow phase, pair-cache revalidation, contact transfer, and both
-// assembly refill paths — produces bitwise-identical results for ANY step
+// narrow phase, pair-cache revalidation, contact transfer, and the assembly
+// refill (cold and memo-warm) — produces bitwise-identical results for ANY step
 // team size (1, 2, 4, 8), in both engine modes, warm or cold cache paths.
 // Also pins the candidate-sequence order-identity contract of the parallel
 // hash build and the step_threads validation rule.
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "assembly/assembler.hpp"
-#include "assembly/gpu_assembler.hpp"
 #include "contact/broad_phase.hpp"
 #include "contact/narrow_phase.hpp"
 #include "contact/open_close.hpp"
@@ -143,8 +142,8 @@ TEST(SpatialHashOrder, StatsInvariantAcrossTeams) {
 }
 
 // ---------------------------------------------------------------------------
-// Assembly refill: both plans bit-identical to the serial reference at any
-// team size
+// Assembly refill: the plan bit-identical to the serial reference at any
+// team size, cold and memo-warm
 
 TEST(StepThreads, AssemblyBitwiseInvariantAcrossTeams) {
     block::BlockSystem sys = models::make_slope_with_blocks(80);
@@ -179,21 +178,12 @@ TEST(StepThreads, AssemblyBitwiseInvariantAcrossTeams) {
         EXPECT_TRUE(same_mat_bits(ref.k.vals, serial.k.vals)) << "plan vals, " << tag;
         EXPECT_TRUE(same_vec_bits(ref.f, serial.f)) << "plan f, " << tag;
 
-        assembly::GpuAssemblyPlan gplan;
-        gplan.build(n, np.contacts);
-        assembly::AssembledSystem gpu;
-        gplan.assemble_into(gpu, sys, att, np.contacts, geo, sp);
-        EXPECT_TRUE(same_mat_bits(ref.k.diag, gpu.k.diag)) << "gpu diag, " << tag;
-        EXPECT_TRUE(same_mat_bits(ref.k.vals, gpu.k.vals)) << "gpu vals, " << tag;
-        EXPECT_TRUE(same_vec_bits(ref.f, gpu.f)) << "gpu f, " << tag;
-
         // Warm refill (diag cache + memo populated by the first pass) must
         // stay bit-identical too — the cached path is the common one.
         assembly::DiagPhysicsCache cache;
         assembly::AssembledSystem cold, warm;
-        gplan.assemble_into(cold, sys, att, np.contacts, geo, sp, nullptr, nullptr, &cache);
-        gplan.assemble_into(warm, sys, att, np.contacts, geo, sp, nullptr, nullptr, &cache,
-                            /*warm=*/true);
+        plan.assemble_into(cold, sys, att, np.contacts, geo, sp, nullptr, &cache);
+        plan.assemble_into(warm, sys, att, np.contacts, geo, sp, nullptr, &cache);
         EXPECT_TRUE(same_mat_bits(cold.k.diag, warm.k.diag)) << "warm diag, " << tag;
         EXPECT_TRUE(same_mat_bits(ref.k.diag, warm.k.diag)) << "warm-vs-ref diag, " << tag;
         EXPECT_TRUE(same_mat_bits(ref.k.vals, warm.k.vals)) << "warm-vs-ref vals, " << tag;
@@ -203,7 +193,8 @@ TEST(StepThreads, AssemblyBitwiseInvariantAcrossTeams) {
 
 // ---------------------------------------------------------------------------
 // Whole-engine trajectories: the model zoo x both modes x the documented
-// bitwise-equivalent configuration variants, at every team size
+// bitwise-equivalent configuration variants, at every team size. Engine mode
+// only prices the run, so the two modes' baselines must agree as well.
 
 TEST(StepThreads, FingerprintInvariantAcrossTeamsModesAndConfigs) {
     constexpr int kSteps = 5;
@@ -213,12 +204,13 @@ TEST(StepThreads, FingerprintInvariantAcrossTeamsModesAndConfigs) {
     };
     const Variant variants[] = {
         {"cache_off", [](core::SimConfig& c) { c.broad_phase_cache = false; }},
-        {"classify_off", [](core::SimConfig& c) { c.classify_pairs = false; }},
         {"hash", [](core::SimConfig& c) { c.broad_phase = core::BroadPhase::Hash; }},
         {"allpairs", [](core::SimConfig& c) { c.broad_phase = core::BroadPhase::AllPairs; }},
     };
 
     for (const ZooEntry& zoo : kZoo) {
+        std::uint64_t mode_baseline[2] = {};
+        core::SolveWorkspaceStats mode_stats[2];
         for (core::EngineMode mode : {core::EngineMode::Serial, core::EngineMode::Gpu}) {
             const std::string where = std::string(zoo.name) + "/" +
                                       (mode == core::EngineMode::Gpu ? "gpu" : "serial");
@@ -230,6 +222,8 @@ TEST(StepThreads, FingerprintInvariantAcrossTeamsModesAndConfigs) {
                 core::DdaEngine engine(sys, cfg, mode);
                 for (int s = 0; s < kSteps; ++s) engine.step();
                 baseline = block::state_fingerprint(sys);
+                mode_baseline[static_cast<int>(mode)] = baseline;
+                mode_stats[static_cast<int>(mode)] = engine.solve_workspace().stats();
             }
             for (int threads : kTeams) {
                 block::BlockSystem sys = zoo.make();
@@ -254,6 +248,10 @@ TEST(StepThreads, FingerprintInvariantAcrossTeamsModesAndConfigs) {
                     << where << " variant " << v.name;
             }
         }
+        EXPECT_EQ(mode_baseline[0], mode_baseline[1])
+            << zoo.name << ": Serial and Gpu trajectories differ";
+        EXPECT_TRUE(mode_stats[0] == mode_stats[1])
+            << zoo.name << ": Serial and Gpu solve workspaces did different work";
     }
 }
 
