@@ -47,9 +47,13 @@ int main(int argc, char** argv) {
     double tot_g = 0.0;
     for (double ms : r.k40) tot_g += ms / 1e3;
     bench::rule();
-    std::printf("shape checks (paper: total 6.3x on K40, non-diag ~2.4x, solving ~4.4x):\n");
-    std::printf("  total speed-up in the single digits: %s (%.1fx)\n",
-                tot_s / tot_g < 15.0 ? "OK" : "FAIL", tot_s / tot_g);
+    // The total ratio divides this host's measured CPU time by the modelled
+    // K40 time, so it scales with the host, not with the pipeline: it is
+    // reported next to the paper's figure, not checked against it.
+    std::printf("total speed-up (host-dependent, information only): %.1fx measured host / "
+                "modelled K40; paper 6.3x (E5620 / K40)\n",
+                tot_s / tot_g);
+    std::printf("shape checks (paper: non-diag ~2.4x, solving ~4.4x on K40):\n");
     std::printf("  non-diagonal building worst accelerated: %s (%.1fx)\n",
                 su(core::Module::NondiagBuild) <= su(core::Module::EquationSolving)
                     ? "OK"

@@ -1,6 +1,7 @@
 #include "assembly/assembler.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
@@ -225,19 +226,21 @@ AssembledSystem AssemblyPlan::assemble(const BlockSystem& sys, const BlockAttach
     return out;
 }
 
-void AssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys,
+bool AssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys,
                                  const BlockAttachments& att, std::span<const Contact> contacts,
                                  std::span<const ContactGeometry> geo, const StepParams& sp,
                                  double* diag_seconds, DiagPhysicsCache* diag_cache,
-                                 double* diag_par_seconds) const {
+                                 double* diag_par_seconds, bool offdiag_vals_zero) const {
     assert(static_cast<int>(sys.size()) == n_ && contacts.size() == offdiag_slot_.size());
     out.k.n = n_;
     out.k.row_ptr = row_ptr_;
     out.k.col_idx = col_idx_;
     // block_diagonal and the cache copy below assign every diagonal block,
-    // so only the off-diagonal values (summed into) need a zero fill.
+    // so only the off-diagonal values (summed into) need a zero fill, and
+    // not even that when the caller knows they are all +0 already.
     out.k.diag.resize(n_);
-    out.k.vals.assign(col_idx_.size(), Mat6{});
+    if (!offdiag_vals_zero || out.k.vals.size() != col_idx_.size())
+        out.k.vals.assign(col_idx_.size(), Mat6{});
     out.f.assign(n_, Vec6{});
 
     // Diagonal physics: every index writes only its own diag/f rows, so the
@@ -276,9 +279,13 @@ void AssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys,
     // identical for any team size.
     if (diag_cache) diag_cache->begin_memo_pass(contacts.size());
     ccs_.reset(contacts.size());
+    // Whether any contact is closed at all: an all-open list has nothing
+    // to scatter.
+    std::atomic<bool> any_closed{false};
     par::parallel_for(contacts.size(), 64, [&](std::size_t c) {
         const Contact& ct = contacts[c];
         if (ct.state == contact::ContactState::Open) return;
+        if (!any_closed.load()) any_closed.store(true);
         ContactContribution& cc = ccs_[c];
         if (diag_cache) {
             if (const ContactContribution* hit = diag_cache->recall(c, ct, geo[c])) {
@@ -289,7 +296,9 @@ void AssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys,
         cc = contact_contribution(sys, ct, geo[c], sp.contact);
         if (diag_cache) diag_cache->store(c, ct, geo[c], cc);
     });
-    for (std::size_t c = 0; c < contacts.size(); ++c) {
+    bool placed = false;
+    const std::size_t scattered = any_closed.load() ? contacts.size() : 0;
+    for (std::size_t c = 0; c < scattered; ++c) {
         const Contact& ct = contacts[c];
         if (ct.state == contact::ContactState::Open) continue;
         const ContactContribution& cc = ccs_[c];
@@ -297,6 +306,7 @@ void AssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys,
         out.k.diag[ct.bj] += cc.kjj;
         const int slot = offdiag_slot_[c];
         if (slot >= 0) {
+            placed = true;
             if (transpose_[c]) {
                 out.k.vals[slot] += cc.kij.transposed();
             } else {
@@ -306,6 +316,7 @@ void AssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys,
         out.f[ct.bi] += cc.fi;
         out.f[ct.bj] += cc.fj;
     }
+    return placed;
 }
 
 } // namespace gdda::assembly

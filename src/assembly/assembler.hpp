@@ -178,11 +178,15 @@ public:
     /// the result is bitwise identical to assemble().
     /// `diag_par_seconds`, when given, receives the parallel-region slice
     /// of `diag_seconds` (see par::parallel_region_seconds()).
-    void assemble_into(AssembledSystem& out, const BlockSystem& sys, const BlockAttachments& att,
+    /// `offdiag_vals_zero` asserts that every off-diagonal value of `out.k`
+    /// is already +0 (the caller's last pass placed nothing there), which
+    /// spares the zero fill. Returns whether this pass placed anything off
+    /// the diagonal.
+    bool assemble_into(AssembledSystem& out, const BlockSystem& sys, const BlockAttachments& att,
                        std::span<const Contact> contacts, std::span<const ContactGeometry> geo,
                        const StepParams& sp, double* diag_seconds = nullptr,
-                       DiagPhysicsCache* diag_cache = nullptr,
-                       double* diag_par_seconds = nullptr) const;
+                       DiagPhysicsCache* diag_cache = nullptr, double* diag_par_seconds = nullptr,
+                       bool offdiag_vals_zero = false) const;
 
 private:
     int n_ = 0;

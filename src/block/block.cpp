@@ -26,18 +26,6 @@ void Block::update_geometry() {
     area = moments.s;
 }
 
-Vec6 Block::tx(Vec2 p) const {
-    const double X = p.x - centroid.x;
-    const double Y = p.y - centroid.y;
-    return Vec6{{1.0, 0.0, -Y, X, 0.0, Y / 2.0}};
-}
-
-Vec6 Block::ty(Vec2 p) const {
-    const double X = p.x - centroid.x;
-    const double Y = p.y - centroid.y;
-    return Vec6{{0.0, 1.0, X, 0.0, Y, X / 2.0}};
-}
-
 Vec2 Block::displacement_at(Vec2 p, const Vec6& d) const {
     return {tx(p).dot(d), ty(p).dot(d)};
 }

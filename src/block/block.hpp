@@ -55,9 +55,18 @@ struct Block {
     [[nodiscard]] std::size_t vertex_count() const { return verts.size(); }
     [[nodiscard]] Vec2 vertex(std::size_t i) const { return verts[i % verts.size()]; }
 
-    /// Rows of T(p): displacement of point p is (tx . d, ty . d).
-    [[nodiscard]] Vec6 tx(Vec2 p) const;
-    [[nodiscard]] Vec6 ty(Vec2 p) const;
+    /// Rows of T(p): displacement of point p is (tx . d, ty . d). Inline:
+    /// contact initialization and assembly evaluate them per contact.
+    [[nodiscard]] Vec6 tx(Vec2 p) const {
+        const double X = p.x - centroid.x;
+        const double Y = p.y - centroid.y;
+        return Vec6{{1.0, 0.0, -Y, X, 0.0, Y / 2.0}};
+    }
+    [[nodiscard]] Vec6 ty(Vec2 p) const {
+        const double X = p.x - centroid.x;
+        const double Y = p.y - centroid.y;
+        return Vec6{{0.0, 1.0, X, 0.0, Y, X / 2.0}};
+    }
 
     /// Displacement of point p under increment d.
     [[nodiscard]] Vec2 displacement_at(Vec2 p, const Vec6& d) const;

@@ -26,6 +26,15 @@ enum class ContactKind : std::uint8_t { VE = 0, VV1 = 1, VV2 = 2 };
 
 enum class ContactState : std::uint8_t { Open = 0, Slide = 1, Lock = 2 };
 
+/// Contact::key() of vertex vi of block bi against edge e1 of block bj.
+inline std::uint64_t contact_key(std::int32_t bi, std::int32_t vi, std::int32_t bj,
+                                 std::int32_t e1) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(bi)) << 40) ^
+           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(vi) & 0xff) << 32) ^
+           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(bj)) << 8) ^
+           (static_cast<std::uint32_t>(e1) & 0xff);
+}
+
 struct Contact {
     ContactKind kind = ContactKind::VE;
     std::int32_t bi = 0; ///< block owning the vertex
@@ -54,12 +63,7 @@ struct Contact {
     std::int8_t p2 = 0;
 
     /// Canonical identity for transfer matching between steps.
-    [[nodiscard]] std::uint64_t key() const {
-        return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(bi)) << 40) ^
-               (static_cast<std::uint64_t>(static_cast<std::uint32_t>(vi) & 0xff) << 32) ^
-               (static_cast<std::uint64_t>(static_cast<std::uint32_t>(bj)) << 8) ^
-               (static_cast<std::uint32_t>(e1) & 0xff);
-    }
+    [[nodiscard]] std::uint64_t key() const { return contact_key(bi, vi, bj, e1); }
 
     [[nodiscard]] bool has_normal_spring() const { return state != ContactState::Open; }
     [[nodiscard]] bool has_shear_spring() const { return state == ContactState::Lock; }

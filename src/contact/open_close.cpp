@@ -73,21 +73,23 @@ void init_all_contacts(const block::BlockSystem& sys, std::span<const Contact> c
     // per-class initialization kernels).
     par::parallel_for(contacts.size(),
                       [&](std::size_t i) { out[i] = init_contact_geometry(sys, contacts[i]); });
-    if (cost) {
-        simt::KernelCost kc;
-        kc.name = "contact_init";
-        const double m = static_cast<double>(contacts.size());
-        kc.flops = m * 180.0;
-        kc.bytes_coalesced = m * (sizeof(Contact) + sizeof(ContactGeometry));
-        kc.bytes_texture = m * 6.0 * sizeof(double); // vertex position fetches
-        kc.depth = 10;
-        // Classified pipeline: VE / VV1 / VV2 each run a uniform kernel, so
-        // only residual divergence remains (measured in bench_class_divergence).
-        kc.branch_slots = m / 4.0;
-        kc.divergent_slots = 0.05 * kc.branch_slots;
-        kc.launches = 3;
-        simt::record_kernel(cost, kc);
-    }
+    if (cost) simt::record_kernel(cost, contact_init_cost(contacts.size()));
+}
+
+simt::KernelCost contact_init_cost(std::size_t count) {
+    simt::KernelCost kc;
+    kc.name = "contact_init";
+    const double m = static_cast<double>(count);
+    kc.flops = m * 180.0;
+    kc.bytes_coalesced = m * (sizeof(Contact) + sizeof(ContactGeometry));
+    kc.bytes_texture = m * 6.0 * sizeof(double); // vertex position fetches
+    kc.depth = 10;
+    // Classified pipeline: VE / VV1 / VV2 each run a uniform kernel, so
+    // only residual divergence remains (measured in bench_class_divergence).
+    kc.branch_slots = m / 4.0;
+    kc.divergent_slots = 0.05 * kc.branch_slots;
+    kc.launches = 3;
+    return kc;
 }
 
 OpenCloseResult update_contact_states(const block::BlockSystem& sys,

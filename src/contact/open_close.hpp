@@ -43,6 +43,10 @@ struct OpenCloseParams {
 /// First-order contact geometry for the current configuration.
 ContactGeometry init_contact_geometry(const block::BlockSystem& sys, const Contact& c);
 
+/// Modeled cost of initializing `count` contacts (the `contact_init`
+/// kernels init_all_contacts records).
+simt::KernelCost contact_init_cost(std::size_t count);
+
 /// Initialize geometry for all contacts (the paper's per-class contact
 /// initialization kernels).
 std::vector<ContactGeometry> init_all_contacts(const block::BlockSystem& sys,

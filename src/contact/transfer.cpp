@@ -13,12 +13,20 @@ TransferStats transfer_contacts(std::span<const Contact> previous,
     TransferStats stats;
 
     // The previous step's list is normally the narrow phase's canonical
-    // output, already strictly increasing in key(): one O(n) check confirms
-    // it, and the search then runs on `previous` itself. Any other order
-    // goes through the sorted key index (the paper's array SA).
-    bool canonical = true;
-    for (std::size_t i = 1; i < previous.size() && canonical; ++i)
-        canonical = previous[i - 1].key() < previous[i].key();
+    // output, already strictly increasing in key(): one O(n) parallel pass
+    // confirms it, and the search then runs on `previous` itself. Any other
+    // order goes through the sorted key index (the paper's array SA).
+    // (int partials: a std::vector<bool> of them would share words between
+    // the threads writing them.)
+    const bool canonical = par::exact_reduce<int>(
+        previous.size(),
+        [&](std::size_t begin, std::size_t end) {
+            bool ok = true;
+            for (std::size_t i = std::max<std::size_t>(begin, 1); i < end && ok; ++i)
+                ok = previous[i - 1].key() < previous[i].key();
+            return ok ? 1 : 0;
+        },
+        [](int x, int y) { return x & y; }) == 1;
     std::vector<std::uint32_t> prev_order;
     std::vector<std::uint64_t> sorted_keys;
     if (!canonical) {
@@ -35,7 +43,8 @@ TransferStats transfer_contacts(std::span<const Contact> previous,
     };
     // First sorted position >= key at or after `from`, galloping out from
     // `from` before the binary search: `current` is key-sorted too, so
-    // consecutive searches land close together.
+    // consecutive searches land close together (on an unchanged list, one
+    // step past the last hit).
     auto search = [&](std::size_t from, std::uint64_t key) {
         std::size_t lo = from;
         std::size_t hi = from;
@@ -56,7 +65,7 @@ TransferStats transfer_contacts(std::span<const Contact> previous,
     // match count is an integer sum, exact in any grouping. Within a chunk
     // each search starts from the last hit (or from 0 if the key went down),
     // which any order of `current` keeps correct.
-    const std::size_t matched = par::exact_reduce<std::size_t>(
+    stats.matched = par::exact_reduce<std::size_t>(
         current.size(),
         [&](std::size_t begin, std::size_t end) {
             std::size_t hits = 0;
@@ -84,9 +93,8 @@ TransferStats transfer_contacts(std::span<const Contact> previous,
             return hits;
         },
         [](std::size_t x, std::size_t y) { return x + y; });
-    stats.matched = matched;
-    stats.fresh = current.size() - matched;
-    stats.expired = previous.size() - matched;
+    stats.fresh = current.size() - stats.matched;
+    stats.expired = previous.size() - stats.matched;
 
     if (cost) {
         simt::KernelCost kc;

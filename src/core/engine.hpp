@@ -99,6 +99,12 @@ public:
     /// the scene size; see docs/CONTACTS.md).
     [[nodiscard]] contact::BroadPhaseBackend broad_phase_backend() const;
 
+    /// Narrow-phase memo counters: pairs reused and rebuilt, and the steady
+    /// steps whose whole contact list came from the memo (docs/CONTACTS.md).
+    [[nodiscard]] const contact::NarrowMemoStats& narrow_memo() const {
+        return np_ws_.memo_stats;
+    }
+
     /// Persistent candidate-pair cache state (rebuild/reuse counters).
     [[nodiscard]] const contact::BroadPhasePairCache& pair_cache() const {
         return pair_cache_;
@@ -151,9 +157,10 @@ public:
     /// Restore a capture()d state exactly: block system bits, time/dt (exact
     /// bits, no clamping), the initial-model scalars, contact springs, the
     /// warm start, and the step/epoch counters. The solve workspace and
-    /// broad-phase pair cache are invalidated — warm is bitwise-identical to
-    /// cold for both (see docs/PERFORMANCE.md and docs/CONTACTS.md), so
-    /// stepping after restore() is bitwise-identical to never having paused.
+    /// broad-phase pair cache are invalidated and the narrow-phase memo is
+    /// dropped — warm is bitwise-identical to cold for all three (see
+    /// docs/PERFORMANCE.md and docs/CONTACTS.md), so stepping after
+    /// restore() is bitwise-identical to never having paused.
     void restore(const EngineCheckpoint& snap);
 
 private:
@@ -182,6 +189,7 @@ private:
     std::vector<contact::Contact> contacts_;
     contact::NarrowPhaseWorkspace np_ws_;   ///< narrow-phase scratch, reused per step
     contact::NarrowPhaseResult detected_;   ///< narrow-phase output buffer
+    assembly::ContactFingerprint contacts_fp_; ///< structure of contacts_, once per step
     std::vector<contact::Contact> entry_contacts_; ///< contacts_ at step entry (retries)
     std::vector<contact::ContactGeometry> geo_;    ///< geometry of the current attempt
     contact::BroadPhasePairCache pair_cache_; ///< persistent candidate cache

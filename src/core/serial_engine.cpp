@@ -171,9 +171,16 @@ void DdaEngine::detect_contacts() {
     sched_stats_ = sink ? contact::pair_schedule_stats(*sys_, pairs, sink)
                         : contact::PairScheduleStats{};
 
+    const std::uint64_t steady_before = np_ws_.memo_stats.steady_calls;
     contact::narrow_phase(*sys_, pairs, rho, np_ws_, detected_, sink,
                           sink ? &sched_stats_ : nullptr);
     class_stats_ = detected_.stats;
+    // The solve passes of this step key their structure caches on the
+    // contact identities, which no pass changes. A steady narrow phase
+    // re-emitted the identities the last fingerprint hashed.
+    const int n = static_cast<int>(sys_->size());
+    if (np_ws_.memo_stats.steady_calls == steady_before || contacts_fp_.n != n)
+        contacts_fp_ = assembly::contact_fingerprint(n, detected_.contacts);
     contact::transfer_contacts(contacts_, detected_.contacts, sink);
     // The retired list keeps its capacity for the next detection.
     contacts_.swap(detected_.contacts);
@@ -207,7 +214,8 @@ int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
         assembly::AssemblyCosts costs;
         const bool priced = mode_ == EngineMode::Gpu;
         ws_.assemble(*sys_, attachments_, contacts_, geo, sp, values_epoch_,
-                     priced ? &costs : nullptr, &diag_seconds, &diag_par_seconds);
+                     priced ? &costs : nullptr, &diag_seconds, &diag_par_seconds,
+                     &contacts_fp_);
         if (priced) {
             ledgers_.add(Module::DiagBuild, costs.diagonal);
             ledgers_.add(Module::NondiagBuild, costs.nondiagonal);
@@ -341,6 +349,7 @@ void DdaEngine::restore(double time, double dt, std::vector<Contact> contacts,
     if (warm_start.size() == sys_->size()) warm_start_ = std::move(warm_start);
     ws_.invalidate();
     pair_cache_.invalidate();
+    np_ws_.drop_memo();
 }
 
 EngineCheckpoint DdaEngine::capture() const {
@@ -375,6 +384,7 @@ void DdaEngine::restore(const EngineCheckpoint& snap) {
         warm_start_.assign(sys_->size(), sparse::Vec6{});
     ws_.invalidate();
     pair_cache_.invalidate();
+    np_ws_.drop_memo();
 }
 
 StepStats DdaEngine::step_impl() {
@@ -394,10 +404,16 @@ StepStats DdaEngine::step_impl() {
         ++values_epoch_;
 
         {
+            // Block positions and contact identities are those of attempt
+            // 0, and the geometry reads nothing else: a retry keeps geo_
+            // and is priced as the initialization it stands for.
             ScopedTimer t(timers_, Module::ContactDetection, tracer_.get(), &par_timers_);
             simt::KernelCost cost = simt::KernelCost::accumulator();
             simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
-            contact::init_all_contacts(*sys_, contacts_, geo_, sink);
+            if (attempt == 0)
+                contact::init_all_contacts(*sys_, contacts_, geo_, sink);
+            else if (sink)
+                simt::record_kernel(sink, contact::contact_init_cost(contacts_.size()));
             if (sink) ledgers_.add(Module::ContactDetection, cost);
         }
 
@@ -480,7 +496,7 @@ StepStats DdaEngine::step_impl() {
     stats.converged = false;
     stats.dt_used = dt_;
     trace::Span pass_span(tracer_.get(), trace::Category::Pass, "displacement_pass_last_resort");
-    contact::init_all_contacts(*sys_, contacts_, geo_);
+    // geo_ still describes the entry positions and contact identities.
     BlockVec d(sys_->size());
     ++values_epoch_;
     solve_pass(geo_, d, stats, true);
@@ -537,6 +553,7 @@ StepStats DdaEngine::step() {
     std::array<simt::KernelCost, kModuleCount> ledgers_before;
     for (int m = 0; m < kModuleCount; ++m)
         ledgers_before[m] = ledgers_.ledger(static_cast<Module>(m)).total();
+    const contact::NarrowMemoStats memo_before = np_ws_.memo_stats;
 
     const StepStats stats = step_impl();
 
@@ -575,6 +592,8 @@ StepStats DdaEngine::step() {
         mctx.length_scale = w0_;
         mctx.open_close_cap = cfg_.max_open_close_iters;
         mctx.pair_cache_state = cfg_.broad_phase_cache ? (pair_cache_.warm() ? 1 : 0) : -1;
+        mctx.narrow_pairs_reused = np_ws_.memo_stats.pairs_reused - memo_before.pairs_reused;
+        mctx.narrow_pairs_rebuilt = np_ws_.memo_stats.pairs_rebuilt - memo_before.pairs_rebuilt;
         mctx.step_seconds = timers_.total() - timers_before.total();
         mctx.parallel_seconds = par_timers_.total() - par_timers_before.total();
         if (metrics_->wants_energy()) {

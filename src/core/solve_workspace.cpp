@@ -10,9 +10,11 @@ void SolveWorkspace::assemble(const block::BlockSystem& sys,
                               std::span<const contact::ContactGeometry> geo,
                               const assembly::StepParams& sp, std::uint64_t values_epoch,
                               assembly::AssemblyCosts* costs, double* diag_seconds,
-                              double* diag_par_seconds) {
+                              double* diag_par_seconds,
+                              const assembly::ContactFingerprint* fingerprint) {
     const int n = static_cast<int>(sys.size());
-    const assembly::ContactFingerprint fp = assembly::contact_fingerprint(n, contacts);
+    const assembly::ContactFingerprint fp =
+        fingerprint ? *fingerprint : assembly::contact_fingerprint(n, contacts);
     warm_ = have_structure_ && fp == fp_;
 
     if (values_epoch != diag_epoch_) {
@@ -39,8 +41,9 @@ void SolveWorkspace::assemble(const block::BlockSystem& sys,
         ++stats_.structural_kernels_skipped; // the plan's slot map
     }
 
-    plan_.assemble_into(as_, sys, att, contacts, geo, sp, diag_seconds, &diag_cache_,
-                        diag_par_seconds);
+    const bool placed = plan_.assemble_into(as_, sys, att, contacts, geo, sp, diag_seconds,
+                                            &diag_cache_, diag_par_seconds, as_offdiag_zero_);
+    as_offdiag_zero_ = !placed;
     if (costs) assembly::record_assembly_costs(*costs, n, contacts.size(), diag_hit, warm_);
     if (diag_hit) {
         ++stats_.diag_physics_reuses;
@@ -50,7 +53,11 @@ void SolveWorkspace::assemble(const block::BlockSystem& sys,
 
 void SolveWorkspace::prepare_solve(PrecondKind kind, simt::KernelCost* sink) {
     if (warm_ && have_h_) {
-        sparse::hsbcsr_refill(h_, as_.k);
+        // Off-diagonal slices that hold +0 and would be refilled with +0
+        // (nothing was placed off the diagonal, before or now) stay as
+        // they are; the kernel is priced whole either way.
+        sparse::hsbcsr_refill(h_, as_.k, !(h_offdiag_zero_ && as_offdiag_zero_));
+        h_offdiag_zero_ = as_offdiag_zero_;
         ++stats_.structural_kernels_skipped;
         if (sink) {
             simt::record_kernel(sink, hsbcsr_refill_cost(h_));
@@ -59,6 +66,7 @@ void SolveWorkspace::prepare_solve(PrecondKind kind, simt::KernelCost* sink) {
     } else {
         h_ = sparse::hsbcsr_from_bsr(as_.k);
         have_h_ = true;
+        h_offdiag_zero_ = as_offdiag_zero_;
         if (sink) simt::record_kernel(sink, hsbcsr_conversion_cost(h_));
     }
 

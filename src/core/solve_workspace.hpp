@@ -58,11 +58,14 @@ public:
     /// `diag_par_seconds`, when given, receives the slice of `diag_seconds`
     /// spent inside dispatch-eligible parallel_for regions (the per-module
     /// serial-fraction split between the two matrix-building rows).
+    /// `fingerprint`, when given, is contact_fingerprint(n, contacts) as the
+    /// caller already knows it (the engine computes it once per step).
     void assemble(const block::BlockSystem& sys, const assembly::BlockAttachments& att,
                   std::span<const contact::Contact> contacts,
                   std::span<const contact::ContactGeometry> geo, const assembly::StepParams& sp,
                   std::uint64_t values_epoch, assembly::AssemblyCosts* costs,
-                  double* diag_seconds, double* diag_par_seconds = nullptr);
+                  double* diag_seconds, double* diag_par_seconds = nullptr,
+                  const assembly::ContactFingerprint* fingerprint = nullptr);
 
     /// HSBCSR conversion + preconditioner setup for the system assembled by
     /// the last assemble() call. Warm passes refill slice data and refactor
@@ -93,6 +96,8 @@ private:
     assembly::AssembledSystem as_; ///< persistent: outlives the pass (SSOR-AI aliases k)
     sparse::HsbcsrMatrix h_;
     bool have_h_ = false;
+    bool as_offdiag_zero_ = false; ///< as_.k's off-diagonal values are all +0
+    bool h_offdiag_zero_ = false;  ///< h_'s off-diagonal slices hold only +0
     std::unique_ptr<solver::Preconditioner> pre_;
     PrecondKind pre_kind_ = PrecondKind::BlockJacobi;
     bool have_pre_ = false;

@@ -83,18 +83,6 @@ bool contains(std::span<const Vec2> poly, Vec2 p, double tol) {
     return inside;
 }
 
-double closest_param_on_segment(Vec2 a, Vec2 b, Vec2 p) {
-    const Vec2 d = b - a;
-    const double len2 = d.norm2();
-    if (len2 == 0.0) return 0.0;
-    return std::clamp((p - a).dot(d) / len2, 0.0, 1.0);
-}
-
-double point_segment_distance(Vec2 a, Vec2 b, Vec2 p) {
-    const double t = closest_param_on_segment(a, b, p);
-    return distance(p, a + (b - a) * t);
-}
-
 bool segments_intersect(Vec2 a, Vec2 b, Vec2 c, Vec2 d) {
     const double d1 = orient2d(c, d, a);
     const double d2 = orient2d(c, d, b);

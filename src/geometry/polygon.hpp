@@ -3,6 +3,7 @@
 // theorem), point containment, vertex-edge distance queries. DDA blocks are
 // simple (possibly non-convex) polygons with CCW vertex order.
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -39,10 +40,19 @@ PolygonMoments moments(std::span<const Vec2> poly);
 bool contains(std::span<const Vec2> poly, Vec2 p, double tol = 1e-12);
 
 /// Closest point on segment [a,b] to p, returned as the parameter t in [0,1].
-double closest_param_on_segment(Vec2 a, Vec2 b, Vec2 p);
+/// Inline, like the next one: the contact kernels call both per test.
+inline double closest_param_on_segment(Vec2 a, Vec2 b, Vec2 p) {
+    const Vec2 d = b - a;
+    const double len2 = d.norm2();
+    if (len2 == 0.0) return 0.0;
+    return std::clamp((p - a).dot(d) / len2, 0.0, 1.0);
+}
 
 /// Distance from p to segment [a,b].
-double point_segment_distance(Vec2 a, Vec2 b, Vec2 p);
+inline double point_segment_distance(Vec2 a, Vec2 b, Vec2 p) {
+    const double t = closest_param_on_segment(a, b, p);
+    return distance(p, a + (b - a) * t);
+}
 
 /// True if segments [a,b] and [c,d] properly intersect or touch.
 bool segments_intersect(Vec2 a, Vec2 b, Vec2 c, Vec2 d);

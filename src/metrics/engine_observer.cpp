@@ -32,6 +32,10 @@ EngineObserver::EngineObserver(MetricsConfig cfg, std::string mode, Registry* re
                                         "Broad-phase candidate cache reuses", ml);
     pair_cache_misses_total_ = &r.counter("gdda_pair_cache_misses_total",
                                           "Broad-phase candidate cache rebuilds", ml);
+    narrow_cache_hits_total_ = &r.counter("gdda_narrow_cache_hits_total",
+                                          "Narrow-phase pairs served from the memo", ml);
+    narrow_cache_misses_total_ = &r.counter("gdda_narrow_cache_misses_total",
+                                            "Narrow-phase pairs run through the judgments", ml);
     for (int m = 0; m < obs::kModuleCount; ++m)
         kernel_launches_total_[m] =
             &r.counter("gdda_kernel_launches_total", "SIMT kernel launches per pipeline module",
@@ -86,6 +90,8 @@ void EngineObserver::on_step(const obs::StepRecord& rec, const StepContext& ctx)
         pair_cache_hits_total_->inc();
     else if (ctx.pair_cache_state == 0)
         pair_cache_misses_total_->inc();
+    if (ctx.narrow_pairs_reused > 0) narrow_cache_hits_total_->inc(ctx.narrow_pairs_reused);
+    if (ctx.narrow_pairs_rebuilt > 0) narrow_cache_misses_total_->inc(ctx.narrow_pairs_rebuilt);
     for (int m = 0; m < obs::kModuleCount; ++m)
         if (rec.modules[m].launches > 0)
             kernel_launches_total_[m]->inc(static_cast<std::uint64_t>(rec.modules[m].launches));

@@ -38,6 +38,10 @@ struct StepContext {
     double length_scale = 1.0;               ///< w0 (penetration health ratio)
     int open_close_cap = 0;                  ///< SimConfig::max_open_close_iters
     int pair_cache_state = -1; ///< -1 cache off, 0 rebuilt (miss), 1 reused (hit)
+    /// Narrow-phase memo this step: pairs whose cached result was emitted
+    /// (hits) and pairs run through the judgments (misses).
+    std::uint64_t narrow_pairs_reused = 0;
+    std::uint64_t narrow_pairs_rebuilt = 0;
     bool has_energy = false;   ///< energy_total valid (observer asked for it)
     double energy_total = 0.0; ///< total mechanical energy (J)
     /// Amdahl picture of the step: wall seconds of the whole step and the
@@ -121,6 +125,8 @@ private:
     Counter* pcg_iterations_total_;
     Counter* pair_cache_hits_total_;
     Counter* pair_cache_misses_total_;
+    Counter* narrow_cache_hits_total_;
+    Counter* narrow_cache_misses_total_;
     Counter* kernel_launches_total_[obs::kModuleCount];
     Counter* health_events_warn_total_;
     Counter* health_events_critical_total_;

@@ -18,6 +18,23 @@
 #include <omp.h>
 #endif
 
+// ThreadSanitizer does not see the fork/join of an OpenMP runtime that was
+// not built with it, and reports every hand-off between the calling thread
+// and the team as a race. Under TSan, parallel_for therefore runs the team
+// on std::thread (see run_team_on_threads below).
+#if defined(__SANITIZE_THREAD__)
+#define GDDA_TSAN_FORK_JOIN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GDDA_TSAN_FORK_JOIN 1
+#endif
+#endif
+#ifdef GDDA_TSAN_FORK_JOIN
+#include <algorithm>
+#include <thread>
+#include <vector>
+#endif
+
 #include "par/thread_budget.hpp"
 
 namespace gdda::par {
@@ -35,6 +52,47 @@ inline int& parallel_depth_slot() {
     thread_local int d = 0;
     return d;
 }
+
+#ifdef GDDA_TSAN_FORK_JOIN
+/// Whether this thread runs a slice of a team started by
+/// run_team_on_threads: a nested parallel_for then runs inline, as OpenMP
+/// runs a nested region on a team of one.
+inline bool& in_thread_team() {
+    thread_local bool inside = false;
+    return inside;
+}
+
+/// The OpenMP static schedule (contiguous slices, the first n % team one
+/// index longer) on team - 1 std::threads plus the caller. Creating and
+/// joining a std::thread are happens-before edges ThreadSanitizer sees,
+/// where libgomp's futex hand-off is not; even stating the fork with
+/// __tsan_release/__tsan_acquire inside an OpenMP region leaves every
+/// member's read of the region's argument block, made before its first
+/// statement, reported as a race.
+template <typename Body>
+void run_team_on_threads(std::size_t n, int team, Body& body) {
+    auto slice = [&](std::size_t t) {
+        const std::size_t members = static_cast<std::size_t>(team);
+        const std::size_t q = n / members;
+        const std::size_t r = n % members;
+        const std::size_t begin = t * q + std::min(t, r);
+        const std::size_t end = begin + q + (t < r ? 1 : 0);
+        in_thread_team() = true;
+        for (std::size_t i = begin; i < end; ++i) body(i);
+        in_thread_team() = false;
+    };
+    std::vector<std::thread> members;
+    struct JoinAll {
+        std::vector<std::thread>& threads;
+        ~JoinAll() {
+            for (std::thread& t : threads)
+                if (t.joinable()) t.join();
+        }
+    } join_all{members};
+    for (int t = 1; t < team; ++t) members.emplace_back(slice, static_cast<std::size_t>(t));
+    slice(0);
+}
+#endif
 } // namespace detail
 
 /// Cumulative wall-clock seconds this thread has spent inside dispatch-
@@ -57,9 +115,17 @@ void parallel_for(std::size_t n, std::size_t grain, Body&& body) {
 #ifdef _OPENMP
     const int team = effective_team();
     if (team > 1 && eligible) {
+#ifdef GDDA_TSAN_FORK_JOIN
+        if (detail::in_thread_team()) {
+            for (std::size_t i = 0; i < n; ++i) body(i);
+        } else {
+            detail::run_team_on_threads(n, team, body);
+        }
+#else
 #pragma omp parallel for schedule(static) num_threads(team)
         for (long long i = 0; i < static_cast<long long>(n); ++i)
             body(static_cast<std::size_t>(i));
+#endif
     } else {
         for (std::size_t i = 0; i < n; ++i) body(i);
     }

@@ -59,7 +59,7 @@ HsbcsrMatrix hsbcsr_structure(const BsrMatrix& a) {
     return h;
 }
 
-void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a) {
+void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a, bool offdiag) {
     if (h.n != a.n || h.m != a.nnz_blocks_upper())
         throw std::invalid_argument("hsbcsr_refill: structure mismatch");
 
@@ -73,6 +73,7 @@ void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a) {
 
     // The structure build numbers the upper blocks in BSR order, so slice
     // position p is BSR value q = p; the index arrays are not touched.
+    if (!offdiag) return;
     const std::size_t ndstride = static_cast<std::size_t>(h.padded_m) * 6;
     par::parallel_for(static_cast<std::size_t>(h.m), par::kDefaultGrain, [&](std::size_t p) {
         for (int r = 0; r < 6; ++r)

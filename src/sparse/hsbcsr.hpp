@@ -82,7 +82,9 @@ HsbcsrMatrix hsbcsr_structure(const BsrMatrix& a);
 /// leaving every index array (and the zero padding) untouched. `h` must have
 /// been built by hsbcsr_structure()/hsbcsr_from_bsr() on a matrix with the
 /// same structure; throws std::invalid_argument on a dimension mismatch.
-void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a);
+/// With `offdiag` false only the diagonal slices are rewritten: for a
+/// caller that knows the upper slices already hold a's values.
+void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a, bool offdiag = true);
 
 /// Reconstruct a BSR matrix (for round-trip tests).
 BsrMatrix bsr_from_hsbcsr(const HsbcsrMatrix& a);

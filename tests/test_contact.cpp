@@ -342,6 +342,86 @@ TEST(Transfer, CarriesStateByIdentity) {
     EXPECT_EQ(cur[1].state, ct::ContactState::Open);
 }
 
+namespace {
+/// `n` contacts in strictly increasing key order, each with its own spring
+/// memory.
+std::vector<ct::Contact> keyed_contacts(std::size_t n) {
+    std::vector<ct::Contact> cs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        ct::Contact& c = cs[i];
+        c.bi = static_cast<std::int32_t>(i / 3);
+        c.vi = static_cast<std::int32_t>(i % 3);
+        c.bj = c.bi + 1;
+        c.state = static_cast<ct::ContactState>(i % 3);
+        c.shear_disp = 1e-3 * static_cast<double>(i);
+        c.slide_sign = i % 2 ? -1.0 : 1.0;
+        c.last_gap = -1e-4 * static_cast<double>(i % 7);
+    }
+    return cs;
+}
+
+/// The narrow phase's fresh copy of `cs`: same identities, default springs.
+std::vector<ct::Contact> fresh_copies(const std::vector<ct::Contact>& cs) {
+    std::vector<ct::Contact> out(cs.size());
+    for (std::size_t i = 0; i < cs.size(); ++i) {
+        out[i].bi = cs[i].bi;
+        out[i].vi = cs[i].vi;
+        out[i].bj = cs[i].bj;
+        out[i].e1 = cs[i].e1;
+        out[i].e2 = cs[i].e2;
+        out[i].slide_sign = 0.25; // distinguishes a carried sign from a kept one
+    }
+    return out;
+}
+
+void expect_carried(const ct::Contact& c, const ct::Contact& from) {
+    EXPECT_EQ(c.state, from.state);
+    EXPECT_EQ(c.prev_state, from.state);
+    EXPECT_TRUE(same_bits(c.shear_disp, from.shear_disp));
+    EXPECT_TRUE(same_bits(c.slide_sign, from.slide_sign));
+    EXPECT_TRUE(same_bits(c.last_gap, from.last_gap));
+}
+} // namespace
+
+TEST(Transfer, UnchangedCanonicalListCarriesAtEachIndex) {
+    // Several reduction chunks long, so the canonical-order check runs in
+    // parallel: an unchanged contact set inherits index by index.
+    const std::vector<ct::Contact> previous = keyed_contacts(3000);
+    std::vector<ct::Contact> current = fresh_copies(previous);
+    const ct::TransferStats st = ct::transfer_contacts(previous, current);
+    EXPECT_EQ(st.matched, previous.size());
+    EXPECT_EQ(st.fresh, 0u);
+    EXPECT_EQ(st.expired, 0u);
+    for (std::size_t i = 0; i < current.size(); ++i) expect_carried(current[i], previous[i]);
+}
+
+TEST(Transfer, ChangedTailAndRepeatedKeysFollowTheSearch) {
+    // The last contact is new: it alone starts Open, and every other
+    // contact still finds its predecessor.
+    const std::vector<ct::Contact> previous = keyed_contacts(3000);
+    std::vector<ct::Contact> current = fresh_copies(previous);
+    current.back().bj += 7; // a key the previous step never had
+    const ct::TransferStats st = ct::transfer_contacts(previous, current);
+    EXPECT_EQ(st.matched, previous.size() - 1);
+    EXPECT_EQ(st.fresh, 1u);
+    EXPECT_EQ(st.expired, 1u);
+    for (std::size_t i = 0; i + 1 < current.size(); ++i) expect_carried(current[i], previous[i]);
+    EXPECT_EQ(current.back().state, ct::ContactState::Open);
+    EXPECT_TRUE(same_bits(current.back().slide_sign, 0.25)); // a fresh contact keeps its own
+
+    // `previous` repeats a key, so it is not canonical and goes through the
+    // sorted key index: both copies take the first occurrence's memory.
+    std::vector<ct::Contact> repeated = keyed_contacts(4);
+    repeated[1] = repeated[0];
+    repeated[1].state = ct::ContactState::Lock;
+    repeated[1].shear_disp = 9.0;
+    std::vector<ct::Contact> twin = fresh_copies(repeated);
+    ct::transfer_contacts(repeated, twin);
+    expect_carried(twin[0], repeated[0]);
+    expect_carried(twin[1], repeated[0]);
+    expect_carried(twin[2], repeated[2]);
+}
+
 TEST(OpenClose, PenetrationClosesContact) {
     bl::BlockSystem sys = two_squares(0.001);
     ct::Contact c;

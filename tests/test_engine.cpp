@@ -187,6 +187,34 @@ TEST(Engine, GpuLedgersMatchRecordedPricing) {
     }
 }
 
+TEST(Engine, RetriesKeepTheEntryContactGeometry) {
+    // Seed 2 of the 60-block slope: the cold first step retries seven
+    // times and takes the dt_min last resort. Retries and the last resort
+    // reuse attempt 0's contact geometry (same positions, same contact
+    // identities); the trajectory and the priced Contact Detection row must
+    // be those recorded when every attempt re-initialized it.
+    for (co::EngineMode mode : {co::EngineMode::Serial, co::EngineMode::Gpu}) {
+        SCOPED_TRACE(mode == co::EngineMode::Gpu ? "gpu" : "serial");
+        gdda::models::SlopeParams p;
+        p.seed = 2;
+        bl::BlockSystem sys = gdda::models::make_slope_with_blocks(60, p);
+        co::DdaEngine eng(sys, co::SimConfig{}, mode);
+        int retries = 0;
+        int last_resort = 0;
+        for (int s = 0; s < 3; ++s) {
+            const co::StepStats st = eng.step();
+            retries += st.retries;
+            last_resort += st.converged ? 0 : 1;
+        }
+        EXPECT_EQ(retries, 7);
+        EXPECT_EQ(last_resort, 1);
+        EXPECT_EQ(bl::state_fingerprint(sys), 0xbcdff8632c346cbfull);
+        const double priced =
+            eng.ledgers().ledger(co::Module::ContactDetection).total().flops;
+        EXPECT_EQ(priced, mode == co::EngineMode::Gpu ? 2742646.0 : 0.0);
+    }
+}
+
 TEST(Engine, StepStatsPopulated) {
     bl::BlockSystem sys = gdda::models::make_block_on_floor(0.005);
     co::DdaEngine eng(sys, quick_config(), co::EngineMode::Serial);

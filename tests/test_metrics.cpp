@@ -448,6 +448,13 @@ TEST(MetricsEngine, ObserverPopulatesRegistry) {
         reg.counter("gdda_pair_cache_misses_total", "", {{"mode", "serial"}}).value();
     EXPECT_EQ(hits + misses, static_cast<std::uint64_t>(steps));
     EXPECT_GE(misses, 1u);
+    // Narrow-phase memo: counted per pair, and equal to the engine's own
+    // counters.
+    EXPECT_EQ(reg.counter("gdda_narrow_cache_hits_total", "", {{"mode", "serial"}}).value(),
+              eng.narrow_memo().pairs_reused);
+    EXPECT_EQ(reg.counter("gdda_narrow_cache_misses_total", "", {{"mode", "serial"}}).value(),
+              eng.narrow_memo().pairs_rebuilt);
+    EXPECT_GT(eng.narrow_memo().pairs_rebuilt, 0u);
     // Health ran and the engine is fine.
     EXPECT_EQ(eng.metrics()->health().worst(), metrics::HealthGrade::Ok);
     EXPECT_EQ(eng.metrics()->flight_recorder().size(), static_cast<std::size_t>(steps));

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "assembly/assembler.hpp"
 #include "contact/broad_phase.hpp"
 #include "contact/narrow_phase.hpp"
@@ -233,6 +235,47 @@ TEST(SolveWorkspace, WarmPassBitIdenticalToColdAndToReference) {
     const auto ref = as::assemble_serial(s.sys, s.att, s.contacts, s.geo, s.sp);
     EXPECT_EQ(dense_cold, sp::to_dense(ref.k));
     expect_bitwise_eq(f_cold, ref.f);
+}
+
+TEST(SolveWorkspace, OffDiagonalSkipFollowsWhatWasPlaced) {
+    // Passes over one contact list whose states go all-open, all-open,
+    // half-closed, all-open, all-open: the zero fill and the off-diagonal
+    // refill are skipped only while neither the last pass nor this one
+    // placed anything off the diagonal. Every pass must match the
+    // reference assembler and a full HSBCSR conversion bit for bit.
+    Scene s = make_scene();
+    ASSERT_GT(s.contacts.size(), 4u);
+    auto bits = [](const std::vector<double>& v) {
+        std::vector<std::uint64_t> out(v.size());
+        for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::bit_cast<std::uint64_t>(v[i]);
+        return out;
+    };
+    co::SolveWorkspace ws;
+    const bool closed_half[] = {false, false, true, false, false};
+    std::uint64_t epoch = 0;
+    for (bool closed : closed_half) {
+        for (std::size_t c = 0; c < s.contacts.size(); ++c)
+            s.contacts[c].state = closed && c % 2 == 0 ? ct::ContactState::Lock
+                                                       : ct::ContactState::Open;
+        double diag_s = 0.0;
+        ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, ++epoch, nullptr, &diag_s);
+        ws.prepare_solve(co::PrecondKind::BlockJacobi, nullptr);
+        const as::AssembledSystem ref = as::assemble_serial(s.sys, s.att, s.contacts, s.geo, s.sp);
+        as::AssembledSystem fresh;
+        EXPECT_EQ(as::AssemblyPlan(static_cast<int>(s.sys.size()), s.contacts)
+                      .assemble_into(fresh, s.sys, s.att, s.contacts, s.geo, s.sp),
+                  closed);
+        ASSERT_EQ(ws.assembled().k.vals.size(), ref.k.vals.size());
+        for (std::size_t q = 0; q < ref.k.vals.size(); ++q)
+            for (int r = 0; r < 6; ++r)
+                for (int c = 0; c < 6; ++c)
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(ws.assembled().k.vals[q](r, c)),
+                              std::bit_cast<std::uint64_t>(ref.k.vals[q](r, c)));
+        const sp::HsbcsrMatrix full = sp::hsbcsr_from_bsr(ref.k);
+        EXPECT_EQ(bits(ws.matrix().nd_data_up), bits(full.nd_data_up));
+        EXPECT_EQ(bits(ws.matrix().d_data), bits(full.d_data));
+    }
+    EXPECT_EQ(ws.stats().cold_structure_builds, 1u);
 }
 
 TEST(SolveWorkspace, PricedPassesBitIdenticalColdAndWarm) {
