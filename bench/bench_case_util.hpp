@@ -1,12 +1,15 @@
 #pragma once
 // Shared driver for the Table II / Table III case benches: run the serial
-// engine (measured wall time per module, the "E5620" column) and the GPU
-// pipeline engine (SIMT-modeled K20/K40 time per module) on the same model,
-// then print the paper's table layout with speed-up rates.
+// engine (measured wall time per module, the "E5620" column: the median of
+// kSerialRuns runs after a warm-up) and the GPU pipeline engine
+// (SIMT-modeled K20/K40 time per module) on the same model, then print the
+// paper's table layout with speed-up rates.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/engine.hpp"
@@ -14,28 +17,44 @@
 
 namespace gdda::bench {
 
+/// Measured serial runs per case. One more run before them warms caches
+/// and the allocator and is discarded; the run with the median total time
+/// is reported, so the module rows still sum to the reported total.
+inline constexpr int kSerialRuns = 3;
+
 struct CaseResult {
-    core::ModuleTimers serial;                      // measured seconds
+    core::ModuleTimers serial;                      // measured seconds (median run)
     std::array<double, core::kModuleCount> k20{};   // modeled ms
     std::array<double, core::kModuleCount> k40{};   // modeled ms
     int steps = 0;
-    obs::Aggregator serial_agg;                     // telemetry totals, serial run
+    obs::Aggregator serial_agg;                     // telemetry totals, median serial run
     obs::Aggregator gpu_agg;                        // telemetry totals, GPU-pipeline run
 };
 
 inline CaseResult run_case(block::BlockSystem model, const core::SimConfig& cfg, int steps) {
     CaseResult out;
     out.steps = steps;
-    {
+    struct SerialRun {
+        core::ModuleTimers timers;
+        obs::Aggregator agg;
+    };
+    auto serial_run = [&]() {
         block::BlockSystem sys = model;
         core::DdaEngine eng(sys, cfg, core::EngineMode::Serial);
         auto rec = std::make_shared<obs::Recorder>();
         rec->ensure_aggregator();
         eng.attach_recorder(rec);
         for (int s = 0; s < steps; ++s) eng.step();
-        out.serial = eng.timers();
-        out.serial_agg = *rec->aggregator();
-    }
+        return SerialRun{eng.timers(), *rec->aggregator()};
+    };
+    (void)serial_run(); // warm-up
+    std::vector<SerialRun> runs;
+    for (int k = 0; k < kSerialRuns; ++k) runs.push_back(serial_run());
+    std::sort(runs.begin(), runs.end(), [](const SerialRun& a, const SerialRun& b) {
+        return a.timers.total() < b.timers.total();
+    });
+    out.serial = runs[kSerialRuns / 2].timers;
+    out.serial_agg = runs[kSerialRuns / 2].agg;
     {
         block::BlockSystem sys = std::move(model);
         core::DdaEngine eng(sys, cfg, core::EngineMode::Gpu);
@@ -88,6 +107,10 @@ inline void write_case_report(const std::string& bench_name, const CaseResult& r
     doc.set("pcg_iterations", obs::JsonValue::integer(r.serial_agg.pcg_iterations()));
     doc.set("open_close_iters", obs::JsonValue::integer(r.serial_agg.open_close_iters()));
     doc.set("modules", std::move(modules));
+    obs::JsonValue meta = make_report_meta();
+    meta.set("serial_runs", obs::JsonValue::integer(kSerialRuns));
+    meta.set("serial_warmup_runs", obs::JsonValue::integer(1));
+    doc.set("meta", std::move(meta));
     write_json_report("BENCH_" + bench_name + ".json", doc);
 }
 
@@ -98,9 +121,10 @@ inline void print_case_table(const std::string& title, const CaseResult& r) {
     const std::array<const simt::DeviceProfile*, 2> devs = {&simt::tesla_k20(),
                                                             &simt::tesla_k40()};
     std::fputs(obs::render_case_table("", r.serial_agg, r.gpu_agg, devs).c_str(), stdout);
-    std::printf("(%d steps; serial column measured on this host, GPU columns are\n"
-                " SIMT-model times for the instrumented pipeline -- see DESIGN.md)\n",
-                r.steps);
+    std::printf("(%d steps; serial column measured on this host, median of %d runs after\n"
+                " a warm-up; GPU columns are SIMT-model times for the instrumented\n"
+                " pipeline -- see DESIGN.md)\n",
+                r.steps, kSerialRuns);
 }
 
 } // namespace gdda::bench

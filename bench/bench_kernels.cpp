@@ -31,7 +31,7 @@ sparse::BsrMatrix cached_matrix(int blocks) {
         const auto pairs = contact::broad_phase_triangular(sys, rho);
         auto np = contact::narrow_phase(sys, pairs, rho);
         for (auto& c : np.contacts) c.state = contact::ContactState::Lock;
-        const auto geo = contact::init_all_contacts(sys, np.contacts);
+        const auto geo = contact::contact_geometry(sys, np.contacts);
         assembly::StepParams sp;
         sp.contact.penalty = 10.0 * sys.max_young();
         sp.contact.shear_penalty = sp.contact.penalty;
@@ -160,7 +160,7 @@ void BM_AssembleGpuStyle(benchmark::State& state) {
     const auto pairs = contact::broad_phase_triangular(sys, rho);
     auto np = contact::narrow_phase(sys, pairs, rho);
     for (auto& c : np.contacts) c.state = contact::ContactState::Lock;
-    const auto geo = contact::init_all_contacts(sys, np.contacts);
+    const auto geo = contact::contact_geometry(sys, np.contacts);
     assembly::StepParams sp;
     sp.contact.penalty = 10.0 * sys.max_young();
     sp.contact.shear_penalty = sp.contact.penalty;

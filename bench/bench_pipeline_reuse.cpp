@@ -45,7 +45,7 @@ Case make_case(int blocks) {
     auto np = contact::narrow_phase(c.sys, pairs, rho);
     c.contacts = std::move(np.contacts);
     for (auto& ct : c.contacts) ct.state = contact::ContactState::Lock;
-    c.geo = contact::init_all_contacts(c.sys, c.contacts);
+    c.geo = contact::contact_geometry(c.sys, c.contacts);
     c.sp.dt = 1e-3;
     c.sp.contact.penalty = 10.0 * c.sys.max_young();
     c.sp.contact.shear_penalty = c.sp.contact.penalty;

@@ -170,7 +170,7 @@ inline sparse::BsrMatrix make_case1_matrix(int target_blocks, int min_nondiag = 
     const auto pairs = contact::broad_phase_triangular(sys, rho);
     auto np = contact::narrow_phase(sys, pairs, rho);
     for (auto& c : np.contacts) c.state = contact::ContactState::Lock;
-    const auto geo = contact::init_all_contacts(sys, np.contacts);
+    const auto geo = contact::contact_geometry(sys, np.contacts);
 
     assembly::StepParams sp;
     sp.dt = 1e-3;

@@ -262,13 +262,14 @@ bool ve_angle_admissible(const Block& bi, int vi, const Block& bj, int e1) {
 
 void NarrowPhaseWorkspace::drop_memo() {
     have_memo = false;
+    have_schedule = false;
     memo.clear();
     canon.clear();
 }
 
 void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pairs,
                   double rho, NarrowPhaseWorkspace& ws, NarrowPhaseResult& out,
-                  simt::KernelCost* cost, const PairScheduleStats* sched) {
+                  simt::KernelCost* cost, bool schedule) {
     const std::size_t blocks = sys.size();
     bool same_layout = ws.first_vert.size() == blocks + 1;
     ws.first_vert.resize(blocks + 1);
@@ -388,7 +389,20 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
         out.stats = ws.stats;
     };
     auto price = [&]() {
+        // The schedule statistics read only the pair sequence and the
+        // blocks' vertex counts. A list the memo found aligned (which
+        // implies the same vertex layout) that is also the caller's own,
+        // already sorted list, is element-wise the list the kept
+        // statistics describe.
+        const bool input_is_visit = visit.data() == pairs.data();
+        if (schedule && ws.have_schedule && aligned && input_is_visit) {
+            if (cost) simt::record_kernel(cost, pair_schedule_cost(pairs.size()));
+        } else if (schedule) {
+            ws.schedule = pair_schedule_stats(sys, pairs, cost);
+        }
+        ws.have_schedule = schedule && input_is_visit;
         if (!cost) return;
+        const PairScheduleStats* sched = schedule ? &ws.schedule : nullptr;
         simt::KernelCost kc;
         kc.name = "narrow_phase";
         const double tests = static_cast<double>(ws.distance_tests);
@@ -871,10 +885,10 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
 
 NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,
                                std::span<const BlockPair> pairs, double rho,
-                               simt::KernelCost* cost, const PairScheduleStats* sched) {
+                               simt::KernelCost* cost, bool schedule) {
     NarrowPhaseWorkspace ws;
     NarrowPhaseResult out;
-    narrow_phase(sys, pairs, rho, ws, out, cost, sched);
+    narrow_phase(sys, pairs, rho, ws, out, cost, schedule);
     return out;
 }
 

@@ -110,6 +110,12 @@ struct NarrowPhaseWorkspace {
     std::size_t distance_tests = 0;        ///< totals of the last call
     std::size_t vv_candidates = 0;
     ClassificationStats stats;
+    /// Divergence-aware schedule of the last call's pair list
+    /// (pair_schedule_stats), valid while have_schedule; a call asked for
+    /// the schedule reuses it when the memo finds the list element-wise
+    /// unchanged.
+    PairScheduleStats schedule;
+    bool have_schedule = false;
     double rho = -1.0;       ///< search distance the memo was built with
     double coord_max = 0.0;  ///< largest |coordinate| seen since the memo started
     bool have_memo = false;
@@ -129,25 +135,28 @@ struct NarrowPhaseWorkspace {
 /// identical statistics. This is why the divergence-aware schedule
 /// (pair_classes.hpp) need never be materialised; see docs/CONTACTS.md.
 ///
-/// `sched`, when given, prices the modeled narrow-phase launch with the
-/// classified schedule's measured warp divergence instead of the default
-/// mixed-population estimate.
+/// `schedule` prices the modeled narrow-phase launch with the classified
+/// schedule's measured warp divergence instead of the default
+/// mixed-population estimate: the call computes pair_schedule_stats(sys,
+/// pairs, cost) into ws.schedule, which records the `pair_class_bucket`
+/// kernel before the narrow-phase one.
 ///
 /// This overload writes into `out` and runs on the caller's `ws`, reusing
 /// the capacity of both and the memo of earlier calls: a pair whose blocks
 /// moved less than its robustness radius emits its cached contacts, and a
 /// call whose every pair is reused on an unchanged pair list emits the
-/// cached canonical list directly. Counts, statistics and the priced kernel
-/// are those of a cold pass.
+/// cached canonical list directly. On an element-wise unchanged, sorted
+/// pair list the schedule statistics are served from ws.schedule too, and
+/// the `pair_class_bucket` kernel is still recorded. Counts, statistics and
+/// the priced kernels are those of a cold pass.
 void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pairs,
                   double rho, NarrowPhaseWorkspace& ws, NarrowPhaseResult& out,
-                  simt::KernelCost* cost = nullptr, const PairScheduleStats* sched = nullptr);
+                  simt::KernelCost* cost = nullptr, bool schedule = false);
 
 /// Convenience form on a throwaway workspace: the cold reference.
 NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,
                                std::span<const BlockPair> pairs, double rho,
-                               simt::KernelCost* cost = nullptr,
-                               const PairScheduleStats* sched = nullptr);
+                               simt::KernelCost* cost = nullptr, bool schedule = false);
 
 /// Angle judgment for a VE candidate: the exterior bisector of the vertex
 /// wedge must point roughly against the edge's outward normal. Exposed for

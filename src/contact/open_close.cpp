@@ -1,6 +1,7 @@
 #include "contact/open_close.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -15,65 +16,111 @@ using block::Block;
 using geom::Vec2;
 using sparse::Vec6;
 
-ContactGeometry init_contact_geometry(const block::BlockSystem& sys, const Contact& c) {
+namespace {
+
+/// What both halves of a contact's geometry read: the vertex p1, the edge
+/// p2 -> p3 with its length (clamped away from zero in l), and the
+/// vertex's displacement rows.
+struct ContactFrame {
+    const Block& bi;
+    const Block& bj;
+    Vec2 p1, p2, p3, edge;
+    double length, l;
+    Vec6 tx1, ty1;
+};
+
+ContactFrame contact_frame(const block::BlockSystem& sys, const Contact& c) {
     const Block& bi = sys.blocks[c.bi];
     const Block& bj = sys.blocks[c.bj];
     const Vec2 p1 = bi.verts[c.vi];
     const Vec2 p2 = bj.verts[c.e1];
     const Vec2 p3 = bj.verts[c.e2];
-
-    ContactGeometry g;
     const Vec2 edge = p3 - p2;
-    g.length = edge.norm();
-    const double l = std::max(g.length, 1e-300);
+    const double length = edge.norm();
+    return {bi, bj, p1, p2, p3, edge, length, std::max(length, 1e-300), bi.tx(p1), bi.ty(p1)};
+}
 
+/// Normal half: gap0, en_i, gn_j, ratio and length, everything an open
+/// contact's update reads.
+void normal_geometry(const ContactFrame& f, ContactGeometry& g) {
+    const double l = f.l;
+    g.length = f.length;
     // Normal gap: gap = -det(1 p1; 1 p2; 1 p3) / l, positive outside the
     // CCW block bj. Gradients follow from the determinant's linearity.
-    g.gap0 = -geom::orient2d(p2, p3, p1) / l;
-    const Vec6 tx1 = bi.tx(p1);
-    const Vec6 ty1 = bi.ty(p1);
-    const Vec6 tx2 = bj.tx(p2);
-    const Vec6 ty2 = bj.ty(p2);
-    const Vec6 tx3 = bj.tx(p3);
-    const Vec6 ty3 = bj.ty(p3);
+    g.gap0 = -geom::orient2d(f.p2, f.p3, f.p1) / l;
+    const Vec2 p1 = f.p1;
+    const Vec2 p2 = f.p2;
+    const Vec2 p3 = f.p3;
+    const Vec6 tx2 = f.bj.tx(p2);
+    const Vec6 ty2 = f.bj.ty(p2);
+    const Vec6 tx3 = f.bj.tx(p3);
+    const Vec6 ty3 = f.bj.ty(p3);
+    // Element-wise across k, no carried dependency: a simd lowering pairs
+    // up the twelve divisions without touching any element's bits.
+#ifdef _OPENMP
+#pragma omp simd
+#endif
     for (int k = 0; k < 6; ++k) {
-        g.en_i[k] = -((p2.y - p3.y) * tx1[k] + (p3.x - p2.x) * ty1[k]) / l;
+        g.en_i[k] = -((p2.y - p3.y) * f.tx1[k] + (p3.x - p2.x) * f.ty1[k]) / l;
         g.gn_j[k] = -((p3.y - p1.y) * tx2[k] + (p1.x - p3.x) * ty2[k] +
                       (p1.y - p2.y) * tx3[k] + (p2.x - p1.x) * ty3[k]) /
                     l;
     }
+    g.ratio = l > 0.0 ? (p1 - p2).dot(f.edge) / (l * l) : 0.5;
+}
 
-    // Shear: tangential offset of the vertex relative to its foot point on
-    // the edge, measured along the edge direction.
-    const Vec2 t = edge / l;
-    g.ratio = l > 0.0 ? (p1 - p2).dot(edge) / (l * l) : 0.5;
-    const double r = geom::closest_param_on_segment(p2, p3, p1);
-    const Vec2 p0 = p2 + edge * r;
-    const Vec6 tx0 = bj.tx(p0);
-    const Vec6 ty0 = bj.ty(p0);
+/// Shear half: es_i and gs_j, the tangential offset of the vertex relative
+/// to its foot point on the edge, measured along the edge direction.
+void shear_geometry(const ContactFrame& f, ContactGeometry& g) {
+    const Vec2 t = f.edge / f.l;
+    const double r = geom::closest_param_on_segment(f.p2, f.p3, f.p1);
+    const Vec2 p0 = f.p2 + f.edge * r;
+    const Vec6 tx0 = f.bj.tx(p0);
+    const Vec6 ty0 = f.bj.ty(p0);
     for (int k = 0; k < 6; ++k) {
-        g.es_i[k] = t.x * tx1[k] + t.y * ty1[k];
+        g.es_i[k] = t.x * f.tx1[k] + t.y * f.ty1[k];
         g.gs_j[k] = -(t.x * tx0[k] + t.y * ty0[k]);
     }
+}
+
+} // namespace
+
+ContactGeometry init_contact_geometry(const block::BlockSystem& sys, const Contact& c) {
+    const ContactFrame f = contact_frame(sys, c);
+    ContactGeometry g;
+    normal_geometry(f, g);
+    shear_geometry(f, g);
     return g;
 }
 
-std::vector<ContactGeometry> init_all_contacts(const block::BlockSystem& sys,
-                                               std::span<const Contact> contacts,
-                                               simt::KernelCost* cost) {
-    std::vector<ContactGeometry> out;
-    init_all_contacts(sys, contacts, out, cost);
+std::vector<ContactGeometry> contact_geometry(const block::BlockSystem& sys,
+                                              std::span<const Contact> contacts) {
+    std::vector<ContactGeometry> out(contacts.size());
+    par::parallel_for(contacts.size(),
+                      [&](std::size_t i) { out[i] = init_contact_geometry(sys, contacts[i]); });
     return out;
 }
 
-void init_all_contacts(const block::BlockSystem& sys, std::span<const Contact> contacts,
-                       std::vector<ContactGeometry>& out, simt::KernelCost* cost) {
-    out.resize(contacts.size());
-    // One independent geometry computation per contact (the paper's
-    // per-class initialization kernels).
-    par::parallel_for(contacts.size(),
-                      [&](std::size_t i) { out[i] = init_contact_geometry(sys, contacts[i]); });
+double init_all_contacts(const block::BlockSystem& sys, std::span<const Contact> contacts,
+                         std::span<ContactGeometry> out, simt::KernelCost* cost) {
+    assert(out.size() == contacts.size());
+    // One independent geometry computation per closed contact (the paper's
+    // per-class initialization kernels), folded with the deepest on-span
+    // penetration: a max from +0, exact in any grouping.
+    const double entry_pen = par::exact_reduce<double>(
+        contacts.size(),
+        [&](std::size_t begin, std::size_t end) {
+            double pen = 0.0;
+            for (std::size_t i = begin; i < end; ++i) {
+                if (contacts[i].state == ContactState::Open) continue;
+                const ContactGeometry& g = out[i] = init_contact_geometry(sys, contacts[i]);
+                if (g.ratio > -0.01 && g.ratio < 1.01) pen = std::max(pen, -g.gap0);
+            }
+            return pen;
+        },
+        [](double x, double y) { return std::max(x, y); });
     if (cost) simt::record_kernel(cost, contact_init_cost(contacts.size()));
+    return entry_pen;
 }
 
 simt::KernelCost contact_init_cost(std::size_t count) {
@@ -93,7 +140,7 @@ simt::KernelCost contact_init_cost(std::size_t count) {
 }
 
 OpenCloseResult update_contact_states(const block::BlockSystem& sys,
-                                      std::span<const ContactGeometry> geo,
+                                      std::span<ContactGeometry> geo,
                                       std::vector<Contact>& contacts, const BlockVec& d,
                                       const OpenCloseParams& params,
                                       simt::KernelCost* cost) {
@@ -103,19 +150,11 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
     const bool debug = std::getenv("GDDA_DEBUG_OC") != nullptr;
     auto update = [&](OpenCloseResult& res, std::size_t k) {
         Contact& c = contacts[k];
-        const ContactGeometry& g = geo[k];
-        const block::JointMaterial& jm =
-            sys.joint_between(sys.blocks[c.bi], sys.blocks[c.bj]);
-
-        const double dn = g.gap0 + g.en_i.dot(d[c.bi]) + g.gn_j.dot(d[c.bj]);
-        const double ds = c.shear_disp + g.es_i.dot(d[c.bi]) + g.gs_j.dot(d[c.bj]);
-
         const ContactState old = c.state;
         ContactState next;
+        double dn;
+        double ratio;
 
-        // Tension cut: a closed contact may carry joint tensile strength
-        // before it opens; an open contact closes on penetration.
-        const double tension_gap = jm.tension * g.length / params.penalty;
         // A vertex whose projection falls outside the edge span has its gap
         // measured to the *extended* line; treating that as penetration
         // makes corner contacts flip open/lock forever — and a *closed*
@@ -126,37 +165,61 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
         // Closing demands the vertex genuinely projects onto the edge and a
         // physically plausible depth; an already-closed contact survives a
         // wider band until the vertex clearly leaves the span.
-        const bool on_span = g.ratio > -0.05 && g.ratio < 1.05;
-        const bool closing_ok = g.ratio > -0.01 && g.ratio < 1.01 &&
-                                dn < -params.open_tol && dn > -params.max_closing_depth;
-        const bool left_span = g.ratio < -0.25 || g.ratio > 1.25;
-        if (c.state == ContactState::Open) {
+        if (old == ContactState::Open) {
+            // An open contact reads only the normal half, evaluated here;
+            // it gets a record when it closes.
+            const ContactFrame f = contact_frame(sys, c);
+            ContactGeometry g;
+            normal_geometry(f, g);
+            dn = g.gap0 + g.en_i.dot(d[c.bi]) + g.gn_j.dot(d[c.bj]);
+            ratio = g.ratio;
+            const bool closing_ok = g.ratio > -0.01 && g.ratio < 1.01 &&
+                                    dn < -params.open_tol && dn > -params.max_closing_depth;
             next = closing_ok ? ContactState::Lock : ContactState::Open;
-        } else if (dn > params.open_tol + tension_gap || left_span) {
-            next = ContactState::Open;
+            if (closing_ok) {
+                shear_geometry(f, g);
+                geo[k] = g;
+            }
         } else {
-            const double normal_force = std::max(-params.penalty * dn, 0.0);
-            const double friction_limit =
-                normal_force * std::tan(jm.friction_deg * std::numbers::pi_v<double> / 180.0) +
-                jm.cohesion * g.length;
-            const double shear_force = params.shear_penalty * ds;
-            if (old == ContactState::Lock && std::abs(shear_force) > friction_limit) {
-                next = ContactState::Slide;
-                c.slide_sign = shear_force >= 0.0 ? 1.0 : -1.0;
-            } else if (old == ContactState::Slide &&
-                       std::abs(shear_force) > 0.9 * friction_limit) {
-                next = ContactState::Slide; // re-lock only with a 10% margin
-                c.slide_sign = shear_force >= 0.0 ? 1.0 : -1.0;
+            const ContactGeometry& g = geo[k];
+            const block::JointMaterial& jm =
+                sys.joint_between(sys.blocks[c.bi], sys.blocks[c.bj]);
+            dn = g.gap0 + g.en_i.dot(d[c.bi]) + g.gn_j.dot(d[c.bj]);
+            const double ds = c.shear_disp + g.es_i.dot(d[c.bi]) + g.gs_j.dot(d[c.bj]);
+            ratio = g.ratio;
+            // Tension cut: a closed contact may carry joint tensile
+            // strength before it opens.
+            const double tension_gap = jm.tension * g.length / params.penalty;
+            const bool left_span = g.ratio < -0.25 || g.ratio > 1.25;
+            if (dn > params.open_tol + tension_gap || left_span) {
+                next = ContactState::Open;
             } else {
-                next = ContactState::Lock;
+                const double normal_force = std::max(-params.penalty * dn, 0.0);
+                const double friction_limit =
+                    normal_force *
+                        std::tan(jm.friction_deg * std::numbers::pi_v<double> / 180.0) +
+                    jm.cohesion * g.length;
+                const double shear_force = params.shear_penalty * ds;
+                if (old == ContactState::Lock && std::abs(shear_force) > friction_limit) {
+                    next = ContactState::Slide;
+                    c.slide_sign = shear_force >= 0.0 ? 1.0 : -1.0;
+                } else if (old == ContactState::Slide &&
+                           std::abs(shear_force) > 0.9 * friction_limit) {
+                    next = ContactState::Slide; // re-lock only with a 10% margin
+                    c.slide_sign = shear_force >= 0.0 ? 1.0 : -1.0;
+                } else {
+                    next = ContactState::Lock;
+                }
             }
         }
+        const bool on_span = ratio > -0.05 && ratio < 1.05;
 
         c.p1 = static_cast<std::int8_t>(int(next != ContactState::Open) -
                                         int(old != ContactState::Open));
         c.p2 = static_cast<std::int8_t>(int(next == ContactState::Lock) -
                                         int(old == ContactState::Lock));
         if (next != old) ++res.state_changes;
+        if (next != ContactState::Open) ++res.closed;
         c.prev_state = old;
         c.state = next;
         // Friction limits derive a normal force from this gap; off-span
@@ -166,9 +229,10 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
         // Interpenetration is measured on closed contacts only: their dn is
         // the actual spring stretch. Open contacts with deep negative line
         // gaps are corner artifacts the closing gate already rejects.
-        if (next != ContactState::Open && g.ratio > -0.01 && g.ratio < 1.01) {
+        if (next != ContactState::Open && ratio > -0.01 && ratio < 1.01) {
             res.max_penetration = std::max(res.max_penetration, -dn);
-            if (-dn > 0.03 && next != ContactState::Open && debug) {
+            if (-dn > 0.03 && debug) {
+                const ContactGeometry& g = geo[k];
                 std::fprintf(stderr,
                              "[oc] deep dn=%.4f gap0=%.4f ratio=%.3f shear0=%.4f kind=%d "
                              "state %d->%d bi=%d vi=%d bj=%d e1=%d\n",
@@ -187,6 +251,7 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
         [](const OpenCloseResult& x, const OpenCloseResult& y) {
             OpenCloseResult sum;
             sum.state_changes = x.state_changes + y.state_changes;
+            sum.closed = x.closed + y.closed;
             sum.max_penetration = std::max(x.max_penetration, y.max_penetration);
             return sum;
         });

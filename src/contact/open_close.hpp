@@ -40,39 +40,49 @@ struct OpenCloseParams {
     double max_push = 1e30;
 };
 
-/// First-order contact geometry for the current configuration.
+/// First-order contact geometry for the current configuration: the normal
+/// half (gap0, en_i, gn_j, ratio, length) and the shear half (es_i, gs_j)
+/// of one implementation. The open-close update evaluates the normal half
+/// of an open contact inline and writes the full record when it closes.
 ContactGeometry init_contact_geometry(const block::BlockSystem& sys, const Contact& c);
 
 /// Modeled cost of initializing `count` contacts (the `contact_init`
 /// kernels init_all_contacts records).
 simt::KernelCost contact_init_cost(std::size_t count);
 
-/// Initialize geometry for all contacts (the paper's per-class contact
-/// initialization kernels).
-std::vector<ContactGeometry> init_all_contacts(const block::BlockSystem& sys,
-                                               std::span<const Contact> contacts,
-                                               simt::KernelCost* cost = nullptr);
+/// Initialize the records of the contacts that are closed now (the paper's
+/// per-class contact initialization kernels, priced for every contact):
+/// out[k] is written for each closed contact k and left as it was for
+/// open ones, which no reader needs (docs/CONTACTS.md, "Contact geometry
+/// records"). `out` holds one slot per contact. Returns the deepest
+/// penetration the closed, on-span contacts carry (a max from +0).
+double init_all_contacts(const block::BlockSystem& sys, std::span<const Contact> contacts,
+                         std::span<ContactGeometry> out, simt::KernelCost* cost = nullptr);
 
-/// As above, into a caller-owned vector whose capacity is reused.
-void init_all_contacts(const block::BlockSystem& sys, std::span<const Contact> contacts,
-                       std::vector<ContactGeometry>& out, simt::KernelCost* cost = nullptr);
+/// Every contact's full record, open ones included: for callers outside
+/// the step loop that assign contact states by hand. Not priced.
+std::vector<ContactGeometry> contact_geometry(const block::BlockSystem& sys,
+                                              std::span<const Contact> contacts);
 
 struct OpenCloseResult {
     int state_changes = 0;
+    std::size_t closed = 0;       ///< contacts closed after the update
     double max_penetration = 0.0; ///< deepest residual penetration (>= 0)
-    double max_tension_violation = 0.0;
 };
 
 /// Evaluate each contact under the solved increment `d` and update states.
-/// Returns the number of switches; zero means loop 3 converged.
+/// Returns the number of switches; zero means loop 3 converged. geo[k]
+/// must hold contact k's full record while k is closed; an open contact's
+/// slot is not read, and gets its full record when the contact closes.
 OpenCloseResult update_contact_states(const block::BlockSystem& sys,
-                                      std::span<const ContactGeometry> geo,
+                                      std::span<ContactGeometry> geo,
                                       std::vector<Contact>& contacts, const BlockVec& d,
                                       const OpenCloseParams& params,
                                       simt::KernelCost* cost = nullptr);
 
 /// End-of-step bookkeeping: accumulate shear stretch on locked contacts and
-/// reset the sliding reference on sliding/open ones.
+/// reset the sliding reference on sliding/open ones. Reads only the
+/// records of locked contacts.
 void commit_contact_springs(std::span<const ContactGeometry> geo,
                             std::vector<Contact>& contacts, const BlockVec& d);
 

@@ -98,21 +98,23 @@ PairScheduleStats pair_schedule_stats(const block::BlockSystem& sys,
     }
     st.slots_sorted = walk.total();
 
-    if (cost) {
-        simt::KernelCost kc;
-        kc.name = "pair_class_bucket";
-        const double m = static_cast<double>(pairs.size());
-        kc.flops = m * 6.0 + kClassCount * 2.0;
-        kc.bytes_coalesced = m * 2.0 * sizeof(BlockPair) + // read + scatter write
-                             kClassCount * 2.0 * sizeof(std::uint32_t);
-        kc.bytes_random = m * sizeof(BlockPair); // scatter lands per-bucket
-        kc.depth = 12; // count, scan tree, scatter
-        kc.launches = 3;
-        kc.branch_slots = m / 32.0;
-        kc.divergent_slots = 0.02 * kc.branch_slots;
-        simt::record_kernel(cost, kc);
-    }
+    if (cost) simt::record_kernel(cost, pair_schedule_cost(pairs.size()));
     return st;
+}
+
+simt::KernelCost pair_schedule_cost(std::size_t pairs) {
+    simt::KernelCost kc;
+    kc.name = "pair_class_bucket";
+    const double m = static_cast<double>(pairs);
+    kc.flops = m * 6.0 + kClassCount * 2.0;
+    kc.bytes_coalesced = m * 2.0 * sizeof(BlockPair) + // read + scatter write
+                         kClassCount * 2.0 * sizeof(std::uint32_t);
+    kc.bytes_random = m * sizeof(BlockPair); // scatter lands per-bucket
+    kc.depth = 12; // count, scan tree, scatter
+    kc.launches = 3;
+    kc.branch_slots = m / 32.0;
+    kc.divergent_slots = 0.02 * kc.branch_slots;
+    return kc;
 }
 
 std::vector<BlockPair> classify_pairs(const block::BlockSystem& sys,

@@ -68,4 +68,8 @@ PairScheduleStats pair_schedule_stats(const block::BlockSystem& sys,
                                       std::span<const BlockPair> pairs,
                                       simt::KernelCost* cost = nullptr);
 
+/// The `pair_class_bucket` kernel pair_schedule_stats records for `pairs`
+/// candidates (it depends on the count alone).
+simt::KernelCost pair_schedule_cost(std::size_t pairs);
+
 } // namespace gdda::contact

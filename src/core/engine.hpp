@@ -29,6 +29,7 @@
 #include "core/timing.hpp"
 #include "metrics/engine_observer.hpp"
 #include "obs/recorder.hpp"
+#include "par/scratch_array.hpp"
 #include "solver/ilu0.hpp"
 
 namespace gdda::core {
@@ -166,15 +167,15 @@ public:
 private:
     StepStats step_impl();
     void detect_contacts();
-    /// One assemble+solve+update pass; returns open-close state changes.
+    /// One assemble+solve+update pass over geo_; returns the open-close
+    /// update's result (state changes, closed count, penetration).
     /// `fresh_pass` marks the first pass of a displacement attempt: it
     /// resets the PCG start vector to the last committed step's solution,
     /// later open-close passes iterate from the previous pass's.
-    int solve_pass(const std::vector<contact::ContactGeometry>& geo,
-                   sparse::BlockVec& d, StepStats& stats, bool fresh_pass);
+    contact::OpenCloseResult solve_pass(sparse::BlockVec& d, StepStats& stats,
+                                        bool fresh_pass);
     double max_vertex_displacement(const sparse::BlockVec& d) const;
-    void commit_step(const std::vector<contact::ContactGeometry>& geo,
-                     const sparse::BlockVec& d, StepStats& stats);
+    void commit_step(const sparse::BlockVec& d, StepStats& stats);
 
     block::BlockSystem* sys_;
     SimConfig cfg_;
@@ -191,7 +192,10 @@ private:
     contact::NarrowPhaseResult detected_;   ///< narrow-phase output buffer
     assembly::ContactFingerprint contacts_fp_; ///< structure of contacts_, once per step
     std::vector<contact::Contact> entry_contacts_; ///< contacts_ at step entry (retries)
-    std::vector<contact::ContactGeometry> geo_;    ///< geometry of the current attempt
+    /// Geometry records of the step: valid for every contact closed at
+    /// step entry or closed since (docs/CONTACTS.md); never initialized
+    /// for contacts that stay open.
+    par::ScratchArray<contact::ContactGeometry> geo_;
     contact::BroadPhasePairCache pair_cache_; ///< persistent candidate cache
     contact::PairScheduleStats sched_stats_;  ///< last step's pair schedule
     SolveWorkspace ws_; ///< structure-caching solve path (both modes)

@@ -18,7 +18,6 @@ namespace gdda::core {
 
 using block::BlockSystem;
 using contact::Contact;
-using contact::ContactGeometry;
 using sparse::BlockVec;
 
 void SimConfig::validate() const {
@@ -166,14 +165,12 @@ void DdaEngine::detect_contacts() {
     // Divergence-aware classification buckets candidates by work class so
     // narrow-phase warps run uniform trip counts. It is a pure permutation
     // and the narrow phase's output is canonical, so only the modeled GPU
-    // schedule needs it: Gpu mode prices it from counts, and the CPU narrow
-    // phase keeps the broad-phase order.
-    sched_stats_ = sink ? contact::pair_schedule_stats(*sys_, pairs, sink)
-                        : contact::PairScheduleStats{};
-
+    // schedule needs it: Gpu mode prices it from counts (kept by the narrow
+    // memo while the pair list is unchanged), and the CPU narrow phase
+    // keeps the broad-phase order.
     const std::uint64_t steady_before = np_ws_.memo_stats.steady_calls;
-    contact::narrow_phase(*sys_, pairs, rho, np_ws_, detected_, sink,
-                          sink ? &sched_stats_ : nullptr);
+    contact::narrow_phase(*sys_, pairs, rho, np_ws_, detected_, sink, sink != nullptr);
+    sched_stats_ = sink ? np_ws_.schedule : contact::PairScheduleStats{};
     class_stats_ = detected_.stats;
     // The solve passes of this step key their structure caches on the
     // contact identities, which no pass changes. A steady narrow phase
@@ -188,8 +185,8 @@ void DdaEngine::detect_contacts() {
     if (sink) ledgers_.add(Module::ContactDetection, cost);
 }
 
-int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
-                          StepStats& stats, bool fresh_pass) {
+contact::OpenCloseResult DdaEngine::solve_pass(BlockVec& d, StepStats& stats,
+                                               bool fresh_pass) {
     trace::Span oc_span(tracer_.get(), trace::Category::OpenClose, "open_close");
     assembly::StepParams sp;
     sp.dt = dt_;
@@ -213,7 +210,7 @@ int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
         double diag_par_seconds = 0.0;
         assembly::AssemblyCosts costs;
         const bool priced = mode_ == EngineMode::Gpu;
-        ws_.assemble(*sys_, attachments_, contacts_, geo, sp, values_epoch_,
+        ws_.assemble(*sys_, attachments_, contacts_, geo_.span(), sp, values_epoch_,
                      priced ? &costs : nullptr, &diag_seconds, &diag_par_seconds,
                      &contacts_fp_);
         if (priced) {
@@ -242,7 +239,6 @@ int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
     }
 
     // Equation solving.
-    int oc_changes = 0;
     {
         ScopedTimer t(timers_, Module::EquationSolving, tracer_.get(), &par_timers_);
         simt::KernelCost cost = simt::KernelCost::accumulator();
@@ -271,19 +267,16 @@ int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
         if (sink) ledgers_.add(Module::EquationSolving, *sink);
     }
 
-    // Interpenetration checking: evaluate contact states under d.
-    {
-        ScopedTimer t(timers_, Module::InterpenetrationCheck, tracer_.get(), &par_timers_);
-        simt::KernelCost cost = simt::KernelCost::accumulator();
-        simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
-        assembly::StepParams dummy = sp;
-        const contact::OpenCloseResult oc = contact::update_contact_states(
-            *sys_, geo, contacts_, d, dummy.contact, sink);
-        oc_changes = oc.state_changes;
-        stats.max_penetration = std::max(stats.max_penetration, oc.max_penetration);
-        if (sink) ledgers_.add(Module::InterpenetrationCheck, cost);
-    }
-    return oc_changes;
+    // Interpenetration checking: evaluate contact states under d. A
+    // contact that closes writes its geometry record into geo_.
+    ScopedTimer t(timers_, Module::InterpenetrationCheck, tracer_.get(), &par_timers_);
+    simt::KernelCost cost = simt::KernelCost::accumulator();
+    simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
+    const contact::OpenCloseResult oc =
+        contact::update_contact_states(*sys_, geo_.span(), contacts_, d, sp.contact, sink);
+    stats.max_penetration = std::max(stats.max_penetration, oc.max_penetration);
+    if (sink) ledgers_.add(Module::InterpenetrationCheck, cost);
+    return oc;
 }
 
 double DdaEngine::max_vertex_displacement(const BlockVec& d) const {
@@ -301,13 +294,12 @@ double DdaEngine::max_vertex_displacement(const BlockVec& d) const {
         [](double x, double y) { return std::max(x, y); });
 }
 
-void DdaEngine::commit_step(const std::vector<ContactGeometry>& geo, const BlockVec& d,
-                            StepStats& stats) {
+void DdaEngine::commit_step(const BlockVec& d, StepStats& stats) {
     ScopedTimer t(timers_, Module::DataUpdate, tracer_.get(), &par_timers_);
     simt::KernelCost cost = simt::KernelCost::accumulator();
     simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
 
-    contact::commit_contact_springs(geo, contacts_, d);
+    contact::commit_contact_springs(geo_.span(), contacts_, d);
 
     // Per block: velocity update v = 2 d / dt - v0 (damped to zero in
     // static mode), then move vertices, accumulate stresses and refresh
@@ -394,6 +386,12 @@ StepStats DdaEngine::step_impl() {
 
     const double allowed = cfg_.max_disp_ratio * w0_;
     entry_contacts_ = contacts_;
+    // Pre-existing stored penetration (carried by closed contacts from
+    // previous steps): the step may not worsen it, but it is not a reason
+    // to reject — the rate-limited recovery needs time steps to push it
+    // out. Attempt 0's initialization measures it; retries restore the
+    // same contacts over the same positions.
+    double entry_pen = 0.0;
 
     for (int attempt = 0; attempt < cfg_.max_step_retries; ++attempt) {
         trace::Span pass_span(tracer_.get(), trace::Category::Pass, "displacement_pass");
@@ -406,41 +404,32 @@ StepStats DdaEngine::step_impl() {
         {
             // Block positions and contact identities are those of attempt
             // 0, and the geometry reads nothing else: a retry keeps geo_
-            // and is priced as the initialization it stands for.
+            // (records of contacts closed at entry, and of those a failed
+            // attempt closed) and is priced as the initialization it
+            // stands for.
             ScopedTimer t(timers_, Module::ContactDetection, tracer_.get(), &par_timers_);
             simt::KernelCost cost = simt::KernelCost::accumulator();
             simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
-            if (attempt == 0)
-                contact::init_all_contacts(*sys_, contacts_, geo_, sink);
-            else if (sink)
+            if (attempt == 0) {
+                geo_.reset(contacts_.size());
+                entry_pen = contact::init_all_contacts(*sys_, contacts_, geo_.span(), sink);
+            } else if (sink) {
                 simt::record_kernel(sink, contact::contact_init_cost(contacts_.size()));
+            }
             if (sink) ledgers_.add(Module::ContactDetection, cost);
-        }
-
-        // Pre-existing stored penetration (carried by closed contacts from
-        // previous steps): the step may not worsen it, but it is not a
-        // reason to reject — the rate-limited recovery needs time steps to
-        // push it out.
-        double entry_pen = 0.0;
-        for (std::size_t ci = 0; ci < contacts_.size(); ++ci) {
-            const contact::Contact& c = contacts_[ci];
-            const contact::ContactGeometry& g = geo_[ci];
-            if (c.state != contact::ContactState::Open && g.ratio > -0.01 &&
-                g.ratio < 1.01)
-                entry_pen = std::max(entry_pen, -g.gap0);
         }
 
         BlockVec d(sys_->size());
         int oc_iters = 0;
         bool oc_converged = false;
-        int last_changes = 0;
+        contact::OpenCloseResult last;
         for (; oc_iters < cfg_.max_open_close_iters; ++oc_iters) {
-            last_changes = solve_pass(geo_, d, stats, oc_iters == 0);
+            last = solve_pass(d, stats, oc_iters == 0);
             if (debug)
                 std::fprintf(stderr, "[gdda]   oc pass %d: changes=%d pen=%.3e\n",
-                             oc_iters, last_changes, stats.max_penetration);
+                             oc_iters, last.state_changes, stats.max_penetration);
             if (!stats.converged) break; // PCG exhausted: shrink dt
-            if (last_changes == 0) {
+            if (last.state_changes == 0) {
                 oc_converged = true;
                 ++oc_iters;
                 break;
@@ -449,7 +438,7 @@ StepStats DdaEngine::step_impl() {
         // A handful of contacts oscillating at machine-precision gaps must
         // not collapse dt: accept the pass when the residual penetration is
         // physically negligible (standard DDA caps open-close iterations).
-        if (!oc_converged && stats.converged && last_changes <= 4 &&
+        if (!oc_converged && stats.converged && last.state_changes <= 4 &&
             stats.max_penetration < 1e-7 * w0_) {
             oc_converged = true;
         }
@@ -470,9 +459,8 @@ StepStats DdaEngine::step_impl() {
         if (oc_converged && stats.converged && disp_ok && pen_ok) {
             stats.dt_used = dt_;
             stats.contacts = contacts_.size();
-            for (const Contact& c : contacts_)
-                if (c.state != contact::ContactState::Open) ++stats.active_contacts;
-            commit_step(geo_, d, stats);
+            stats.active_contacts = last.closed;
+            commit_step(d, stats);
             // Reward easy steps with a larger dt (bounded).
             if (oc_iters <= 3 && attempt == 0) dt_ = std::min(dt_ * cfg_.dt_grow, cfg_.dt_max);
             return stats;
@@ -499,8 +487,8 @@ StepStats DdaEngine::step_impl() {
     // geo_ still describes the entry positions and contact identities.
     BlockVec d(sys_->size());
     ++values_epoch_;
-    solve_pass(geo_, d, stats, true);
-    commit_step(geo_, d, stats);
+    solve_pass(d, stats, true);
+    commit_step(d, stats);
     return stats;
 }
 

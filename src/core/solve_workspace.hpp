@@ -97,7 +97,6 @@ private:
     sparse::HsbcsrMatrix h_;
     bool have_h_ = false;
     bool as_offdiag_zero_ = false; ///< as_.k's off-diagonal values are all +0
-    bool h_offdiag_zero_ = false;  ///< h_'s off-diagonal slices hold only +0
     std::unique_ptr<solver::Preconditioner> pre_;
     PrecondKind pre_kind_ = PrecondKind::BlockJacobi;
     bool have_pre_ = false;

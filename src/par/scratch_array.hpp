@@ -3,8 +3,9 @@
 // initializes every element it grows by, which makes every page of the
 // buffer resident even when a pass only ever writes a few slots. Kernels
 // that own sparse slots of a large index space (the assembly's per-contact
-// contribution slots, written only for closed contacts) keep their scratch
-// here instead, so untouched slots never cost memory.
+// contribution slots and the engine's contact geometry records, written
+// only for closed contacts) keep their scratch here instead, so untouched
+// slots never cost memory.
 //
 // Growing discards the contents: callers must read only slots they wrote
 // since the last reset(). Element types must be trivially copyable (they
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <type_traits>
 
 namespace gdda::par {
@@ -27,6 +29,13 @@ public:
     /// enough; otherwise replaces it. Slot contents are unspecified after.
     void reset(std::size_t n) {
         if (n > capacity_) {
+            // The contents are discarded, so the old block is freed before
+            // the new one is taken: the allocator can then reuse or coalesce
+            // it. Taking first leaves a hole behind every growth, and arrays
+            // that grow in turn step after step (a settling scene's contact
+            // count) ratchet the heap up.
+            data_.reset();
+            size_ = capacity_ = 0;
             data_.reset(static_cast<T*>(std::malloc(n * sizeof(T))));
             if (!data_) throw std::bad_alloc();
             capacity_ = n;
@@ -37,6 +46,8 @@ public:
     [[nodiscard]] std::size_t size() const { return size_; }
     [[nodiscard]] T* data() { return data_.get(); }
     [[nodiscard]] const T* data() const { return data_.get(); }
+    [[nodiscard]] std::span<T> span() { return {data_.get(), size_}; }
+    [[nodiscard]] std::span<const T> span() const { return {data_.get(), size_}; }
     T& operator[](std::size_t i) { return data_.get()[i]; }
     const T& operator[](std::size_t i) const { return data_.get()[i]; }
 

@@ -1,10 +1,12 @@
 #include "sparse/hsbcsr.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
 
+#include "par/deterministic_reduce.hpp"
 #include "par/parallel_for.hpp"
 
 namespace gdda::sparse {
@@ -23,6 +25,7 @@ HsbcsrMatrix hsbcsr_structure(const BsrMatrix& a) {
     // Slice data allocated and zeroed; hsbcsr_refill writes the values.
     h.d_data.assign(static_cast<std::size_t>(h.padded_n) * 36, 0.0);
     h.nd_data_up.assign(static_cast<std::size_t>(h.padded_m) * 36, 0.0);
+    h.upper_zero = true;
 
     // Upper non-diagonal blocks are already (row, col)-sorted in BSR order.
     h.rc.resize(h.m);
@@ -74,11 +77,24 @@ void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a, bool offdiag) {
     // The structure build numbers the upper blocks in BSR order, so slice
     // position p is BSR value q = p; the index arrays are not touched.
     if (!offdiag) return;
+    // The OR of every written bit pattern is 0 exactly when all are +0; OR
+    // does not depend on the grouping.
     const std::size_t ndstride = static_cast<std::size_t>(h.padded_m) * 6;
-    par::parallel_for(static_cast<std::size_t>(h.m), par::kDefaultGrain, [&](std::size_t p) {
-        for (int r = 0; r < 6; ++r)
-            for (int c = 0; c < 6; ++c) h.nd_data_up[r * ndstride + p * 6 + c] = a.vals[p](r, c);
-    });
+    const std::uint64_t bits = par::exact_reduce<std::uint64_t>(
+        static_cast<std::size_t>(h.m),
+        [&](std::size_t p0, std::size_t p1) {
+            std::uint64_t any = 0;
+            for (std::size_t p = p0; p < p1; ++p)
+                for (int r = 0; r < 6; ++r)
+                    for (int c = 0; c < 6; ++c) {
+                        const double v = a.vals[p](r, c);
+                        h.nd_data_up[r * ndstride + p * 6 + c] = v;
+                        any |= std::bit_cast<std::uint64_t>(v);
+                    }
+            return any;
+        },
+        [](std::uint64_t x, std::uint64_t y) { return x | y; });
+    h.upper_zero = bits == 0;
 }
 
 HsbcsrMatrix hsbcsr_from_bsr(const BsrMatrix& a) {

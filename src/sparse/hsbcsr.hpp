@@ -47,6 +47,13 @@ struct HsbcsrMatrix {
     std::vector<std::uint32_t> row_low_i; ///< size n, end offsets per lower row
     std::vector<std::uint32_t> row_low_p; ///< size m, lower -> upper position
 
+    /// Every value of the upper slices is known to be +0 (all bits clear),
+    /// so spmv_hsbcsr skips stage 1 and the off-diagonal gathers.
+    /// hsbcsr_structure() and hsbcsr_refill() keep it true to the data; any
+    /// other writer of nd_data_up must clear it. A hand-built matrix starts
+    /// at "not known zero".
+    bool upper_zero = false;
+
     [[nodiscard]] std::uint32_t row_of(std::size_t p) const {
         return static_cast<std::uint32_t>(rc[p] >> 32);
     }
@@ -74,8 +81,8 @@ HsbcsrMatrix hsbcsr_from_bsr(const BsrMatrix& a);
 
 /// Symbolic half of the conversion: padded sizes, rc, row_up_i, row_low_i
 /// and row_low_p (the stable lower-triangle sort), with the slice data
-/// allocated and zeroed. Reusable across solves while the block sparsity of
-/// `a` is unchanged.
+/// allocated and zeroed (so upper_zero is true). Reusable across solves
+/// while the block sparsity of `a` is unchanged.
 HsbcsrMatrix hsbcsr_structure(const BsrMatrix& a);
 
 /// Numeric half: rewrite the diagonal and upper slice data of `h` from `a`,
@@ -83,7 +90,8 @@ HsbcsrMatrix hsbcsr_structure(const BsrMatrix& a);
 /// been built by hsbcsr_structure()/hsbcsr_from_bsr() on a matrix with the
 /// same structure; throws std::invalid_argument on a dimension mismatch.
 /// With `offdiag` false only the diagonal slices are rewritten: for a
-/// caller that knows the upper slices already hold a's values.
+/// caller that knows the upper slices already hold a's values. With
+/// `offdiag` true, upper_zero records whether every written value is +0.
 void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a, bool offdiag = true);
 
 /// Reconstruct a BSR matrix (for round-trip tests).

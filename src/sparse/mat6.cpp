@@ -152,14 +152,27 @@ Vec6 Ldlt6::solve(const Vec6& b) const {
 }
 
 Mat6 Ldlt6::inverse() const {
-    Mat6 inv;
-    for (int c = 0; c < 6; ++c) {
-        Vec6 e;
-        e[c] = 1.0;
-        const Vec6 col = solve(e);
-        for (int r = 0; r < 6; ++r) inv(r, c) = col[r];
+    // solve(e_c) for all six columns in one sweep: row i of the identity
+    // runs through solve()'s forward sweep, pivot division and backward
+    // sweep with every column at once. Each element sees the operations of
+    // its own column solve in the same order, so the bits are those of six
+    // separate solves; the column loop is contiguous and vectorizes.
+    Mat6 y = Mat6::identity();
+    for (int i = 0; i < 6; ++i)
+        for (int k = 0; k < i; ++k) {
+            const double lik = l_(i, k);
+            for (int c = 0; c < 6; ++c) y(i, c) -= lik * y(k, c);
+        }
+    for (int i = 0; i < 6; ++i) {
+        const double di = d_[i];
+        for (int c = 0; c < 6; ++c) y(i, c) /= di;
     }
-    return inv;
+    for (int i = 5; i >= 0; --i)
+        for (int k = i + 1; k < 6; ++k) {
+            const double lki = l_(k, i);
+            for (int c = 0; c < 6; ++c) y(i, c) -= lki * y(k, c);
+        }
+    return y;
 }
 
 Mat6 inverse(const Mat6& m) {

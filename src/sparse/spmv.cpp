@@ -48,29 +48,38 @@ inline void slice_row_axpy(const double* row, double s, Vec6& low) {
 void spmv_hsbcsr(const HsbcsrMatrix& a, const BlockVec& x, BlockVec& y,
                  HsbcsrWorkspace& ws, simt::KernelCost* cost) {
     assert(static_cast<int>(x.size()) == a.n && static_cast<int>(y.size()) == a.n);
-    ws.resize(a.m);
+
+    // Upper slices known to hold only +0: for finite x every stage-1 term
+    // is +0, and adding +0 to a row accumulator that started at +0.0 (it
+    // can never be -0) leaves its bits unchanged, so stage 1 and the
+    // off-diagonal gathers are skipped. The kernel is priced whole either
+    // way.
+    const bool offdiag = !a.upper_zero;
 
     // Stage 1: per non-diagonal block p at (r, c):
     //   up_res[p]  = B_p   * x[c]   (contribution to block row r)
     //   low_res[p] = B_p^T * x[r]   (contribution to block row c)
     // Block data are read slice-by-slice (coalesced); x through texture.
     // Each p writes only its own workspace slots: data-parallel.
-    par::parallel_for(static_cast<std::size_t>(a.m), kBlockGrain, [&](std::size_t p) {
-        const std::uint32_t r = a.row_of(p);
-        const std::uint32_t c = a.col_of(p);
-        const Vec6& xu = x[c];
-        const Vec6& xl = x[r];
-        Vec6 up{};
-        Vec6 low{};
-        for (int s = 0; s < 6; ++s) {
-            const double* row = &a.nd_data_up[static_cast<std::size_t>(s) * a.padded_m * 6 +
-                                              static_cast<std::size_t>(p) * 6];
-            up[s] = slice_row_dot(row, xu);
-            slice_row_axpy(row, xl[s], low); // transpose product in registers
-        }
-        ws.up_res[p] = up;
-        ws.low_res[p] = low;
-    });
+    if (offdiag) {
+        ws.resize(a.m);
+        par::parallel_for(static_cast<std::size_t>(a.m), kBlockGrain, [&](std::size_t p) {
+            const std::uint32_t r = a.row_of(p);
+            const std::uint32_t c = a.col_of(p);
+            const Vec6& xu = x[c];
+            const Vec6& xl = x[r];
+            Vec6 up{};
+            Vec6 low{};
+            for (int s = 0; s < 6; ++s) {
+                const double* row = &a.nd_data_up[static_cast<std::size_t>(s) * a.padded_m * 6 +
+                                                  static_cast<std::size_t>(p) * 6];
+                up[s] = slice_row_dot(row, xu);
+                slice_row_axpy(row, xl[s], low); // transpose product in registers
+            }
+            ws.up_res[p] = up;
+            ws.low_res[p] = low;
+        });
+    }
 
     // Stage 2: row-wise reduction of up_res (regular/coalesced) and low_res
     // (gathered via row_low_p through texture), plus the diagonal product.
@@ -85,12 +94,14 @@ void spmv_hsbcsr(const HsbcsrMatrix& a, const BlockVec& x, BlockVec& y,
                                            static_cast<std::size_t>(i) * 6];
             acc[s] = slice_row_dot(drow, x[i]);
         }
-        const std::uint32_t ub = i > 0 ? a.row_up_i[i - 1] : 0;
-        const std::uint32_t ue = a.row_up_i[i];
-        for (std::uint32_t p = ub; p < ue; ++p) acc += ws.up_res[p];
-        const std::uint32_t lb = i > 0 ? a.row_low_i[i - 1] : 0;
-        const std::uint32_t le = a.row_low_i[i];
-        for (std::uint32_t k = lb; k < le; ++k) acc += ws.low_res[a.row_low_p[k]];
+        if (offdiag) {
+            const std::uint32_t ub = i > 0 ? a.row_up_i[i - 1] : 0;
+            const std::uint32_t ue = a.row_up_i[i];
+            for (std::uint32_t p = ub; p < ue; ++p) acc += ws.up_res[p];
+            const std::uint32_t lb = i > 0 ? a.row_low_i[i - 1] : 0;
+            const std::uint32_t le = a.row_low_i[i];
+            for (std::uint32_t k = lb; k < le; ++k) acc += ws.low_res[a.row_low_p[k]];
+        }
         y[i] = acc;
     });
 

@@ -36,7 +36,7 @@ Fixture make_fixture(bl::BlockSystem sys, bool close_contacts) {
     f.contacts = std::move(np.contacts);
     if (close_contacts)
         for (ct::Contact& c : f.contacts) c.state = ct::ContactState::Lock;
-    f.geo = ct::init_all_contacts(f.sys, f.contacts);
+    f.geo = ct::contact_geometry(f.sys, f.contacts);
     f.sp.dt = 1e-3;
     f.sp.velocity_carry = 1.0;
     f.sp.contact.penalty = 2e10;

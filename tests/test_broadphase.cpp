@@ -352,7 +352,7 @@ TEST(PairClasses, NarrowPhaseOutputInvariantUnderClassification) {
     const auto scheduled = ct::classify_pairs(sys, pairs, &stats);
 
     const auto plain = ct::narrow_phase(sys, pairs, rho);
-    const auto sorted = ct::narrow_phase(sys, scheduled, rho, nullptr, &stats);
+    const auto sorted = ct::narrow_phase(sys, scheduled, rho);
     ASSERT_EQ(plain.contacts.size(), sorted.contacts.size());
     for (std::size_t i = 0; i < plain.contacts.size(); ++i) {
         EXPECT_EQ(plain.contacts[i].key(), sorted.contacts[i].key());

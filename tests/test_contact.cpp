@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstring>
+#include <numbers>
 #include <random>
 #include <set>
 
@@ -13,9 +16,11 @@
 #include "contact/narrow_phase.hpp"
 #include "contact/open_close.hpp"
 #include "contact/transfer.hpp"
+#include "core/engine.hpp"
 #include "models/large_scene.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
+#include "par/thread_budget.hpp"
 
 namespace ct = gdda::contact;
 namespace bl = gdda::block;
@@ -427,7 +432,7 @@ TEST(OpenClose, PenetrationClosesContact) {
     ct::Contact c;
     c.bi = 1; c.vi = 0; c.bj = 0; c.e1 = 2; c.e2 = 3;
     std::vector<ct::Contact> contacts{c};
-    const auto geo = ct::init_all_contacts(sys, contacts);
+    auto geo = ct::contact_geometry(sys, contacts);
 
     // Displacement pushing the upper block down by 0.002 -> penetration.
     gdda::sparse::BlockVec d(2);
@@ -446,7 +451,7 @@ TEST(OpenClose, SeparationOpensContact) {
     c.bi = 1; c.vi = 0; c.bj = 0; c.e1 = 2; c.e2 = 3;
     c.state = ct::ContactState::Lock;
     std::vector<ct::Contact> contacts{c};
-    const auto geo = ct::init_all_contacts(sys, contacts);
+    auto geo = ct::contact_geometry(sys, contacts);
 
     gdda::sparse::BlockVec d(2);
     d[1][1] = +0.01; // moving away
@@ -464,7 +469,7 @@ TEST(OpenClose, ShearBeyondFrictionSlides) {
     c.bi = 1; c.vi = 0; c.bj = 0; c.e1 = 2; c.e2 = 3;
     c.state = ct::ContactState::Lock;
     std::vector<ct::Contact> contacts{c};
-    const auto geo = ct::init_all_contacts(sys, contacts);
+    auto geo = ct::contact_geometry(sys, contacts);
 
     gdda::sparse::BlockVec d(2);
     d[1][0] = 0.01;   // large tangential motion
@@ -482,7 +487,7 @@ TEST(OpenClose, CommitAccumulatesLockShear) {
     c.state = ct::ContactState::Lock;
     c.shear_disp = 0.001;
     std::vector<ct::Contact> contacts{c};
-    const auto geo = ct::init_all_contacts(sys, contacts);
+    auto geo = ct::contact_geometry(sys, contacts);
     gdda::sparse::BlockVec d(2);
     d[1][0] = 0.002;
     ct::commit_contact_springs(geo, contacts, d);
@@ -534,6 +539,175 @@ TEST(Transfer, NonCanonicalPreviousMatchesCanonical) {
         } else {
             EXPECT_EQ(via_canonical[i].state, previous[i].state);
             EXPECT_TRUE(same_bits(via_canonical[i].shear_disp, previous[i].shear_disp));
+        }
+    }
+}
+
+namespace {
+
+/// The open-close update as it was when every contact, open or closed,
+/// read a full init_contact_geometry record: the oracle for the on-demand
+/// geometry of open contacts.
+ct::OpenCloseResult full_record_update(const bl::BlockSystem& sys,
+                                       const std::vector<ct::ContactGeometry>& geo,
+                                       std::vector<ct::Contact>& contacts,
+                                       const gdda::sparse::BlockVec& d,
+                                       const ct::OpenCloseParams& params) {
+    ct::OpenCloseResult res;
+    for (std::size_t k = 0; k < contacts.size(); ++k) {
+        ct::Contact& c = contacts[k];
+        const ct::ContactGeometry& g = geo[k];
+        const bl::JointMaterial& jm = sys.joint_between(sys.blocks[c.bi], sys.blocks[c.bj]);
+        const double dn = g.gap0 + g.en_i.dot(d[c.bi]) + g.gn_j.dot(d[c.bj]);
+        const double ds = c.shear_disp + g.es_i.dot(d[c.bi]) + g.gs_j.dot(d[c.bj]);
+        const ct::ContactState old = c.state;
+        ct::ContactState next;
+        const double tension_gap = jm.tension * g.length / params.penalty;
+        const bool on_span = g.ratio > -0.05 && g.ratio < 1.05;
+        const bool closing_ok = g.ratio > -0.01 && g.ratio < 1.01 &&
+                                dn < -params.open_tol && dn > -params.max_closing_depth;
+        const bool left_span = g.ratio < -0.25 || g.ratio > 1.25;
+        if (c.state == ct::ContactState::Open) {
+            next = closing_ok ? ct::ContactState::Lock : ct::ContactState::Open;
+        } else if (dn > params.open_tol + tension_gap || left_span) {
+            next = ct::ContactState::Open;
+        } else {
+            const double normal_force = std::max(-params.penalty * dn, 0.0);
+            const double friction_limit =
+                normal_force * std::tan(jm.friction_deg * std::numbers::pi_v<double> / 180.0) +
+                jm.cohesion * g.length;
+            const double shear_force = params.shear_penalty * ds;
+            if (old == ct::ContactState::Lock && std::abs(shear_force) > friction_limit) {
+                next = ct::ContactState::Slide;
+                c.slide_sign = shear_force >= 0.0 ? 1.0 : -1.0;
+            } else if (old == ct::ContactState::Slide &&
+                       std::abs(shear_force) > 0.9 * friction_limit) {
+                next = ct::ContactState::Slide;
+                c.slide_sign = shear_force >= 0.0 ? 1.0 : -1.0;
+            } else {
+                next = ct::ContactState::Lock;
+            }
+        }
+        c.p1 = static_cast<std::int8_t>(int(next != ct::ContactState::Open) -
+                                        int(old != ct::ContactState::Open));
+        c.p2 = static_cast<std::int8_t>(int(next == ct::ContactState::Lock) -
+                                        int(old == ct::ContactState::Lock));
+        if (next != old) ++res.state_changes;
+        if (next != ct::ContactState::Open) ++res.closed;
+        c.prev_state = old;
+        c.state = next;
+        c.last_gap = on_span ? dn : 0.0;
+        if (next != ct::ContactState::Open && g.ratio > -0.01 && g.ratio < 1.01)
+            res.max_penetration = std::max(res.max_penetration, -dn);
+    }
+    return res;
+}
+
+} // namespace
+
+TEST(OpenClose, GeometryOnDemandMatchesFullGeometry) {
+    // A floored 40x10 lattice dropped onto its floor. Two entry states are
+    // replayed: the step before the first impact (every contact open) and
+    // the one after it (some contacts closed at entry).
+    gdda::models::LatticeParams lp;
+    lp.cols = 40;
+    lp.rows = 10;
+    bl::BlockSystem sys = gdda::models::make_block_lattice(lp);
+    gdda::core::SimConfig cfg;
+    cfg.step_threads = 1;
+    gdda::core::DdaEngine eng(sys, cfg, gdda::core::EngineMode::Serial);
+    std::vector<gdda::core::EngineCheckpoint> entries;
+    for (int s = 0; s < 200 && entries.empty(); ++s) {
+        gdda::core::EngineCheckpoint before = eng.capture();
+        if (eng.step().active_contacts > 0) {
+            entries.push_back(std::move(before));
+            entries.push_back(eng.capture());
+        }
+    }
+    ASSERT_EQ(entries.size(), 2u) << "the lattice never reached its floor";
+
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+        const gdda::core::EngineCheckpoint& entry = entries[e];
+        const bl::BlockSystem& at = entry.sys;
+        const double rho = cfg.search_factor * cfg.max_disp_ratio * entry.w0;
+        std::vector<ct::Contact> detected =
+            ct::narrow_phase(at, ct::broad_phase_triangular(at, rho), rho).contacts;
+        ct::transfer_contacts(entry.contacts, detected);
+        const std::vector<ct::ContactGeometry> full = ct::contact_geometry(at, detected);
+
+        ct::OpenCloseParams params;
+        params.penalty = cfg.penalty_scale * at.max_young();
+        params.shear_penalty = params.penalty * cfg.shear_penalty_ratio;
+        params.max_closing_depth = 0.2 * entry.mobile_size;
+        params.open_tol = 1e-9 * entry.w0;
+
+        // Displacement passes: a fall several times the last step's (open
+        // contacts close), a short one (some closed contacts reopen), a
+        // long one; then a retry from the entry states.
+        auto scaled = [&](double f) {
+            gdda::sparse::BlockVec d = entry.warm_start;
+            for (std::size_t i = 0; i < d.size(); ++i)
+                for (int k = 0; k < 6; ++k)
+                    d[i][k] *= f * (1.0 + 0.25 * std::sin(static_cast<double>(3 * i + k)));
+            return d;
+        };
+        const std::vector<std::vector<double>> attempts = {{4.0, 0.5, 6.0}, {2.0, 3.0}};
+
+        for (int team : {1, 4}) {
+            gdda::par::ScopedTeamSize scope(team);
+            std::vector<ct::ContactGeometry> geo(detected.size());
+            // Open contacts' slots are poisoned: reading one would show.
+            ct::ContactGeometry poison;
+            poison.gap0 = poison.ratio = poison.length = std::nan("");
+            for (int k = 0; k < 6; ++k)
+                poison.en_i[k] = poison.gn_j[k] = poison.es_i[k] = poison.gs_j[k] =
+                    std::nan("");
+            std::fill(geo.begin(), geo.end(), poison);
+            const double entry_pen = ct::init_all_contacts(at, detected, geo);
+            double ref_pen = 0.0;
+            std::size_t closed_at_entry = 0;
+            for (std::size_t k = 0; k < detected.size(); ++k) {
+                if (detected[k].state == ct::ContactState::Open) continue;
+                ++closed_at_entry;
+                ASSERT_EQ(std::memcmp(&geo[k], &full[k], sizeof(ct::ContactGeometry)), 0);
+                if (full[k].ratio > -0.01 && full[k].ratio < 1.01)
+                    ref_pen = std::max(ref_pen, -full[k].gap0);
+            }
+            EXPECT_TRUE(same_bits(entry_pen, ref_pen));
+            EXPECT_EQ(closed_at_entry > 0, e == 1);
+
+            std::size_t closings = 0;
+            std::vector<ct::Contact> ref;
+            std::vector<ct::Contact> got;
+            for (const std::vector<double>& passes : attempts) {
+                ref = detected; // a retry restores the entry contacts...
+                got = detected; // ...and keeps the records written so far
+                for (const double f : passes) {
+                    const gdda::sparse::BlockVec d = scaled(f);
+                    const std::vector<ct::Contact> before = got;
+                    const ct::OpenCloseResult r0 = full_record_update(at, full, ref, d, params);
+                    const ct::OpenCloseResult r1 =
+                        ct::update_contact_states(at, geo, got, d, params);
+                    const std::string tag = "entry " + std::to_string(e) + " team " +
+                                            std::to_string(team) + " pass x" + std::to_string(f);
+                    ASSERT_TRUE(same_contacts(got, ref)) << tag;
+                    EXPECT_EQ(r1.state_changes, r0.state_changes) << tag;
+                    EXPECT_EQ(r1.closed, r0.closed) << tag;
+                    EXPECT_TRUE(same_bits(r1.max_penetration, r0.max_penetration)) << tag;
+                    for (std::size_t k = 0; k < got.size(); ++k) {
+                        if (got[k].state == ct::ContactState::Open) continue;
+                        if (before[k].state == ct::ContactState::Open) ++closings;
+                        ASSERT_EQ(std::memcmp(&geo[k], &full[k], sizeof(ct::ContactGeometry)),
+                                  0)
+                            << tag << " contact " << k;
+                    }
+                }
+            }
+            EXPECT_GT(closings, 0u) << "no open contact closed mid-step";
+            const gdda::sparse::BlockVec d = scaled(1.0);
+            ct::commit_contact_springs(full, ref, d);
+            ct::commit_contact_springs(geo, got, d);
+            EXPECT_TRUE(same_contacts(got, ref));
         }
     }
 }

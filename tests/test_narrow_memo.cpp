@@ -382,3 +382,48 @@ TEST(NarrowMemo, EngineStepsMatchRunsThatDropTheMemo) {
         }
     }
 }
+
+TEST(NarrowMemo, ScheduleStatsFollowThePairList) {
+    // A call asked for the divergence-aware schedule serves its statistics
+    // from the workspace only while the memo finds the sorted pair list
+    // element-wise unchanged; every call prices both kernels as a fresh
+    // call would. The list changes by a dropped pair, by a block gaining a
+    // (collinear) vertex and by arriving unsorted.
+    bl::BlockSystem sys = models::make_falling_rocks_with_blocks(60);
+    const double rho = 0.02 * sys.characteristic_length();
+    std::vector<ct::BlockPair> pairs = ct::broad_phase_triangular(sys, rho);
+    ASSERT_GT(pairs.size(), 4u);
+    ct::NarrowPhaseWorkspace ws;
+    auto check = [&](std::span<const ct::BlockPair> list, const std::string& tag) {
+        simt::KernelCost got = simt::KernelCost::accumulator();
+        ct::NarrowPhaseResult r;
+        ct::narrow_phase(sys, list, rho, ws, r, &got, true);
+        simt::KernelCost want = simt::KernelCost::accumulator();
+        (void)ct::narrow_phase(sys, list, rho, &want, true);
+        const ct::PairScheduleStats st = ct::pair_schedule_stats(sys, list);
+        EXPECT_EQ(ws.schedule.pairs, st.pairs) << tag;
+        EXPECT_EQ(ws.schedule.buckets, st.buckets) << tag;
+        EXPECT_EQ(ws.schedule.work, st.work) << tag;
+        EXPECT_EQ(ws.schedule.slots_unsorted, st.slots_unsorted) << tag;
+        EXPECT_EQ(ws.schedule.slots_sorted, st.slots_sorted) << tag;
+        EXPECT_TRUE(same_bits(got.flops, want.flops) &&
+                    same_bits(got.bytes_coalesced, want.bytes_coalesced) &&
+                    same_bits(got.bytes_random, want.bytes_random) &&
+                    same_bits(got.divergent_slots, want.divergent_slots) &&
+                    same_bits(got.launches, want.launches))
+            << tag;
+    };
+    check(pairs, "first call");
+    check(pairs, "unchanged list");
+    pairs.erase(pairs.begin() + static_cast<std::ptrdiff_t>(pairs.size() / 2));
+    check(pairs, "a pair dropped");
+    check(pairs, "unchanged again");
+    bl::Block& grown = sys.blocks[static_cast<std::size_t>(pairs.front().a)];
+    grown.verts.insert(grown.verts.begin() + 1, 0.5 * (grown.verts[0] + grown.verts[1]));
+    sys.update_all_geometry();
+    check(pairs, "a block gained a vertex");
+    std::vector<ct::BlockPair> reversed(pairs.rbegin(), pairs.rend());
+    check(reversed, "unsorted list");
+    check(reversed, "unsorted list again");
+    check(pairs, "sorted list after an unsorted one");
+}

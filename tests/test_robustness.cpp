@@ -44,7 +44,7 @@ ct::Contact top_contact() {
 TEST(Hysteresis, ZeroGapContactDoesNotFlicker) {
     bl::BlockSystem sys = two_squares(0.0); // exact touch
     std::vector<ct::Contact> contacts{top_contact()};
-    const auto geo = ct::init_all_contacts(sys, contacts);
+    auto geo = ct::contact_geometry(sys, contacts);
     ct::OpenCloseParams params;
     params.penalty = 1e10;
     params.shear_penalty = 1e10;
@@ -66,7 +66,7 @@ TEST(Hysteresis, NoiseWithinBandIgnored) {
     bl::BlockSystem sys = two_squares(0.0);
     std::vector<ct::Contact> contacts{top_contact()};
     contacts[0].state = ct::ContactState::Lock;
-    const auto geo = ct::init_all_contacts(sys, contacts);
+    auto geo = ct::contact_geometry(sys, contacts);
     ct::OpenCloseParams params;
     params.penalty = 1e10;
     params.shear_penalty = 1e10;
@@ -94,7 +94,7 @@ TEST(SpanGate, PhantomDeepContactRefusesToClose) {
     c.e1 = 0; // bottom edge (0,0)-(2,0): vertex is above it (gap < 0) but
     c.e2 = 1; // off-span to the left (ratio < 0)
     std::vector<ct::Contact> contacts{c};
-    const auto geo = ct::init_all_contacts(sys, contacts);
+    auto geo = ct::contact_geometry(sys, contacts);
     EXPECT_LT(geo[0].gap0, 0.0);
     EXPECT_LT(geo[0].ratio, -0.01);
 
@@ -115,7 +115,7 @@ TEST(SpanGate, LockedContactOpensWhenVertexLeavesSpan) {
     contacts[0].state = ct::ContactState::Lock;
     // Slide the top block sideways so its vertex passes the edge end.
     for (Vec2& p : sys.blocks[1].verts) p.x += 1.4;
-    const auto geo = ct::init_all_contacts(sys, contacts);
+    auto geo = ct::contact_geometry(sys, contacts);
     EXPECT_TRUE(geo[0].ratio < -0.25 || geo[0].ratio > 1.25);
 
     ct::OpenCloseParams params;
@@ -131,7 +131,7 @@ TEST(SpanGate, ClosingDepthGateBlocksDeepFreshContacts) {
     // Push the top block DOWN so the contact is deeply penetrated.
     for (Vec2& p : sys.blocks[1].verts) p.y -= 0.5;
     std::vector<ct::Contact> contacts{top_contact()};
-    const auto geo = ct::init_all_contacts(sys, contacts);
+    auto geo = ct::contact_geometry(sys, contacts);
     ASSERT_LT(geo[0].gap0, -0.4);
 
     ct::OpenCloseParams params;
@@ -151,7 +151,7 @@ TEST(RateLimit, DeepOverlapForceIsCapped) {
     for (Vec2& p : sys.blocks[1].verts) p.y -= 0.2; // 0.2 overlap
     std::vector<ct::Contact> contacts{top_contact()};
     contacts[0].state = ct::ContactState::Lock;
-    const auto geo = ct::init_all_contacts(sys, contacts);
+    auto geo = ct::contact_geometry(sys, contacts);
 
     ct::OpenCloseParams params;
     params.penalty = 1e10;
@@ -225,7 +225,7 @@ TEST(AssemblyPlan, BitIdenticalToReferenceAssembler) {
             np.contacts[i].state = (i % 3 == 0) ? ct::ContactState::Open
                                   : (i % 3 == 1) ? ct::ContactState::Slide
                                                  : ct::ContactState::Lock;
-        const auto geo = ct::init_all_contacts(sys, np.contacts);
+        auto geo = ct::contact_geometry(sys, np.contacts);
         as::StepParams sp;
         sp.contact.penalty = 1e10;
         sp.contact.shear_penalty = 1e10;
@@ -252,7 +252,7 @@ TEST(FrictionHysteresis, SlideRelocksOnlyWithMargin) {
     std::vector<ct::Contact> contacts{top_contact()};
     contacts[0].state = ct::ContactState::Slide;
     contacts[0].slide_sign = 1.0;
-    const auto geo = ct::init_all_contacts(sys, contacts);
+    auto geo = ct::contact_geometry(sys, contacts);
 
     ct::OpenCloseParams params;
     params.penalty = 1e10;

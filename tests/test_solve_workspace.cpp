@@ -67,7 +67,7 @@ Scene make_scene() {
     const auto pairs = ct::broad_phase_triangular(s.sys, rho);
     auto np = ct::narrow_phase(s.sys, pairs, rho, nullptr);
     s.contacts = std::move(np.contacts);
-    s.geo = ct::init_all_contacts(s.sys, s.contacts);
+    s.geo = ct::contact_geometry(s.sys, s.contacts);
     s.sp.dt = 1e-3;
     const double e = s.sys.max_young();
     s.sp.contact.penalty = 10.0 * e;

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <random>
 #include <stdexcept>
 
+#include "par/thread_budget.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/hsbcsr.hpp"
@@ -78,6 +80,42 @@ TEST(Ldlt6, SolvesAndInverts) {
     const sp::Mat6 prod = a * inv;
     for (int i = 0; i < 6; ++i)
         for (int j = 0; j < 6; ++j) EXPECT_NEAR(prod(i, j), i == j ? 1.0 : 0.0, 1e-10);
+}
+
+TEST(Ldlt6, InverseMatchesColumnSolvesBitwise) {
+    // inverse() sweeps all six identity columns at once; every element must
+    // carry the bits of its own solve(e_c). Random SPD blocks, some
+    // ill-conditioned (eigenvalues spread over ~12 decades through a
+    // near-rank-deficient factor), scaled from 1e-8 to 1e12.
+    std::mt19937 rng(29);
+    std::uniform_real_distribution<double> u(-1, 1);
+    const double scales[] = {1e-8, 1e-3, 1.0, 7.5, 1e6, 1e12};
+    int checked = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        sp::Mat6 b;
+        for (double& v : b.a) v = u(rng);
+        if (trial % 2 == 1) {
+            // Nearly collinear rows: a condition number far beyond 1e6.
+            for (int c = 0; c < 6; ++c) b(5, c) = b(4, c) + 1e-6 * u(rng);
+        }
+        sp::Mat6 a = b.transposed() * b;
+        for (int i = 0; i < 6; ++i) a(i, i) += trial % 2 == 1 ? 1e-12 : 0.5;
+        for (const double scale : scales) {
+            const sp::Ldlt6 f(a * scale);
+            const sp::Mat6 inv = f.inverse();
+            sp::Mat6 cols;
+            for (int c = 0; c < 6; ++c) {
+                sp::Vec6 e;
+                e[c] = 1.0;
+                const sp::Vec6 col = f.solve(e);
+                for (int r = 0; r < 6; ++r) cols(r, c) = col[r];
+            }
+            ASSERT_EQ(std::memcmp(inv.a.data(), cols.a.data(), sizeof(inv.a)), 0)
+                << "trial " << trial << " scale " << scale;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 240);
 }
 
 TEST(Ldlt6, ThrowsOnSingular) {
@@ -252,6 +290,71 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SpmvEquivalence,
                                            std::tuple{2, 3}, std::tuple{7, 5},
                                            std::tuple{33, 40}, std::tuple{64, 100},
                                            std::tuple{101, 350}));
+
+TEST(Spmv, ZeroOffDiagonalSkipIsBitwise) {
+    // An off-diagonal structure whose values are all +0, as the engine's
+    // all-open contact steps assemble it, with some all-zero diagonal rows.
+    sp::BsrMatrix a = random_spd_bsr(200, 600, 31);
+    for (sp::Mat6& m : a.vals) m = sp::Mat6{};
+    for (int b = 0; b < a.n; b += 17) a.diag[b] = sp::Mat6{};
+    sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
+    ASSERT_GT(h.m, 0);
+    ASSERT_TRUE(h.upper_zero);
+
+    // x mixes signs, -0.0, +0.0, subnormals and normal values.
+    sp::BlockVec x = random_block_vec(a.n, 37);
+    const double specials[] = {-0.0, 0.0, 4.9e-324, -4.9e-324, 2.2e-310, -1e-300};
+    for (std::size_t i = 0; i < x.size(); ++i)
+        for (int k = 0; k < 6; ++k)
+            if ((i * 6 + static_cast<std::size_t>(k)) % 5 == 0) x[i][k] = specials[(i + k) % 6];
+
+    auto bits_of = [](const sp::BlockVec& v) {
+        std::vector<std::uint64_t> out;
+        for (const sp::Vec6& b : v)
+            for (int k = 0; k < 6; ++k) out.push_back(std::bit_cast<std::uint64_t>(b[k]));
+        return out;
+    };
+    auto multiply = [&](const sp::HsbcsrMatrix& m, int team) {
+        gdda::par::ScopedTeamSize scope(team);
+        sp::HsbcsrWorkspace ws;
+        sp::BlockVec y(m.n);
+        gdda::simt::KernelCost cost;
+        sp::spmv_hsbcsr(m, x, y, ws, &cost);
+        return std::pair{bits_of(y), cost.flops};
+    };
+    // The two-stage path over the same +0 slices is the reference.
+    sp::HsbcsrMatrix full = h;
+    full.upper_zero = false;
+    const auto [ref, ref_flops] = multiply(full, 1);
+    for (int team : {1, 2, 4}) {
+        const auto [got, flops] = multiply(h, team);
+        EXPECT_EQ(got, ref) << "team " << team;
+        EXPECT_EQ(flops, ref_flops) << "the skip is priced whole";
+    }
+
+    // Diagonal-only refills keep the flag; any non-+0 upper write clears
+    // it, -0.0 included, and an all-+0 rewrite sets it again.
+    sp::hsbcsr_refill(h, a, false);
+    EXPECT_TRUE(h.upper_zero);
+    sp::BsrMatrix b = a;
+    b.vals[b.vals.size() / 2](3, 4) = -0.0;
+    sp::hsbcsr_refill(h, b);
+    EXPECT_FALSE(h.upper_zero);
+    sp::hsbcsr_refill(h, a);
+    EXPECT_TRUE(h.upper_zero);
+    b.vals[0](0, 5) = 0.25;
+    sp::hsbcsr_refill(h, b);
+    ASSERT_FALSE(h.upper_zero);
+    sp::BlockVec y_ref(b.n);
+    b.multiply(x, y_ref);
+    sp::HsbcsrWorkspace ws;
+    sp::BlockVec y(b.n);
+    sp::spmv_hsbcsr(h, x, y, ws);
+    for (int i = 0; i < b.n; ++i)
+        for (int k = 0; k < 6; ++k) EXPECT_NEAR(y[i][k], y_ref[i][k], 1e-12);
+    // A hand-built matrix starts at "not known zero".
+    EXPECT_FALSE(sp::HsbcsrMatrix{}.upper_zero);
+}
 
 TEST(Spmv, HsbcsrStorageIsHalfOfFull) {
     const sp::BsrMatrix a = random_spd_bsr(50, 120, 17);

@@ -151,7 +151,7 @@ TEST(StepThreads, AssemblyBitwiseInvariantAcrossTeams) {
     const auto pairs = contact::broad_phase_triangular(sys, rho);
     auto np = contact::narrow_phase(sys, pairs, rho);
     for (auto& c : np.contacts) c.state = contact::ContactState::Lock;
-    const auto geo = contact::init_all_contacts(sys, np.contacts);
+    auto geo = contact::contact_geometry(sys, np.contacts);
     ASSERT_FALSE(np.contacts.empty());
 
     assembly::StepParams sp;
@@ -288,7 +288,7 @@ TEST(ContactPipelineThreads, StagesBitwiseInvariantAcrossTeams) {
         std::vector<contact::Contact> contacts = np.contacts;
         contact::transfer_contacts(previous, contacts);
         o.transferred = contact_words(contacts);
-        const auto geo = contact::init_all_contacts(sys, contacts);
+        auto geo = contact::contact_geometry(sys, contacts);
         sparse::BlockVec d(sys.size());
         for (std::size_t i = 0; i < d.size(); ++i)
             for (int k = 0; k < 6; ++k)
