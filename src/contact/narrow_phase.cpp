@@ -269,7 +269,7 @@ void NarrowPhaseWorkspace::drop_memo() {
 
 void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pairs,
                   double rho, NarrowPhaseWorkspace& ws, NarrowPhaseResult& out,
-                  simt::KernelCost* cost, bool schedule) {
+                  simt::KernelCost* cost, bool schedule, bool emit_steady) {
     const std::size_t blocks = sys.size();
     bool same_layout = ws.first_vert.size() == blocks + 1;
     ws.first_vert.resize(blocks + 1);
@@ -379,14 +379,9 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
             c.bj = e.bj;
             c.e1 = e.e1;
             c.e2 = e.e2;
-            if (e.ratio_from_distance) {
-                const std::vector<Vec2>& yv = sys.blocks[e.bj].verts;
-                c.edge_ratio = geom::closest_param_on_segment(yv[e.e1], yv[e.e2],
-                                                              sys.blocks[e.bi].verts[e.vi]);
-            }
+            c.edge_ratio = e.edge_ratio(sys);
             out.contacts[i] = c;
         });
-        out.stats = ws.stats;
     };
     auto price = [&]() {
         // The schedule statistics read only the pair sequence and the
@@ -408,7 +403,7 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
         const double tests = static_cast<double>(ws.distance_tests);
         kc.flops = tests * 24.0 + static_cast<double>(ws.vv_candidates) * 60.0;
         kc.bytes_coalesced = static_cast<double>(pairs.size()) * 2 * sizeof(std::int32_t) +
-                             static_cast<double>(out.contacts.size()) * sizeof(Contact) * 3.0;
+                             static_cast<double>(ws.canon.size()) * sizeof(Contact) * 3.0;
         kc.bytes_texture = tests * 4.0 * sizeof(double); // vertex fetches, cached
         kc.depth = 16;
         // Classified pipelines: only the distance/endpoint splits diverge.
@@ -426,9 +421,11 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
 
     // Steady state: the same pairs, every one reused. The last canonical
     // list is the answer; scatter, sort and angle vectors are not needed.
-    if (aligned && rebuilt == 0) {
+    out.steady = aligned && rebuilt == 0;
+    if (out.steady) {
         ++ws.memo_stats.steady_calls;
-        emit();
+        out.stats = ws.stats;
+        if (emit_steady) emit();
         price();
         return;
     }
@@ -879,6 +876,7 @@ void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pair
     ws.rho = rho;
     ws.have_memo = true;
 
+    out.stats = ws.stats;
     emit();
     price();
 }

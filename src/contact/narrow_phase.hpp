@@ -11,12 +11,16 @@
 #include "contact/broad_phase.hpp"
 #include "contact/contact.hpp"
 #include "contact/pair_classes.hpp"
+#include "geometry/polygon.hpp"
 
 namespace gdda::contact {
 
 struct NarrowPhaseResult {
     std::vector<Contact> contacts;
     ClassificationStats stats;
+    /// The call was served whole from the canonical list of the last one
+    /// (NarrowMemoStats::steady_calls).
+    bool steady = false;
 };
 
 /// Counters of the narrow-phase memo, monotone over the workspace's life.
@@ -52,6 +56,12 @@ struct NarrowPhaseWorkspace {
         ContactKind kind;
         bool ratio_from_distance;
         [[nodiscard]] std::uint64_t key() const { return contact_key(bi, vi, bj, e1); }
+        /// The emitted contact's edge_ratio at the current positions.
+        [[nodiscard]] double edge_ratio(const block::BlockSystem& sys) const {
+            if (!ratio_from_distance) return Contact{}.edge_ratio;
+            const std::vector<geom::Vec2>& yv = sys.blocks[bj].verts;
+            return geom::closest_param_on_segment(yv[e1], yv[e2], sys.blocks[bi].verts[vi]);
+        }
     };
     /// Cached result of one visited pair (a, b).
     struct PairMemo {
@@ -149,9 +159,15 @@ struct NarrowPhaseWorkspace {
 /// pair list the schedule statistics are served from ws.schedule too, and
 /// the `pair_class_bucket` kernel is still recorded. Counts, statistics and
 /// the priced kernels are those of a cold pass.
+///
+/// `emit_steady = false` is for a caller that still holds the list this
+/// workspace last emitted, identity for identity, in its own order: a
+/// steady call then leaves out.contacts as it is (out.steady tells), and
+/// the caller refreshes its own list with transfer_steady (transfer.hpp).
 void narrow_phase(const block::BlockSystem& sys, std::span<const BlockPair> pairs,
                   double rho, NarrowPhaseWorkspace& ws, NarrowPhaseResult& out,
-                  simt::KernelCost* cost = nullptr, bool schedule = false);
+                  simt::KernelCost* cost = nullptr, bool schedule = false,
+                  bool emit_steady = true);
 
 /// Convenience form on a throwaway workspace: the cold reference.
 NarrowPhaseResult narrow_phase(const block::BlockSystem& sys,

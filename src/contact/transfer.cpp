@@ -1,15 +1,41 @@
 #include "contact/transfer.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "par/deterministic_reduce.hpp"
+#include "par/parallel_for.hpp"
 #include "par/radix_sort.hpp"
 
 namespace gdda::contact {
 
+namespace {
+
+/// Modeled cost of transferring `previous` contacts into `current` ones
+/// (the `contact_transfer` kernels): a function of the counts only.
+simt::KernelCost transfer_cost(std::size_t previous, std::size_t current) {
+    simt::KernelCost kc;
+    kc.name = "contact_transfer";
+    const double np = static_cast<double>(previous);
+    const double nc = static_cast<double>(current);
+    // Radix sort passes + one binary search per previous contact by a
+    // half-warp (the paper assigns 16 threads per search).
+    kc.flops = np * 16.0 + nc * 32.0;
+    kc.bytes_coalesced = np * (sizeof(std::uint64_t) + sizeof(Contact)) * 3.0 +
+                         nc * sizeof(Contact) * 2.0;
+    kc.bytes_texture = nc * 24.0 * sizeof(std::uint64_t) / 16.0; // search probes
+    kc.depth = 24.0;
+    kc.branch_slots = nc;
+    kc.divergent_slots = 0.15 * nc;
+    kc.launches = 5;
+    return kc;
+}
+
+} // namespace
+
 TransferStats transfer_contacts(std::span<const Contact> previous,
                                 std::vector<Contact>& current,
-                                simt::KernelCost* cost) {
+                                simt::KernelCost* cost, std::span<EntryState> entry) {
     TransferStats stats;
 
     // The previous step's list is normally the narrow phase's canonical
@@ -89,6 +115,7 @@ TransferStats transfer_contacts(std::span<const Contact> previous,
                     c.prev_state = ContactState::Open;
                     c.shear_disp = 0.0;
                 }
+                if (!entry.empty()) entry[ci] = {c.slide_sign, c.last_gap, c.state};
             }
             return hits;
         },
@@ -96,24 +123,41 @@ TransferStats transfer_contacts(std::span<const Contact> previous,
     stats.fresh = current.size() - stats.matched;
     stats.expired = previous.size() - stats.matched;
 
-    if (cost) {
-        simt::KernelCost kc;
-        kc.name = "contact_transfer";
-        const double np = static_cast<double>(previous.size());
-        const double nc = static_cast<double>(current.size());
-        // Radix sort passes + one binary search per previous contact by a
-        // half-warp (the paper assigns 16 threads per search).
-        kc.flops = np * 16.0 + nc * 32.0;
-        kc.bytes_coalesced = np * (sizeof(std::uint64_t) + sizeof(Contact)) * 3.0 +
-                             nc * sizeof(Contact) * 2.0;
-        kc.bytes_texture = nc * 24.0 * sizeof(std::uint64_t) / 16.0; // search probes
-        kc.depth = 24.0;
-        kc.branch_slots = nc;
-        kc.divergent_slots = 0.15 * nc;
-        kc.launches = 5;
-        simt::record_kernel(cost, kc);
-    }
+    if (cost) simt::record_kernel(cost, transfer_cost(previous.size(), current.size()));
     return stats;
+}
+
+void transfer_steady(const block::BlockSystem& sys,
+                     std::span<const NarrowPhaseWorkspace::Emitted> canon,
+                     std::span<Contact> contacts, std::span<EntryState> entry,
+                     simt::KernelCost* cost) {
+    assert(canon.size() == contacts.size() && entry.size() == contacts.size());
+    par::parallel_for(contacts.size(), par::kDefaultGrain, [&](std::size_t i) {
+        Contact& c = contacts[i];
+        const NarrowPhaseWorkspace::Emitted& e = canon[i];
+        // The list holds canon's identities (docs/CONTACTS.md).
+        assert(c.kind == e.kind && c.bi == e.bi && c.vi == e.vi && c.bj == e.bj &&
+               c.e1 == e.e1 && c.e2 == e.e2);
+        c.prev_state = c.state;
+        c.p1 = 0;
+        c.p2 = 0;
+        c.edge_ratio = e.edge_ratio(sys);
+        entry[i] = {c.slide_sign, c.last_gap, c.state};
+    });
+    if (cost) simt::record_kernel(cost, transfer_cost(contacts.size(), contacts.size()));
+}
+
+void restore_entry_states(std::span<const EntryState> entry, std::span<Contact> contacts) {
+    assert(entry.size() == contacts.size());
+    par::parallel_for(contacts.size(), par::kDefaultGrain, [&](std::size_t i) {
+        Contact& c = contacts[i];
+        c.state = entry[i].state;
+        c.prev_state = entry[i].state;
+        c.slide_sign = entry[i].slide_sign;
+        c.last_gap = entry[i].last_gap;
+        c.p1 = 0;
+        c.p2 = 0;
+    });
 }
 
 } // namespace gdda::contact

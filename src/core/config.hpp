@@ -133,7 +133,11 @@ struct StepStats {
     int retries = 0;
     std::size_t contacts = 0;
     std::size_t active_contacts = 0;
+    /// Largest vertex displacement of the committed increment, evaluated at
+    /// the step's start positions (each vertex's first-order displacement).
     double max_displacement = 0.0;
+    /// Deepest closed-contact penetration over every pass of the step,
+    /// rejected attempts included.
     double max_penetration = 0.0;
     bool converged = true;
 };

@@ -175,7 +175,9 @@ private:
     contact::OpenCloseResult solve_pass(sparse::BlockVec& d, StepStats& stats,
                                         bool fresh_pass);
     double max_vertex_displacement(const sparse::BlockVec& d) const;
-    void commit_step(const sparse::BlockVec& d, StepStats& stats);
+    /// Apply the accepted increment `d`; `maxd` is its largest vertex
+    /// displacement (max_vertex_displacement(d) at the step's start).
+    void commit_step(const sparse::BlockVec& d, double maxd, StepStats& stats);
 
     block::BlockSystem* sys_;
     SimConfig cfg_;
@@ -191,7 +193,9 @@ private:
     contact::NarrowPhaseWorkspace np_ws_;   ///< narrow-phase scratch, reused per step
     contact::NarrowPhaseResult detected_;   ///< narrow-phase output buffer
     assembly::ContactFingerprint contacts_fp_; ///< structure of contacts_, once per step
-    std::vector<contact::Contact> entry_contacts_; ///< contacts_ at step entry (retries)
+    /// Per contact, the fields an attempt can change, as they stood at
+    /// step entry (retries restore them); written by the transfer.
+    par::ScratchArray<contact::EntryState> entry_;
     /// Geometry records of the step: valid for every contact closed at
     /// step entry or closed since (docs/CONTACTS.md); never initialized
     /// for contacts that stay open.

@@ -168,19 +168,29 @@ void DdaEngine::detect_contacts() {
     // schedule needs it: Gpu mode prices it from counts (kept by the narrow
     // memo while the pair list is unchanged), and the CPU narrow phase
     // keeps the broad-phase order.
-    const std::uint64_t steady_before = np_ws_.memo_stats.steady_calls;
-    contact::narrow_phase(*sys_, pairs, rho, np_ws_, detected_, sink, sink != nullptr);
+    contact::narrow_phase(*sys_, pairs, rho, np_ws_, detected_, sink, sink != nullptr,
+                          /*emit_steady=*/false);
     sched_stats_ = sink ? np_ws_.schedule : contact::PairScheduleStats{};
     class_stats_ = detected_.stats;
-    // The solve passes of this step key their structure caches on the
-    // contact identities, which no pass changes. A steady narrow phase
-    // re-emitted the identities the last fingerprint hashed.
     const int n = static_cast<int>(sys_->size());
-    if (np_ws_.memo_stats.steady_calls == steady_before || contacts_fp_.n != n)
-        contacts_fp_ = assembly::contact_fingerprint(n, detected_.contacts);
-    contact::transfer_contacts(contacts_, detected_.contacts, sink);
-    // The retired list keeps its capacity for the next detection.
-    contacts_.swap(detected_.contacts);
+    // A steady call serves the canonical list contacts_ already holds,
+    // identity for identity (docs/CONTACTS.md): it is not emitted, and the
+    // transfer runs in place. Either transfer writes the entry states a
+    // retry restores.
+    if (detected_.steady) {
+        entry_.reset(contacts_.size());
+        contact::transfer_steady(*sys_, np_ws_.canon, contacts_, entry_.span(), sink);
+    } else {
+        entry_.reset(detected_.contacts.size());
+        contact::transfer_contacts(contacts_, detected_.contacts, sink, entry_.span());
+        // The retired list keeps its capacity for the next detection.
+        contacts_.swap(detected_.contacts);
+    }
+    // The solve passes of this step key their structure caches on the
+    // contact identities, which no pass changes. A steady step kept the
+    // identities the last fingerprint hashed.
+    if (!detected_.steady || contacts_fp_.n != n)
+        contacts_fp_ = assembly::contact_fingerprint(n, contacts_);
 
     if (sink) ledgers_.add(Module::ContactDetection, cost);
 }
@@ -294,7 +304,7 @@ double DdaEngine::max_vertex_displacement(const BlockVec& d) const {
         [](double x, double y) { return std::max(x, y); });
 }
 
-void DdaEngine::commit_step(const BlockVec& d, StepStats& stats) {
+void DdaEngine::commit_step(const BlockVec& d, double maxd, StepStats& stats) {
     ScopedTimer t(timers_, Module::DataUpdate, tracer_.get(), &par_timers_);
     simt::KernelCost cost = simt::KernelCost::accumulator();
     simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
@@ -322,7 +332,7 @@ void DdaEngine::commit_step(const BlockVec& d, StepStats& stats) {
         fp.point += b.displacement_at(fp.point, d[fp.block]);
     }
 
-    stats.max_displacement = max_vertex_displacement(d);
+    stats.max_displacement = maxd;
     last_max_velocity_ = stats.max_displacement / dt_;
     warm_start_ = d;
     time_ += dt_;
@@ -385,7 +395,6 @@ StepStats DdaEngine::step_impl() {
     detect_contacts();
 
     const double allowed = cfg_.max_disp_ratio * w0_;
-    entry_contacts_ = contacts_;
     // Pre-existing stored penetration (carried by closed contacts from
     // previous steps): the step may not worsen it, but it is not a reason
     // to reject — the rate-limited recovery needs time steps to push it
@@ -460,7 +469,7 @@ StepStats DdaEngine::step_impl() {
             stats.dt_used = dt_;
             stats.contacts = contacts_.size();
             stats.active_contacts = last.closed;
-            commit_step(d, stats);
+            commit_step(d, maxd, stats);
             // Reward easy steps with a larger dt (bounded).
             if (oc_iters <= 3 && attempt == 0) dt_ = std::min(dt_ * cfg_.dt_grow, cfg_.dt_max);
             return stats;
@@ -475,7 +484,7 @@ StepStats DdaEngine::step_impl() {
         }
         // Failure: shrink the physical time and retry the whole step.
         dt_ = std::max(dt_ * cfg_.dt_shrink, cfg_.dt_min);
-        contacts_ = entry_contacts_;
+        contact::restore_entry_states(entry_.span(), contacts_);
         if (dt_ <= cfg_.dt_min) break;
     }
 
@@ -488,7 +497,7 @@ StepStats DdaEngine::step_impl() {
     BlockVec d(sys_->size());
     ++values_epoch_;
     solve_pass(d, stats, true);
-    commit_step(d, stats);
+    commit_step(d, max_vertex_displacement(d), stats);
     return stats;
 }
 

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
+#include <string>
+
 #include "core/engine.hpp"
 #include "core/interpenetration.hpp"
 #include "core/simulation.hpp"
 #include "models/falling_rocks.hpp"
+#include "models/large_scene.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
 
@@ -212,6 +217,87 @@ TEST(Engine, RetriesKeepTheEntryContactGeometry) {
         const double priced =
             eng.ledgers().ledger(co::Module::ContactDetection).total().flops;
         EXPECT_EQ(priced, mode == co::EngineMode::Gpu ? 2742646.0 : 0.0);
+    }
+}
+
+TEST(Engine, RetriedStepEqualsFreshStepAtAcceptedDt) {
+    // A retry puts every contact back to its step-entry state from a
+    // compact per-contact record (contact::EntryState), not from a copy of
+    // the list. A step accepted after retries must therefore equal one
+    // step taken at the accepted dt from the same entry state. Last-resort
+    // (dt_min) commits take their own path and are not checked here.
+    struct Case {
+        const char* name;
+        std::function<bl::BlockSystem()> build;
+        int max_steps; ///< the first retried, converged step comes earlier
+    };
+    const Case cases[] = {
+        {"floored 40x10 lattice impact",
+         [] {
+             gdda::models::LatticeParams lp;
+             lp.cols = 40;
+             lp.rows = 10;
+             return gdda::models::make_block_lattice(lp);
+         },
+         30},
+        {"slope:300", [] { return gdda::models::make_slope_with_blocks(300); }, 50},
+    };
+    auto same_bits = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    };
+    for (const Case& c : cases) {
+        for (co::EngineMode mode : {co::EngineMode::Serial, co::EngineMode::Gpu}) {
+            for (int team : {1, 2}) {
+                SCOPED_TRACE(std::string(c.name) +
+                             (mode == co::EngineMode::Gpu ? " gpu" : " serial") + " team " +
+                             std::to_string(team));
+                co::SimConfig cfg;
+                cfg.step_threads = team;
+                bl::BlockSystem sys = c.build();
+                co::DdaEngine eng(sys, cfg, mode);
+                bool checked = false;
+                for (int s = 0; s < c.max_steps && !checked; ++s) {
+                    co::EngineCheckpoint entry = eng.capture();
+                    const co::StepStats st = eng.step();
+                    if (st.retries == 0 || !st.converged) continue;
+                    checked = true;
+                    bl::BlockSystem fresh_sys = entry.sys;
+                    co::DdaEngine fresh(fresh_sys, cfg, mode);
+                    entry.dt = st.dt_used;
+                    fresh.restore(entry);
+                    const co::StepStats fs = fresh.step();
+                    EXPECT_EQ(fs.retries, 0) << "step " << s;
+                    EXPECT_TRUE(same_bits(fs.dt_used, st.dt_used)) << "step " << s;
+                    EXPECT_EQ(bl::state_fingerprint(fresh_sys), bl::state_fingerprint(sys))
+                        << "step " << s;
+                    // The committed states penetrate alike. The retried step's
+                    // StepStats::max_penetration is a max over all its
+                    // attempts, rejected ones included, so it only bounds the
+                    // fresh step's.
+                    EXPECT_TRUE(same_bits(co::audit_interpenetration(fresh_sys).max_depth,
+                                          co::audit_interpenetration(sys).max_depth))
+                        << "step " << s;
+                    EXPECT_LE(fs.max_penetration, st.max_penetration) << "step " << s;
+                    const auto& a = eng.contacts();
+                    const auto& b = fresh.contacts();
+                    ASSERT_EQ(a.size(), b.size()) << "step " << s;
+                    for (std::size_t i = 0; i < a.size(); ++i) {
+                        const gdda::contact::Contact& x = a[i];
+                        const gdda::contact::Contact& y = b[i];
+                        ASSERT_TRUE(x.kind == y.kind && x.bi == y.bi && x.vi == y.vi &&
+                                    x.bj == y.bj && x.e1 == y.e1 && x.e2 == y.e2 &&
+                                    x.state == y.state && x.prev_state == y.prev_state &&
+                                    same_bits(x.shear_disp, y.shear_disp) &&
+                                    same_bits(x.slide_sign, y.slide_sign) &&
+                                    same_bits(x.last_gap, y.last_gap) &&
+                                    same_bits(x.edge_ratio, y.edge_ratio) && x.p1 == y.p1 &&
+                                    x.p2 == y.p2)
+                            << "step " << s << " contact " << i;
+                    }
+                }
+                EXPECT_TRUE(checked) << "no step was accepted after a retry";
+            }
+        }
     }
 }
 

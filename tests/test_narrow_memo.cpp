@@ -4,7 +4,8 @@
 // memoised call must equal a fresh narrow_phase element by element, with
 // its statistics and priced kernel. Checked on adversarial pairs that sit
 // at each decision's threshold, on a seeded fuzz of small motions, and on
-// whole engine runs against runs that drop the memo before every step.
+// whole engine runs against runs that drop the memo before every step, and
+// the steady step's in-place transfer against emission plus transfer.
 
 #include <gtest/gtest.h>
 
@@ -17,12 +18,14 @@
 
 #include "contact/broad_phase.hpp"
 #include "contact/narrow_phase.hpp"
+#include "contact/transfer.hpp"
 #include "core/engine.hpp"
 #include "models/falling_rocks.hpp"
 #include "models/large_scene.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
 #include "models/tunnel.hpp"
+#include "par/thread_budget.hpp"
 
 namespace ct = gdda::contact;
 namespace bl = gdda::block;
@@ -378,6 +381,125 @@ TEST(NarrowMemo, EngineStepsMatchRunsThatDropTheMemo) {
                         ++collinear;
                 }
                 EXPECT_GT(collinear, 0u) << "row neighbours with collinear bottom edges are pairs";
+            }
+        }
+    }
+}
+
+TEST(NarrowMemo, SteadyStepKeepsContactsInPlace) {
+    // A steady step neither emits nor transfers its contact list: it updates
+    // the list it holds in place (contact::transfer_steady). Two oracles per
+    // step. At the step's entry positions, a copy of the previous step's
+    // list (with the fields no transfer carries poisoned) run through the engine's detection sequence (a memoised
+    // narrow_phase that does not emit a steady list, then the in-place or
+    // the searching transfer) must equal another copy run through
+    // narrow_phase on a fresh workspace and transfer_contacts, entry states
+    // included. After the step, the engine must equal a twin restored from
+    // its entry capture, whose dropped memo makes its detection emit and
+    // transfer.
+    struct Scene {
+        const char* name;
+        std::function<bl::BlockSystem()> build;
+        int steps;
+        std::uint64_t min_steady; ///< engine steady steps over the run
+        bool mixed;               ///< rebuilding steps after the first, closed contacts
+    };
+    const Scene scenes[] = {
+        {"floorless lattice",
+         [] {
+             models::LatticeParams lp;
+             lp.fixed_floor = false;
+             return models::make_block_lattice_with_blocks(2000, lp);
+         },
+         30, 25, false},
+        // Impact on the floor at about step 12: steady and rebuilding
+        // steps mix, and some contacts are closed at entry.
+        {"floored 40x10 lattice",
+         [] {
+             models::LatticeParams lp;
+             lp.cols = 40;
+             lp.rows = 10;
+             return models::make_block_lattice(lp);
+         },
+         40, 1, true},
+    };
+    for (const Scene& scene : scenes) {
+        for (core::EngineMode mode : {core::EngineMode::Serial, core::EngineMode::Gpu}) {
+            for (int team : {1, 2}) {
+                SCOPED_TRACE(std::string(scene.name) +
+                             (mode == core::EngineMode::Gpu ? " gpu" : " serial") + " team " +
+                             std::to_string(team));
+                core::SimConfig cfg;
+                cfg.step_threads = team;
+                bl::BlockSystem sys = scene.build();
+                bl::BlockSystem twin_sys = scene.build();
+                core::DdaEngine engine(sys, cfg, mode);
+                core::DdaEngine twin(twin_sys, cfg, mode);
+                ct::NarrowPhaseWorkspace ws;
+                ct::NarrowPhaseResult out;
+                std::vector<ct::Contact> held;
+                std::vector<ct::EntryState> entry;
+                int steady = 0;
+                int rebuilding = 0;
+                std::size_t closed_at_entry = 0;
+                for (int s = 0; s < scene.steps; ++s) {
+                    const core::EngineCheckpoint at = engine.capture();
+                    const double rho = cfg.search_factor * cfg.max_disp_ratio * at.w0;
+                    const std::vector<ct::BlockPair> pairs = ct::broad_phase_triangular(at.sys, rho);
+                    // The fields a transfer does not carry are poisoned: the
+                    // in-place pass must rewrite them all.
+                    std::vector<ct::Contact> previous = at.contacts;
+                    for (ct::Contact& c : previous) {
+                        c.prev_state = c.state == ct::ContactState::Open ? ct::ContactState::Lock
+                                                                          : ct::ContactState::Open;
+                        c.p1 = c.p2 = -1;
+                        c.edge_ratio = std::nan("");
+                    }
+                    std::vector<ct::Contact> want = ct::narrow_phase(at.sys, pairs, rho).contacts;
+                    ct::transfer_contacts(previous, want);
+                    {
+                        gdda::par::ScopedTeamSize scope(team);
+                        ct::narrow_phase(at.sys, pairs, rho, ws, out, nullptr, false,
+                                         /*emit_steady=*/false);
+                        if (out.steady) {
+                            ++steady;
+                            held = previous;
+                            entry.resize(held.size());
+                            ct::transfer_steady(at.sys, ws.canon, held, entry);
+                        } else {
+                            ++rebuilding;
+                            held = out.contacts;
+                            entry.resize(held.size());
+                            ct::transfer_contacts(previous, held, nullptr, entry);
+                        }
+                    }
+                    ASSERT_EQ(held.size(), want.size()) << "step " << s;
+                    for (std::size_t i = 0; i < want.size(); ++i) {
+                        ASSERT_TRUE(same_contact(held[i], want[i])) << "step " << s << " contact " << i;
+                        ASSERT_TRUE(entry[i].state == want[i].state &&
+                                    same_bits(entry[i].slide_sign, want[i].slide_sign) &&
+                                    same_bits(entry[i].last_gap, want[i].last_gap))
+                            << "step " << s << " entry " << i;
+                        closed_at_entry += want[i].state != ct::ContactState::Open ? 1 : 0;
+                    }
+
+                    twin.restore(at);
+                    engine.step();
+                    twin.step();
+                    const auto& a = engine.contacts();
+                    const auto& b = twin.contacts();
+                    ASSERT_EQ(a.size(), b.size()) << "step " << s;
+                    for (std::size_t i = 0; i < a.size(); ++i)
+                        ASSERT_TRUE(same_contact(a[i], b[i])) << "step " << s << " contact " << i;
+                    ASSERT_EQ(bl::state_fingerprint(sys), bl::state_fingerprint(twin_sys))
+                        << "step " << s;
+                }
+                EXPECT_GE(engine.narrow_memo().steady_calls, scene.min_steady);
+                EXPECT_EQ(twin.narrow_memo().steady_calls, 0u);
+                EXPECT_GT(steady, 0);
+                if (!scene.mixed) continue;
+                EXPECT_GT(rebuilding, 1) << "the first call and at least one more rebuild";
+                EXPECT_GT(closed_at_entry, 0u) << "the run must reach its floor";
             }
         }
     }

@@ -33,14 +33,19 @@ inline sparse::BsrMatrix random_spd_bsr(int n, int extra, unsigned seed,
         cols.push_back(i + 1);
         blocks.push_back(random_block());
     }
-    std::uniform_int_distribution<int> pick(0, n - 1);
-    for (int e = 0; e < extra; ++e) {
-        int a = pick(rng);
-        int b = pick(rng);
-        if (a == b) continue;
-        rows.push_back(std::min(a, b));
-        cols.push_back(std::max(a, b));
-        blocks.push_back(random_block());
+    // An empty matrix has no row to draw (and pick(0, -1) would break the
+    // distribution's precondition). A 1-row matrix still draws and rejects
+    // its pairs, which keeps the diagonal draws below at the same bits.
+    if (n >= 1) {
+        std::uniform_int_distribution<int> pick(0, n - 1);
+        for (int e = 0; e < extra; ++e) {
+            int a = pick(rng);
+            int b = pick(rng);
+            if (a == b) continue;
+            rows.push_back(std::min(a, b));
+            cols.push_back(std::max(a, b));
+            blocks.push_back(random_block());
+        }
     }
 
     // Diagonal: symmetric, dominant enough to guarantee SPD for any number
