@@ -5,16 +5,21 @@
 // Usage:
 //   run_model <model.txt | slope:N | rocks:N | tunnel | column:N>
 //             [--steps N] [--dt S] [--static|--dynamic]
-//             [--engine serial|gpu] [--precond bj|ssor|ilu|jacobi]
+//             [--engine serial|gpu] [--precond bj|ssor|ilu]
 //             [--exact-rotation]
 //             [--snapshot prefix] [--snapshot-every N]
 //             [--checkpoint-out file] [--checkpoint-in file]
 //             [--report-energy] [--telemetry file.jsonl] [--trace file.trace.json]
 //
+// Checkpoints are gdda::state snapshots (docs/STATE.md). --checkpoint-in
+// continues a run bit for bit (the model argument is ignored); a different
+// engine mode, --dt, --static/--dynamic, --precond or --exact-rotation than
+// the writing run's exits 1. `done:` prints the final state fingerprint.
+//
 // Examples:
 //   run_model slope:400 --static --steps 800 --snapshot slope
 //   run_model tunnel --dynamic --steps 2000 --checkpoint-out tun.ckpt
-//   run_model tun.ckpt --checkpoint-in tun.ckpt --steps 2000
+//   run_model tunnel --dynamic --steps 2000 --checkpoint-in tun.ckpt
 
 #include <cstdio>
 #include <cstring>
@@ -24,13 +29,13 @@
 #include "core/energy.hpp"
 #include "core/interpenetration.hpp"
 #include "core/simulation.hpp"
-#include "io/checkpoint.hpp"
 #include "io/model_io.hpp"
 #include "io/snapshot.hpp"
 #include "models/falling_rocks.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
 #include "models/tunnel.hpp"
+#include "state/snapshot.hpp"
 #include "trace/chrome_export.hpp"
 
 using namespace gdda;
@@ -52,7 +57,7 @@ int usage() {
     std::fprintf(stderr,
                  "usage: run_model <model.txt|slope:N|rocks:N|tunnel|column:N> [options]\n"
                  "  --steps N --dt S --static --dynamic --engine serial|gpu\n"
-                 "  --precond bj|ssor|ilu|jacobi --exact-rotation\n"
+                 "  --precond bj|ssor|ilu --exact-rotation\n"
                  "  --snapshot prefix --snapshot-every N\n"
                  "  --checkpoint-out file --checkpoint-in file --report-energy\n"
                  "  --telemetry file.jsonl --trace file.trace.json\n");
@@ -104,7 +109,6 @@ int main(int argc, char** argv) {
             if (std::strcmp(v, "bj") == 0) cfg.precond = core::PrecondKind::BlockJacobi;
             else if (std::strcmp(v, "ssor") == 0) cfg.precond = core::PrecondKind::SsorAi;
             else if (std::strcmp(v, "ilu") == 0) cfg.precond = core::PrecondKind::Ilu0;
-            else if (std::strcmp(v, "jacobi") == 0) cfg.precond = core::PrecondKind::Jacobi;
             else return usage();
         } else if (a == "--exact-rotation") {
             cfg.exact_rotation = true;
@@ -137,65 +141,70 @@ int main(int argc, char** argv) {
     }
 
     try {
-        block::BlockSystem sys_storage;
-        std::optional<core::DdaEngine> engine;
-        if (!ckpt_in.empty()) {
-            engine.emplace(
-                io::resume_engine(io::load_checkpoint_file(ckpt_in), sys_storage, cfg, mode));
-            std::printf("resumed from %s at t=%.4f s (%zu blocks)\n", ckpt_in.c_str(),
-                        engine->time(), sys_storage.size());
+        std::optional<state::EngineSnapshot> snap;
+        if (!ckpt_in.empty()) snap = state::load_snapshot_file(ckpt_in);
+        block::BlockSystem sys = snap ? snap->state.sys : make_model(model_spec);
+        core::DdaEngine engine(sys, cfg, mode);
+        if (snap) {
+            state::restore_engine(engine, *snap);
+            std::printf("resumed from %s at step %d, t=%.4f s (%zu blocks)\n", ckpt_in.c_str(),
+                        engine.step_index(), engine.time(), sys.size());
         } else {
-            sys_storage = make_model(model_spec);
-            engine.emplace(sys_storage, cfg, mode);
-            std::printf("model %s: %zu blocks\n", model_spec.c_str(), sys_storage.size());
+            std::printf("model %s: %zu blocks\n", model_spec.c_str(), sys.size());
         }
 
+        // Steps are numbered by the engine, so a resumed run continues the
+        // numbering (and the SVG names) of the run that wrote the checkpoint.
         if (!snapshot_prefix.empty())
-            io::write_snapshot_svg(snapshot_prefix + "_t0.svg", engine->system());
+            io::write_snapshot_svg(
+                snapshot_prefix + "_t" + std::to_string(engine.step_index()) + ".svg",
+                engine.system());
 
-        for (int s = 1; s <= steps; ++s) {
-            const core::StepStats st = engine->step();
+        for (int i = 0; i < steps; ++i) {
+            const core::StepStats st = engine.step();
+            const int s = engine.step_index();
             if (s % std::max(snapshot_every, 1) == 0) {
                 std::printf("step %5d: t=%.4f dt=%.2e contacts=%zu (%zu active) pcg=%d\n", s,
-                            engine->time(), st.dt_used, st.contacts, st.active_contacts,
+                            engine.time(), st.dt_used, st.contacts, st.active_contacts,
                             st.pcg_iterations);
                 if (!snapshot_prefix.empty()) {
                     char name[256];
                     std::snprintf(name, sizeof name, "%s_t%d.svg", snapshot_prefix.c_str(), s);
-                    io::write_snapshot_svg(name, engine->system());
+                    io::write_snapshot_svg(name, engine.system());
                 }
                 if (report_energy) {
-                    const core::EnergyReport e = core::measure_energy(engine->system());
+                    const core::EnergyReport e = core::measure_energy(engine.system());
                     std::printf("        energy: kinetic=%.3e potential=%.3e elastic=%.3e\n",
                                 e.kinetic, e.potential, e.elastic);
                 }
             }
         }
 
-        const auto rep = core::audit_interpenetration(engine->system());
-        std::printf("done: t=%.4f s, max interpenetration %.2e m\n", engine->time(),
-                    rep.max_depth);
+        const auto rep = core::audit_interpenetration(engine.system());
+        std::printf("done: t=%.4f s, max interpenetration %.2e m, fingerprint %016llx\n",
+                    engine.time(), rep.max_depth,
+                    static_cast<unsigned long long>(block::state_fingerprint(engine.system())));
 
-        const auto& t = engine->timers();
+        const auto& t = engine.timers();
         for (int m = 0; m < core::kModuleCount; ++m)
             std::printf("  %-30s %8.3f s\n", std::string(core::kModuleNames[m]).c_str(),
                         t.seconds(static_cast<core::Module>(m)));
         if (mode == core::EngineMode::Gpu) {
             std::printf("  modeled GPU total: K20 %.1f ms, K40 %.1f ms\n",
-                        engine->ledgers().total_modeled_ms(simt::tesla_k20()),
-                        engine->ledgers().total_modeled_ms(simt::tesla_k40()));
+                        engine.ledgers().total_modeled_ms(simt::tesla_k20()),
+                        engine.ledgers().total_modeled_ms(simt::tesla_k40()));
         }
 
         if (!ckpt_out.empty()) {
-            io::save_checkpoint_file(ckpt_out, *engine);
+            state::save_engine_file(ckpt_out, engine);
             std::printf("checkpoint written to %s\n", ckpt_out.c_str());
         }
-        if (const auto& rec = engine->recorder()) {
+        if (const auto& rec = engine.recorder()) {
             rec->flush();
             std::printf("telemetry: %d records -> %s\n", rec->steps_recorded(),
                         cfg.telemetry.jsonl_path.c_str());
         }
-        if (const auto& tracer = engine->tracer()) {
+        if (const auto& tracer = engine.tracer()) {
             std::string err;
             if (trace::write_chrome_trace(cfg.trace.chrome_path, *tracer, &err))
                 std::printf("trace: %llu events -> %s\n",

@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
 
     std::printf("\n%-12s %10s %12s %12s %10s\n", "precond", "iters", "build(ms)",
                 "solve(ms)", "conv");
-    for (auto kind : {core::PrecondKind::Jacobi, core::PrecondKind::BlockJacobi,
-                      core::PrecondKind::SsorAi, core::PrecondKind::Ilu0}) {
+    for (auto kind :
+         {core::PrecondKind::BlockJacobi, core::PrecondKind::SsorAi, core::PrecondKind::Ilu0}) {
         const auto t0 = Clock::now();
         const auto pre = core::make_preconditioner(kind, as.k);
         const double build_ms =

@@ -135,8 +135,7 @@ inline bool memo_hit(const DiagPhysicsCache::ContactMemo& m, const Contact& c,
            bits_equal(m.last_gap, c.last_gap) && bits_equal(m.geo.en_i, g.en_i) &&
            bits_equal(m.geo.gn_j, g.gn_j) && bits_equal(m.geo.es_i, g.es_i) &&
            bits_equal(m.geo.gs_j, g.gs_j) && bits_equal(m.geo.gap0, g.gap0) &&
-           bits_equal(m.geo.shear0, g.shear0) && bits_equal(m.geo.length, g.length) &&
-           bits_equal(m.geo.ratio, g.ratio);
+           bits_equal(m.geo.length, g.length) && bits_equal(m.geo.ratio, g.ratio);
 }
 
 inline const ContactContribution* DiagPhysicsCache::recall(std::size_t c, const Contact& ct,

@@ -77,7 +77,6 @@ struct ContactGeometry {
     Vec6 es_i;   ///< gradient of the shear displacement w.r.t. d_i
     Vec6 gs_j;   ///< gradient of the shear displacement w.r.t. d_j
     double gap0 = 0.0;    ///< current normal gap (negative = penetration)
-    double shear0 = 0.0;  ///< accumulated shear spring stretch
     double length = 1.0;  ///< contacted edge length
     /// Unclamped projection parameter of the vertex onto the edge line.
     /// Outside [0, 1] the "gap" is measured to the extended line, so a

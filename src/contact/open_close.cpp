@@ -234,7 +234,7 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
             if (-dn > 0.03 && debug) {
                 const ContactGeometry& g = geo[k];
                 std::fprintf(stderr,
-                             "[oc] deep dn=%.4f gap0=%.4f ratio=%.3f shear0=%.4f kind=%d "
+                             "[oc] deep dn=%.4f gap0=%.4f ratio=%.3f shear_disp=%.4f kind=%d "
                              "state %d->%d bi=%d vi=%d bj=%d e1=%d\n",
                              dn, g.gap0, g.ratio, c.shear_disp, int(c.kind), int(old),
                              int(next), c.bi, c.vi, c.bj, c.e1);

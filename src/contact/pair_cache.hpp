@@ -44,7 +44,7 @@ public:
     /// The exact candidate pairs for the current block positions: equal,
     /// element by element, to run_broad_phase(sys, rho, ...). `margin` is
     /// the absolute motion budget baked into the cached superset (the engine
-    /// uses pair_cache_margin * rho). On a warm call the backend is skipped:
+    /// passes margin = rho). On a warm call the backend is skipped:
     /// GPU-mode traces record a small `pair_cache_revalidate` kernel plus a
     /// zero-cost `<backend> [cached]` event, mirroring the solve workspace's
     /// skipped-kernel idiom. The `pair_cache_filter` kernel runs on every call.

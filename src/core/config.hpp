@@ -11,7 +11,18 @@
 
 namespace gdda::core {
 
-enum class PrecondKind { Identity, Jacobi, BlockJacobi, SsorAi, Ilu0 };
+/// The three preconditioners the paper compares (Table I).
+enum class PrecondKind { BlockJacobi, SsorAi, Ilu0 };
+
+/// Stable name of a preconditioner kind, as written to telemetry.
+[[nodiscard]] constexpr const char* precond_name(PrecondKind kind) {
+    switch (kind) {
+        case PrecondKind::BlockJacobi: return "block_jacobi";
+        case PrecondKind::SsorAi: return "ssor_ai";
+        case PrecondKind::Ilu0: return "ilu0";
+    }
+    return "unknown";
+}
 
 /// Broad-phase backend selection (see docs/CONTACTS.md for the contract).
 /// All backends produce the identical candidate set, so this knob trades
@@ -38,20 +49,15 @@ struct SimConfig {
     double search_factor = 2.5;
 
     /// Broad-phase backend (Auto switches on scene size; see enum above).
+    /// The spatial hash always auto-sizes its cell (contact/spatial_hash.hpp).
     BroadPhase broad_phase = BroadPhase::Auto;
-    /// Spatial-hash grid cell edge; 0 auto-sizes to twice the mean block
-    /// diameter (see contact/spatial_hash.hpp). Ignored by AllPairs.
-    double broad_phase_cell = 0.0;
     /// Persistent candidate-pair cache across steps: the broad phase is
-    /// rebuilt with an extra motion margin, then revalidated and re-filtered
-    /// to the exact set per step, rerunning only when the blocks' AABBs move
-    /// apart by more than the margin (a common translation is free).
-    /// Warm steps are bitwise identical to cold ones (docs/CONTACTS.md).
+    /// rebuilt with an extra motion margin of one search distance rho, then
+    /// revalidated and re-filtered to the exact set per step, rerunning only
+    /// when the blocks' AABBs move apart by more than the margin (a common
+    /// translation is free). Warm steps are bitwise identical to cold ones
+    /// (docs/CONTACTS.md).
     bool broad_phase_cache = true;
-    /// Motion budget of the pair cache, as a multiple of the contact search
-    /// distance rho. Larger values keep the cache warm longer but make each
-    /// rebuild and each step's re-filter scan a larger superset.
-    double pair_cache_margin = 1.0;
 
     /// Contact penalty as a multiple of the stiffest Young's modulus.
     double penalty_scale = 10.0;
@@ -92,7 +98,8 @@ struct SimConfig {
 
     /// Throws std::invalid_argument describing the first nonsensical field
     /// (non-positive or inverted dt bounds, ratios outside meaningful
-    /// ranges). Engines validate on construction.
+    /// ranges, enum values outside their enums). Engines validate on
+    /// construction, and snapshot readers on load.
     void validate() const;
     /// The paper caps PCG at 200 iterations and shrinks dt on failure; the
     /// default here is more generous because the very first (cold) solve of
@@ -136,8 +143,8 @@ struct StepStats {
     /// Largest vertex displacement of the committed increment, evaluated at
     /// the step's start positions (each vertex's first-order displacement).
     double max_displacement = 0.0;
-    /// Deepest closed-contact penetration over every pass of the step,
-    /// rejected attempts included.
+    /// Deepest closed-contact penetration over the passes of the committed
+    /// attempt (rejected attempts do not count).
     double max_penetration = 0.0;
     bool converged = true;
 };

@@ -144,13 +144,6 @@ public:
         metrics_ = std::move(obs);
     }
 
-    /// Restore mid-run state (checkpoint resume): simulated time, current
-    /// dt, the live contact set, and the PCG warm start. The block system
-    /// itself is restored by constructing the engine on the checkpointed
-    /// BlockSystem.
-    void restore(double time, double dt, std::vector<contact::Contact> contacts,
-                 sparse::BlockVec warm_start);
-
     /// Deep-copy the complete mid-run state. The capture is observer-only:
     /// stepping after capture() is bitwise-identical to never capturing.
     [[nodiscard]] EngineCheckpoint capture() const;

@@ -10,8 +10,6 @@ namespace gdda::core {
 std::unique_ptr<solver::Preconditioner> make_preconditioner(PrecondKind kind,
                                                             const sparse::BsrMatrix& a) {
     switch (kind) {
-        case PrecondKind::Identity: return solver::make_identity(a.n);
-        case PrecondKind::Jacobi: return solver::make_point_jacobi(a);
         case PrecondKind::BlockJacobi: return solver::make_block_jacobi(a);
         case PrecondKind::SsorAi: return solver::make_ssor_ai(a);
         case PrecondKind::Ilu0: return solver::make_ilu0(a);

@@ -17,7 +17,6 @@
 namespace gdda::core {
 
 using block::BlockSystem;
-using contact::Contact;
 using sparse::BlockVec;
 
 void SimConfig::validate() const {
@@ -45,10 +44,9 @@ void SimConfig::validate() const {
         throw std::invalid_argument("SimConfig: step_threads must be >= 0");
     if (checkpoint_interval < 0)
         throw std::invalid_argument("SimConfig: checkpoint_interval must be >= 0");
-    if (broad_phase_cell < 0.0)
-        throw std::invalid_argument("SimConfig: broad_phase_cell must be >= 0");
-    if (!(pair_cache_margin > 0.0))
-        throw std::invalid_argument("SimConfig: pair_cache_margin must be positive");
+    if (static_cast<unsigned>(broad_phase) > static_cast<unsigned>(BroadPhase::Hash) ||
+        static_cast<unsigned>(precond) > static_cast<unsigned>(PrecondKind::Ilu0))
+        throw std::invalid_argument("SimConfig: broad_phase or precond out of range");
     if (metrics.enabled) {
         if (metrics.flight_recorder_capacity < 1)
             throw std::invalid_argument(
@@ -82,7 +80,7 @@ obs::JsonValue config_to_json(const SimConfig& cfg) {
     j.set("max_open_close_iters", obs::JsonValue::integer(cfg.max_open_close_iters));
     j.set("max_step_retries", obs::JsonValue::integer(cfg.max_step_retries));
     j.set("step_threads", obs::JsonValue::integer(cfg.step_threads));
-    j.set("precond", obs::JsonValue::integer(static_cast<int>(cfg.precond)));
+    j.set("precond", obs::JsonValue::string(precond_name(cfg.precond)));
     j.set("exact_rotation", obs::JsonValue::boolean(cfg.exact_rotation));
     j.set("broad_phase_cache", obs::JsonValue::boolean(cfg.broad_phase_cache));
     j.set("pcg_max_iters", obs::JsonValue::integer(cfg.pcg.max_iters));
@@ -150,15 +148,15 @@ void DdaEngine::detect_contacts() {
     // Broad phase: selectable backend behind an optional persistent pair
     // cache. A warm cache skips the backend entirely and re-filters its
     // superset to the exact set the backend would return (pair_cache.hpp).
-    // Both modes run the same enumeration; the sink prices it.
+    // Both modes run the same enumeration; the sink prices it. The cache's
+    // motion margin is one search distance, and the hash cell auto-sizes.
     const contact::BroadPhaseBackend backend = broad_phase_backend();
     std::span<const contact::BlockPair> pairs;
     std::vector<contact::BlockPair> fresh;
     if (cfg_.broad_phase_cache) {
-        pairs = pair_cache_.pairs(*sys_, rho, cfg_.pair_cache_margin * rho, backend,
-                                  cfg_.broad_phase_cell, sink);
+        pairs = pair_cache_.pairs(*sys_, rho, rho, backend, 0.0, sink);
     } else {
-        fresh = contact::run_broad_phase(*sys_, rho, backend, cfg_.broad_phase_cell, sink);
+        fresh = contact::run_broad_phase(*sys_, rho, backend, 0.0, sink);
         pairs = fresh;
     }
 
@@ -343,17 +341,6 @@ void DdaEngine::commit_step(const BlockVec& d, double maxd, StepStats& stats) {
     }
 }
 
-void DdaEngine::restore(double time, double dt, std::vector<Contact> contacts,
-                        BlockVec warm_start) {
-    time_ = time;
-    dt_ = std::clamp(dt, cfg_.dt_min, cfg_.dt_max);
-    contacts_ = std::move(contacts);
-    if (warm_start.size() == sys_->size()) warm_start_ = std::move(warm_start);
-    ws_.invalidate();
-    pair_cache_.invalidate();
-    np_ws_.drop_memo();
-}
-
 EngineCheckpoint DdaEngine::capture() const {
     EngineCheckpoint snap;
     snap.sys = *sys_;
@@ -406,6 +393,8 @@ StepStats DdaEngine::step_impl() {
         trace::Span pass_span(tracer_.get(), trace::Category::Pass, "displacement_pass");
         stats.retries = attempt;
         stats.converged = true;
+        // The step reports, and pen_ok judges, this attempt's penetration.
+        stats.max_penetration = 0.0;
         // Block state or dt changed since the last attempt: the cached
         // diagonal physics is stale (the contact structure may still hold).
         ++values_epoch_;
@@ -496,6 +485,7 @@ StepStats DdaEngine::step_impl() {
     // geo_ still describes the entry positions and contact identities.
     BlockVec d(sys_->size());
     ++values_epoch_;
+    stats.max_penetration = 0.0;
     solve_pass(d, stats, true);
     commit_step(d, max_vertex_displacement(d), stats);
     return stats;

@@ -1,4 +1,4 @@
-// Identity, point-Jacobi, and Block-Jacobi preconditioners.
+// Identity and Block-Jacobi preconditioners.
 
 #include <chrono>
 
@@ -52,61 +52,6 @@ private:
     }
 
     int n_;
-};
-
-class PointJacobiPrecond final : public Preconditioner {
-public:
-    explicit PointJacobiPrecond(const BsrMatrix& a) {
-        refactor(a);
-        construction_cost_.name = "point_jacobi_build";
-        construction_cost_.flops = static_cast<double>(inv_diag_.size());
-        construction_cost_.bytes_coalesced = 2.0 * inv_diag_.size() * sizeof(double);
-        construction_cost_.depth = 2;
-    }
-
-    bool refactor(const BsrMatrix& a) override {
-        const auto t0 = std::chrono::steady_clock::now();
-        inv_diag_.resize(a.scalar_dim());
-        for (int b = 0; b < a.n; ++b)
-            for (int k = 0; k < 6; ++k)
-                inv_diag_[static_cast<std::size_t>(b) * 6 + k] = 1.0 / a.diag[b](k, k);
-        construction_seconds_ =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-        return true;
-    }
-
-    void apply(const BlockVec& r, BlockVec& z, simt::KernelCost* cost) const override {
-        par::parallel_for(r.size(), par::kDefaultGrain, [&](std::size_t i) {
-            for (int k = 0; k < 6; ++k) z[i][k] = r[i][k] * inv_diag_[i * 6 + k];
-        });
-        record_apply(cost);
-    }
-    double apply_dot(const BlockVec& r, BlockVec& z, simt::KernelCost* cost) const override {
-        const double rz = par::deterministic_reduce(r.size(), [&](std::size_t b, std::size_t e) {
-            double s = 0.0;
-            for (std::size_t i = b; i < e; ++i) {
-                for (int k = 0; k < 6; ++k) z[i][k] = r[i][k] * inv_diag_[i * 6 + k];
-                s += r[i].dot(z[i]);
-            }
-            return s;
-        });
-        record_apply(cost);
-        return rz;
-    }
-    [[nodiscard]] std::string name() const override { return "Jacobi"; }
-
-private:
-    void record_apply(simt::KernelCost* cost) const {
-        if (!cost) return;
-        simt::KernelCost kc;
-        kc.name = "precond_point_jacobi";
-        kc.flops = static_cast<double>(inv_diag_.size());
-        kc.bytes_coalesced = 3.0 * inv_diag_.size() * sizeof(double);
-        kc.depth = 2;
-        simt::record_kernel(cost, kc);
-    }
-
-    std::vector<double> inv_diag_;
 };
 
 class BlockJacobiPrecond final : public Preconditioner {
@@ -169,10 +114,6 @@ private:
 
 std::unique_ptr<Preconditioner> make_identity(int n) {
     return std::make_unique<IdentityPrecond>(n);
-}
-
-std::unique_ptr<Preconditioner> make_point_jacobi(const BsrMatrix& a) {
-    return std::make_unique<PointJacobiPrecond>(a);
 }
 
 std::unique_ptr<Preconditioner> make_block_jacobi(const BsrMatrix& a) {

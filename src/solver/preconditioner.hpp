@@ -67,9 +67,6 @@ protected:
 /// No-op preconditioner (plain CG).
 std::unique_ptr<Preconditioner> make_identity(int n);
 
-/// Point-Jacobi (scalar diagonal) — the OpenMP-DDA baseline of ref [9].
-std::unique_ptr<Preconditioner> make_point_jacobi(const sparse::BsrMatrix& a);
-
 std::unique_ptr<Preconditioner> make_block_jacobi(const sparse::BsrMatrix& a);
 
 std::unique_ptr<Preconditioner> make_ssor_ai(const sparse::BsrMatrix& a, double omega = 1.0);

@@ -133,9 +133,7 @@ void write_config(ByteWriter& w, const core::SimConfig& c) {
     w.f64(c.max_disp_ratio);
     w.f64(c.search_factor);
     w.u8(static_cast<std::uint8_t>(c.broad_phase));
-    w.f64(c.broad_phase_cell);
     w.u8(c.broad_phase_cache ? 1 : 0);
-    w.f64(c.pair_cache_margin);
     w.f64(c.penalty_scale);
     w.f64(c.shear_penalty_ratio);
     w.f64(c.fixed_penalty_ratio);
@@ -162,9 +160,7 @@ core::SimConfig read_config(ByteReader& r) {
     c.max_disp_ratio = r.f64();
     c.search_factor = r.f64();
     c.broad_phase = static_cast<core::BroadPhase>(r.u8());
-    c.broad_phase_cell = r.f64();
     c.broad_phase_cache = r.u8() != 0;
-    c.pair_cache_margin = r.f64();
     c.penalty_scale = r.f64();
     c.shear_penalty_ratio = r.f64();
     c.fixed_penalty_ratio = r.f64();
@@ -180,6 +176,12 @@ core::SimConfig read_config(ByteReader& r) {
     c.pcg.rel_tol = r.f64();
     c.pcg.abs_tol = r.f64();
     c.pcg.fused = r.u8() != 0;
+    try {
+        c.validate();
+    } catch (const std::invalid_argument& ex) {
+        throw SnapshotError(SnapshotErrorCode::Corrupt,
+                            std::string("snapshot: stored config invalid: ") + ex.what());
+    }
     return c;
 }
 
@@ -636,20 +638,16 @@ SnapshotHeader peek_header(const std::string& path) {
     return read_raw_header(in).header;
 }
 
-void restore_engine(core::DdaEngine& engine, const EngineSnapshot& snap,
-                    bool allow_config_mismatch) {
+void restore_engine(core::DdaEngine& engine, const EngineSnapshot& snap) {
     if (snap.header.mode != engine.mode())
         throw SnapshotError(SnapshotErrorCode::Mismatch,
                             "snapshot: engine mode differs from snapshot");
     if (snap.state.sys.blocks.size() != engine.system().size())
         throw SnapshotError(SnapshotErrorCode::Mismatch,
                             "snapshot: block count differs from target system");
-    if (!allow_config_mismatch &&
-        config_fingerprint(engine.config()) != snap.header.config_fingerprint)
-        throw SnapshotError(
-            SnapshotErrorCode::Mismatch,
-            "snapshot: trajectory-affecting config differs from snapshot "
-            "(pass allow_config_mismatch to resume with new physics knobs)");
+    if (config_fingerprint(engine.config()) != snap.header.config_fingerprint)
+        throw SnapshotError(SnapshotErrorCode::Mismatch,
+                            "snapshot: trajectory-affecting config differs from snapshot");
     engine.restore(snap.state);
 }
 

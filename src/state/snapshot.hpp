@@ -14,9 +14,9 @@
 // version, git sha, engine mode, step index, fingerprints) ahead of a
 // length-prefixed, checksummed payload. Every field is little-endian and
 // doubles travel as their raw 64 bits — no text round-trip, no precision
-// loss (the older text `io::checkpoint` only achieves ~1e-9 on resume).
-// Malformed input of any kind — wrong magic, unknown version, truncation,
-// bit corruption — is rejected with a typed SnapshotError, never UB.
+// loss. Malformed input of any kind — wrong magic, unknown version,
+// truncation, bit corruption, a stored config that is out of range — is
+// rejected with a typed SnapshotError, never UB.
 
 #include <cstdint>
 #include <iosfwd>
@@ -29,8 +29,9 @@ namespace gdda::state {
 
 /// On-disk schema version. Bump on any layout change; readers reject every
 /// other version with UnsupportedVersion, because the payload layout of
-/// another version is unknown to them (v1 and v2 stored longer SimConfigs).
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// another version is unknown to them (v1 to v3 stored longer SimConfigs,
+/// and v3 numbered the preconditioners differently).
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Leading file magic ("GDDASNAP", 8 bytes, no terminator on disk).
 inline constexpr char kSnapshotMagic[9] = "GDDASNAP";
@@ -77,7 +78,7 @@ struct SnapshotHeader {
     std::uint64_t state_fingerprint = 0;
     /// Fingerprint over the trajectory-affecting SimConfig knobs (see
     /// config_fingerprint below). restore_engine refuses a snapshot whose
-    /// physics differs from the target engine's unless explicitly allowed.
+    /// physics differs from the target engine's.
     std::uint64_t config_fingerprint = 0;
 };
 
@@ -93,7 +94,7 @@ struct EngineSnapshot {
 /// displacement control, penalties, iteration limits, exact_rotation,
 /// preconditioner, and the PCG tolerances. Deliberately EXCLUDES knobs with
 /// proven bitwise-identity contracts or observer-only roles: broad-phase
-/// backend/cell/cache, step_threads, fused PCG, checkpoint_interval,
+/// backend and cache, step_threads, fused PCG, checkpoint_interval,
 /// telemetry/trace/metrics.
 [[nodiscard]] std::uint64_t config_fingerprint(const core::SimConfig& cfg);
 
@@ -112,7 +113,8 @@ void save_snapshot_file(const std::string& path, const EngineSnapshot& snap);
 void save_engine_file(const std::string& path, const core::DdaEngine& engine);
 
 /// Deserialize and fully validate a snapshot: magic, version, payload
-/// checksum, structural sanity, and the state fingerprint recomputed from
+/// checksum, structural sanity, the stored config (enum bytes in range,
+/// SimConfig::validate() passes), and the state fingerprint recomputed from
 /// the decoded blocks. Throws SnapshotError on any defect.
 [[nodiscard]] EngineSnapshot load_snapshot(std::istream& in);
 [[nodiscard]] EngineSnapshot load_snapshot_file(const std::string& path);
@@ -123,11 +125,9 @@ void save_engine_file(const std::string& path, const core::DdaEngine& engine);
 
 /// Restore a loaded snapshot into an engine. Rejects (Mismatch) when the
 /// engine mode differs, when the block count differs from the engine's
-/// system, or when the trajectory-affecting config fingerprint differs —
-/// unless `allow_config_mismatch` (resume-with-new-knobs is then explicitly
-/// opted into and the bitwise contract is void). On success the engine
-/// continues bitwise-identically to the run that wrote the snapshot.
-void restore_engine(core::DdaEngine& engine, const EngineSnapshot& snap,
-                    bool allow_config_mismatch = false);
+/// system, or when the trajectory-affecting config fingerprint differs.
+/// On success the engine continues bitwise-identically to the run that
+/// wrote the snapshot.
+void restore_engine(core::DdaEngine& engine, const EngineSnapshot& snap);
 
 } // namespace gdda::state

@@ -183,18 +183,6 @@ TEST(BroadPhaseBackends, ExplicitConfigOverridesAuto) {
     EXPECT_EQ(forced_ap.broad_phase_backend(), ct::BroadPhaseBackend::AllPairs);
 }
 
-TEST(BroadPhaseBackends, ConfigValidation) {
-    bl::BlockSystem sys = models::make_column(4);
-    core::SimConfig cfg;
-    cfg.broad_phase_cell = -1.0;
-    EXPECT_THROW(core::DdaEngine(sys, cfg, core::EngineMode::Serial),
-                 std::invalid_argument);
-    cfg = {};
-    cfg.pair_cache_margin = 0.0;
-    EXPECT_THROW(core::DdaEngine(sys, cfg, core::EngineMode::Serial),
-                 std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
 // Persistent pair cache: counters, invalidation rules, superset contract.
 

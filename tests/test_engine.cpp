@@ -138,7 +138,11 @@ TEST(Engine, SerialAndGpuTrajectoriesMatch) {
 // function of the counts the shared pipeline produces. These values were
 // recorded at commit 415d8bf, when Gpu mode still executed a separate
 // sort/scan assembly plan and the balanced all-pairs enumeration; pricing
-// the single shared path from counts must reproduce them exactly.
+// the single shared path from counts must reproduce them exactly. The
+// coalesced bytes of Contact Detection and Interpenetration Checking were
+// re-recorded when the contact geometry record shrank from 224 to 216
+// bytes: each contact_init and open_close_update record now moves 8 bytes
+// fewer, and every other field is unchanged.
 TEST(Engine, GpuLedgersMatchRecordedPricing) {
     struct Expected {
         double flops, bytes_coalesced, bytes_texture, bytes_random;
@@ -155,20 +159,20 @@ TEST(Engine, GpuLedgersMatchRecordedPricing) {
         {"slope:120",
          [] { return gdda::models::make_slope_with_blocks(120); },
          co::BroadPhase::Auto,
-         {{10896736, 26775000, 4720984, 41920, 222},
+         {{10896736, 26440504, 4720984, 41920, 222},
           {2028600, 4590432, 185472, 0, 66},
           {72916272, 111015296, 0, 105150528, 292},
           {99061478, 362338028, 72041795.999999955, 10174464, 5019},
-          {7147560, 35261296, 22872192, 0, 96},
+          {7147560, 34308288, 22872192, 0, 96},
           {1054420, 2231968, 312000, 0, 40}}},
         {"rocks:64 hash",
          [] { return gdda::models::make_falling_rocks_with_blocks(64); },
          co::BroadPhase::Hash,
-         {{35138283, 95155828, 15694840, 113664, 209},
+         {{35138283, 94287588, 15694840, 113664, 209},
           {560000, 371200, 51200, 0, 20},
           {66145596, 97655888, 0, 94000320, 48},
           {3050020, 11630540, 2564316, 2672640, 111},
-          {6511800, 32124880, 20837760, 0, 20},
+          {6511800, 31256640, 20837760, 0, 20},
           {3415900, 8050960, 153600, 0, 40}}},
     };
     for (const Case& c : cases) {
@@ -270,14 +274,13 @@ TEST(Engine, RetriedStepEqualsFreshStepAtAcceptedDt) {
                     EXPECT_TRUE(same_bits(fs.dt_used, st.dt_used)) << "step " << s;
                     EXPECT_EQ(bl::state_fingerprint(fresh_sys), bl::state_fingerprint(sys))
                         << "step " << s;
-                    // The committed states penetrate alike. The retried step's
-                    // StepStats::max_penetration is a max over all its
-                    // attempts, rejected ones included, so it only bounds the
-                    // fresh step's.
+                    // The committed states penetrate alike, and both steps
+                    // report the penetration of the attempt they committed.
                     EXPECT_TRUE(same_bits(co::audit_interpenetration(fresh_sys).max_depth,
                                           co::audit_interpenetration(sys).max_depth))
                         << "step " << s;
-                    EXPECT_LE(fs.max_penetration, st.max_penetration) << "step " << s;
+                    EXPECT_TRUE(same_bits(fs.max_penetration, st.max_penetration))
+                        << "step " << s;
                     const auto& a = eng.contacts();
                     const auto& b = fresh.contacts();
                     ASSERT_EQ(a.size(), b.size()) << "step " << s;

@@ -565,6 +565,10 @@ TEST(MetricsEngine, CriticalHealthAutoDumpsPostmortem) {
     EXPECT_EQ(doc.find("reason")->as_string(), "health_critical");
     EXPECT_NE(doc.find("state_fingerprint")->as_string(), "0000000000000000")
         << "engine-side dump has the live state to fingerprint";
+    // The preconditioner travels by name, not by its enum's number.
+    const obs::JsonValue* precond = doc.find("config")->find("precond");
+    ASSERT_NE(precond, nullptr);
+    EXPECT_EQ(precond->as_string(), "block_jacobi");
     std::filesystem::remove_all(dir);
 }
 

@@ -229,6 +229,12 @@ TEST(Config, ValidateRejectsNonsense) {
     bad = ok;
     bad.pcg.max_iters = 0;
     EXPECT_THROW(bad.validate(), std::invalid_argument);
+    bad = ok;
+    bad.precond = static_cast<gdda::core::PrecondKind>(3);
+    EXPECT_THROW(bad.validate(), std::invalid_argument);
+    bad = ok;
+    bad.broad_phase = static_cast<gdda::core::BroadPhase>(3);
+    EXPECT_THROW(bad.validate(), std::invalid_argument);
 
     // The engine enforces validation on construction.
     bl::BlockSystem sys = mo::make_column(1);

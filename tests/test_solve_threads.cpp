@@ -258,7 +258,6 @@ PcgRun run_pcg(const sparse::HsbcsrMatrix& h, const sparse::BlockVec& b,
 std::vector<std::unique_ptr<solver::Preconditioner>> all_preconds(const sparse::BsrMatrix& a) {
     std::vector<std::unique_ptr<solver::Preconditioner>> v;
     v.push_back(solver::make_identity(a.n));
-    v.push_back(solver::make_point_jacobi(a));
     v.push_back(solver::make_block_jacobi(a));
     v.push_back(solver::make_ssor_ai(a));
     v.push_back(solver::make_ilu0(a));

@@ -101,7 +101,6 @@ TEST(Precond, ApplyIsSpd) {
     const std::vector<std::unique_ptr<sv::Preconditioner>> pres = [&] {
         std::vector<std::unique_ptr<sv::Preconditioner>> v;
         v.push_back(sv::make_identity(a.n));
-        v.push_back(sv::make_point_jacobi(a));
         v.push_back(sv::make_block_jacobi(a));
         v.push_back(sv::make_ssor_ai(a));
         v.push_back(sv::make_ilu0(a));
@@ -207,13 +206,12 @@ TEST_P(PcgAllPreconds, Solves) {
     const sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
     const sp::BlockVec b = random_block_vec(n, 500 + seed);
 
-    for (auto kind : {0, 1, 2, 3, 4}) {
+    for (auto kind : {0, 1, 2, 3}) {
         std::unique_ptr<sv::Preconditioner> pre;
         switch (kind) {
             case 0: pre = sv::make_identity(n); break;
-            case 1: pre = sv::make_point_jacobi(a); break;
-            case 2: pre = sv::make_block_jacobi(a); break;
-            case 3: pre = sv::make_ssor_ai(a); break;
+            case 1: pre = sv::make_block_jacobi(a); break;
+            case 2: pre = sv::make_ssor_ai(a); break;
             default: pre = sv::make_ilu0(a); break;
         }
         sp::BlockVec x(n);

@@ -256,13 +256,13 @@ TEST(Snapshot, MalformedInputsRejectedWithTypedCodes) {
     zeroed[8] = '\0';
     EXPECT_EQ(load_error_code(zeroed), SnapshotErrorCode::UnsupportedVersion);
 
-    // An older version carries an older config layout (v2 stored three
-    // more config flags); the header sits outside the payload checksum, so
-    // only the version check stops the reader from misparsing it. Both
-    // entry points must refuse it.
+    // An older version carries an older config layout (v3 stored two more
+    // config fields and numbered the preconditioners differently); the
+    // header sits outside the payload checksum, so only the version check
+    // stops the reader from misparsing it. Both entry points must refuse it.
     std::string older = good;
-    ASSERT_EQ(state::kSnapshotVersion, 3u);
-    older[8] = '\x02';
+    ASSERT_EQ(state::kSnapshotVersion, 4u);
+    older[8] = '\x03';
     EXPECT_EQ(load_error_code(older), SnapshotErrorCode::UnsupportedVersion);
     const std::string older_path = temp_path("older_version");
     {
@@ -292,6 +292,33 @@ TEST(Snapshot, MalformedInputsRejectedWithTypedCodes) {
     std::string badsum = good;
     badsum[good.size() - 1] ^= '\x01';
     EXPECT_EQ(load_error_code(badsum), SnapshotErrorCode::Corrupt);
+}
+
+TEST(Snapshot, StoredConfigOutOfRangeIsCorrupt) {
+    // Each snapshot is written from a capture whose stored config holds one
+    // invalid value, with the header's config fingerprint recomputed to
+    // match: magic, version, checksum and fingerprints are all valid, so
+    // only the config check of the reader stands between the bytes and an
+    // engine built from them.
+    block::BlockSystem sys = models::make_column(3);
+    core::DdaEngine engine(sys, {}, core::EngineMode::Serial);
+    engine.step();
+    auto corrupted = [&](auto&& spoil) {
+        state::EngineSnapshot snap = state::capture(engine);
+        spoil(snap.config);
+        snap.header.config_fingerprint = state::config_fingerprint(snap.config);
+        std::ostringstream out(std::ios::binary);
+        state::save_snapshot(out, snap);
+        return out.str();
+    };
+    const std::string bad_precond =
+        corrupted([](core::SimConfig& c) { c.precond = static_cast<core::PrecondKind>(3); });
+    const std::string bad_broad_phase =
+        corrupted([](core::SimConfig& c) { c.broad_phase = static_cast<core::BroadPhase>(7); });
+    const std::string bad_dt = corrupted([](core::SimConfig& c) { c.dt = -1.0; });
+    const std::string bad_threads = corrupted([](core::SimConfig& c) { c.step_threads = -2; });
+    for (const std::string* bytes : {&bad_precond, &bad_broad_phase, &bad_dt, &bad_threads})
+        EXPECT_EQ(load_error_code(*bytes), SnapshotErrorCode::Corrupt);
 }
 
 TEST(Snapshot, EveryTruncationLengthIsTypedNotUB) {
@@ -362,13 +389,11 @@ TEST(Snapshot, ConfigFingerprintGatesTrajectoryKnobsOnly) {
     core::DdaEngine strict(sys2, different, core::EngineMode::Serial);
     try {
         state::restore_engine(strict, snap);
-        FAIL() << "config-mismatched restore must throw by default";
+        FAIL() << "config-mismatched restore must throw";
     } catch (const SnapshotError& ex) {
         EXPECT_EQ(ex.code(), SnapshotErrorCode::Mismatch);
     }
-    // Explicit opt-out: resume-with-new-knobs is allowed, contract void.
-    EXPECT_NO_THROW(state::restore_engine(strict, snap, /*allow_config_mismatch=*/true));
-    EXPECT_EQ(strict.step_index(), 1);
+    EXPECT_EQ(strict.step_index(), 0) << "a refused restore leaves the engine untouched";
 }
 
 TEST(Snapshot, AtomicFileWriteLeavesNoTempBehind) {
