@@ -14,19 +14,19 @@
 // affordable, both as the quadratic contrast and as the candidate-set
 // equality oracle.
 //
-// Parts 3-4 are bitwise acceptance gates (the bench exits non-zero on any
+// Parts 2-3 carry acceptance gates (the bench exits non-zero on any
 // violation; CI runs `bench_broadphase --short`):
 //   * hash candidate set == triangular at every tier where triangular runs;
 //   * modeled hash cost at 8x blocks <= 10x the 1x tier, wall-clock <= 12x
 //     (near-linear scaling; docs/CONTACTS.md);
-//   * whole-trajectory state fingerprints identical across backend x pair
-//     cache x engine mode — the backends are interchangeable bit for bit,
-//     and the cache is invisible to the physics;
 //   * on a static scene the persistent pair cache rebuilds exactly once and
 //     revalidates every later step (zero candidate-set rebuilds while warm).
+// That the pair cache over either backend returns exactly the triangular
+// set at every step of a trajectory, in both engine modes, is a unit test
+// (BroadPhasePipeline.PairCachesEqualTriangularEveryStep).
 //
 // Usage: bench_broadphase [--short] [base_blocks]
-//   --short        CI tier ladder (6250..50000 blocks) and short trajectories
+//   --short        CI tier ladder (6250..50000 blocks), 2048-block mapping table
 //   base_blocks    override the 1x tier (default 50000; --short sets 6250)
 
 #include <algorithm>
@@ -34,7 +34,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -44,11 +43,9 @@
 #include "contact/pair_classes.hpp"
 #include "contact/spatial_hash.hpp"
 #include "core/engine.hpp"
-#include "models/falling_rocks.hpp"
 #include "models/large_scene.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
-#include "sched/job.hpp"
 #include "simt/warp_executor.hpp"
 
 using namespace gdda;
@@ -194,62 +191,7 @@ void growth_tiers(int base, bench::MetricReport& rep) {
 }
 
 // -------------------------------------------------------------------------
-// Part 3: whole-trajectory bitwise equivalence across every contact-pipeline
-// configuration. The fingerprint hashes the raw bits of every block state.
-struct TrajConfig {
-    const char* name;
-    core::BroadPhase backend;
-    bool cache;
-};
-
-void trajectory_gates(bool short_mode, bench::MetricReport& rep) {
-    bench::header("BITWISE GATES -- backend x cache x mode");
-
-    const TrajConfig configs[] = {
-        {"allpairs/cache", core::BroadPhase::AllPairs, true},
-        {"allpairs/nocache", core::BroadPhase::AllPairs, false},
-        {"hash/cache", core::BroadPhase::Hash, true},
-        {"hash/nocache", core::BroadPhase::Hash, false},
-    };
-    const int steps = short_mode ? 15 : 40;
-
-    struct Scene {
-        const char* name;
-        std::function<block::BlockSystem()> make;
-    };
-    const Scene scenes[] = {
-        {"falling_rocks", [] { return models::make_falling_rocks_with_blocks(60); }},
-        {"column", [] { return models::make_column(8, 0.0); }},
-    };
-
-    for (const auto& scene : scenes) {
-        for (core::EngineMode mode : {core::EngineMode::Serial, core::EngineMode::Gpu}) {
-            const char* mode_name = mode == core::EngineMode::Serial ? "serial" : "gpu";
-            std::uint64_t ref_fp = 0;
-            bool all_equal = true;
-            for (const TrajConfig& tc : configs) {
-                block::BlockSystem sys = scene.make();
-                core::SimConfig cfg;
-                cfg.broad_phase = tc.backend;
-                cfg.broad_phase_cache = tc.cache;
-                core::DdaEngine engine(sys, cfg, mode);
-                for (int s = 0; s < steps; ++s) engine.step();
-                const std::uint64_t fp = sched::state_fingerprint(sys);
-                if (&tc == &configs[0]) ref_fp = fp;
-                all_equal = all_equal && fp == ref_fp;
-            }
-            gate(all_equal, std::string("trajectory fingerprints identical (") +
-                                scene.name + ", " + mode_name + ", " +
-                                std::to_string(steps) + " steps, " +
-                                std::to_string(std::size(configs)) + " configs)");
-            rep.add(std::string("traj_equal_") + scene.name + "_" + mode_name,
-                    all_equal ? 1.0 : 0.0);
-        }
-    }
-}
-
-// -------------------------------------------------------------------------
-// Part 4: persistent pair cache on static scenes — one cold build, then
+// Part 3: persistent pair cache on static scenes — one cold build, then
 // warm revalidation with zero candidate-set rebuilds.
 void cache_gates(bench::MetricReport& rep) {
     bench::header("PAIR CACHE -- static scenes rebuild zero candidate sets warm");
@@ -303,7 +245,6 @@ int main(int argc, char** argv) {
     bench::MetricReport rep("broadphase");
     mapping_table(short_mode ? 2048 : 4096, rep);
     growth_tiers(base, rep);
-    trajectory_gates(short_mode, rep);
     cache_gates(rep);
     rep.add("gate_failures", double(g_failures));
     rep.write();

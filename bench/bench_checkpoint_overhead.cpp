@@ -19,8 +19,6 @@
 //
 // Usage: bench_checkpoint_overhead [steps] [--force]
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -15,8 +15,6 @@
 //
 // Usage: bench_metrics_overhead [iterations]
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -30,14 +28,6 @@
 using namespace gdda;
 
 namespace {
-
-/// Nanoseconds per operation for `iters` repetitions of `op`.
-template <typename Op>
-double ns_per_op(long iters, Op&& op) {
-    const auto t0 = bench::Clock::now();
-    for (long i = 0; i < iters; ++i) op();
-    return bench::ms_since(t0) * 1e6 / static_cast<double>(iters);
-}
 
 struct Budget {
     const char* name;
@@ -69,30 +59,30 @@ int main(int argc, char** argv) {
                       "bench histogram");
 
     // 1. Counter increment: one relaxed fetch_add.
-    const double ctr_ns = ns_per_op(iters * 16, [&] {
+    const double ctr_ns = bench::ns_per_op(iters * 16, [&] {
         ctr.inc();
-        benchmark::DoNotOptimize(&ctr);
+        bench::do_not_optimize(&ctr);
     });
 
     // 2. Gauge set: one relaxed store.
-    const double gauge_ns = ns_per_op(iters * 16, [&] {
+    const double gauge_ns = bench::ns_per_op(iters * 16, [&] {
         gauge.set(42.0);
-        benchmark::DoNotOptimize(&gauge);
+        bench::do_not_optimize(&gauge);
     });
 
     // 3. Histogram observe: bounds walk + bucket inc + CAS sum add.
     double v = 0.0;
-    const double hist_ns = ns_per_op(iters, [&] {
+    const double hist_ns = bench::ns_per_op(iters, [&] {
         hist.observe(v);
         v = v < 1.0 ? v + 1e-4 : 0.0; // sweep the buckets
-        benchmark::DoNotOptimize(&hist);
+        bench::do_not_optimize(&hist);
     });
 
     // 4. Full exposition render of the populated registry (NOT on the step
     //    path — budgeted to catch quadratic blowups, not micro-speed).
-    const double render_ns = ns_per_op(std::max(iters / 1000, 100L), [&] {
+    const double render_ns = bench::ns_per_op(std::max(iters / 1000, 100L), [&] {
         const std::string text = reg.render_prometheus();
-        benchmark::DoNotOptimize(text.data());
+        bench::do_not_optimize(text.data());
     });
 
     // The rendered text must itself be a valid exposition.
@@ -109,8 +99,6 @@ int main(int argc, char** argv) {
     core::SimConfig base;
     core::SimConfig instrumented = base;
     instrumented.metrics.enabled = true;
-    instrumented.metrics.health = true;
-    instrumented.metrics.energy = true;
     instrumented.metrics.flight_recorder_capacity = 32;
 
     double off_ms = 0.0;

@@ -5,9 +5,8 @@
 //
 // Two gates, reflected in the exit status:
 //   * determinism (always on, any host): the state fingerprint after every
-//     run must be bit-identical to the 1-thread baseline — for BOTH engine
-//     modes, and for the cache-off / all-pairs variants (each documented
-//     bitwise-equivalent to the default path);
+//     run must be bit-identical to the 1-thread baseline, in BOTH engine
+//     modes;
 //   * scaling (only on hosts with >= 4 hardware cores, or when forced with
 //     --require-speedup): the 4-thread whole-step wall clock on the lattice
 //     tier must reach >= 2.2x the 1-thread run.
@@ -42,7 +41,6 @@ struct Scene {
     std::string name;
     std::function<block::BlockSystem()> make;
     int steps = 2;
-    bool allpairs_variant = true; ///< off for scenes too big for O(n^2)
 };
 
 struct RunOut {
@@ -90,10 +88,10 @@ int main(int argc, char** argv) {
                       [lattice_blocks] {
                           return models::make_block_lattice_with_blocks(lattice_blocks);
                       },
-                      2, /*allpairs_variant=*/false});
+                      2});
     scenes.push_back({"slope",
                       [slope_blocks] { return models::make_slope_with_blocks(slope_blocks); },
-                      short_run ? 3 : 4, /*allpairs_variant=*/true});
+                      short_run ? 3 : 4});
 
     bench::header("whole-step strong scaling — deterministic parallel pipeline" +
                   std::string(short_run ? " (short)" : ""));
@@ -163,32 +161,6 @@ int main(int argc, char** argv) {
                                std::to_string(threads),
                            spdup);
             }
-
-            // Variant gates at 4 threads: every documented bitwise-equivalent
-            // configuration must land on the same fingerprint.
-            struct Variant {
-                const char* name;
-                std::function<void(core::SimConfig&)> tweak;
-                bool enabled;
-            };
-            const std::vector<Variant> variants = {
-                {"cache_off", [](core::SimConfig& c) { c.broad_phase_cache = false; }, true},
-                {"allpairs",
-                 [](core::SimConfig& c) { c.broad_phase = core::BroadPhase::AllPairs; },
-                 scene.allpairs_variant},
-            };
-            for (const Variant& v : variants) {
-                if (!v.enabled) continue;
-                core::SimConfig cfg;
-                cfg.step_threads = 4;
-                v.tweak(cfg);
-                const RunOut r = run_scene(scene, mode, cfg);
-                if (r.fingerprint != baseline) {
-                    ++mismatches;
-                    std::fprintf(stderr, "FAIL: %s/%s variant %s fingerprint differs\n",
-                                 scene.name.c_str(), mname, v.name);
-                }
-            }
         }
     }
 
@@ -199,7 +171,7 @@ int main(int argc, char** argv) {
 
     int rc = 0;
     if (mismatches) {
-        std::fprintf(stderr, "\nFAILED: %d bitwise mismatches across teams/variants\n",
+        std::fprintf(stderr, "\nFAILED: %d bitwise mismatches across teams\n",
                      mismatches);
         rc = 1;
     }
@@ -210,7 +182,7 @@ int main(int argc, char** argv) {
         rc = 1;
     }
     if (rc == 0)
-        std::printf("\nOK: all teams and variants bit-identical; 4-thread whole-step "
+        std::printf("\nOK: all teams bit-identical; 4-thread whole-step "
                     "speedup %.2fx\n",
                     speedup4);
     return rc;

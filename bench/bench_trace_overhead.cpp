@@ -9,8 +9,6 @@
 //
 // Usage: bench_trace_overhead [iterations]
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 
@@ -20,14 +18,6 @@
 using namespace gdda;
 
 namespace {
-
-/// Nanoseconds per operation for `iters` repetitions of `op`.
-template <typename Op>
-double ns_per_op(long iters, Op&& op) {
-    const auto t0 = bench::Clock::now();
-    for (long i = 0; i < iters; ++i) op();
-    return bench::ms_since(t0) * 1e6 / static_cast<double>(iters);
-}
 
 struct Budget {
     const char* name;
@@ -53,30 +43,30 @@ int main(int argc, char** argv) {
     simt::KernelCost sink = simt::KernelCost::accumulator();
 
     // 1. Disabled path: Span against a null tracer (what untraced runs pay).
-    const double off_ns = ns_per_op(iters * 16, [&] {
+    const double off_ns = bench::ns_per_op(iters * 16, [&] {
         trace::Span s(nullptr, trace::Category::Module, "off");
-        benchmark::DoNotOptimize(s.id());
+        bench::do_not_optimize(s.id());
     });
 
     // 2. Enabled path: full begin/end pair landing in the (wrapping) ring.
-    const double span_ns = ns_per_op(iters, [&] {
+    const double span_ns = bench::ns_per_op(iters, [&] {
         trace::Span s(&tracer, trace::Category::Module, "on", 0);
-        benchmark::DoNotOptimize(s.id());
+        bench::do_not_optimize(s.id());
     });
 
     // 3. record_kernel with no hook installed: accumulate-only, the pre-trace
     //    behavior every producer had before the hook existed.
     tracer.uninstall_kernel_hook();
-    const double rec_ns = ns_per_op(iters, [&] {
+    const double rec_ns = bench::ns_per_op(iters, [&] {
         simt::record_kernel(&sink, kc, 0);
-        benchmark::DoNotOptimize(sink.launches);
+        bench::do_not_optimize(sink.launches);
     });
 
     // 4. record_kernel with the tracer hooked: adds one Complete event.
     tracer.install_kernel_hook();
-    const double rec_hook_ns = ns_per_op(iters, [&] {
+    const double rec_hook_ns = bench::ns_per_op(iters, [&] {
         simt::record_kernel(&sink, kc, 0);
-        benchmark::DoNotOptimize(sink.launches);
+        bench::do_not_optimize(sink.launches);
     });
     tracer.uninstall_kernel_hook();
 

@@ -33,6 +33,22 @@ inline double ms_since(Clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
+/// Nanoseconds per operation for `iters` repetitions of `op`.
+template <typename Op>
+double ns_per_op(long iters, Op&& op) {
+    const auto t0 = Clock::now();
+    for (long i = 0; i < iters; ++i) op();
+    return ms_since(t0) * 1e6 / static_cast<double>(iters);
+}
+
+/// Keep the compiler from discarding the computation of `value` inside a
+/// timing loop: an empty asm statement that claims to read it and to touch
+/// all memory, so neither the value nor the stores before it can be elided.
+template <typename T>
+inline void do_not_optimize(const T& value) {
+    asm volatile("" : : "r,m"(value) : "memory");
+}
+
 inline void rule(int width = 78) {
     for (int i = 0; i < width; ++i) std::putchar('-');
     std::putchar('\n');

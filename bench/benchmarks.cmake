@@ -4,7 +4,7 @@
 
 function(gdda_bench name)
   add_executable(${name} bench/${name}.cpp)
-  target_link_libraries(${name} PRIVATE gdda benchmark::benchmark)
+  target_link_libraries(${name} PRIVATE gdda)
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
@@ -16,7 +16,6 @@ gdda_bench(bench_table3_case2)
 gdda_bench(bench_class_divergence)
 gdda_bench(bench_broadphase)
 gdda_bench(bench_ablation_hsbcsr)
-gdda_bench(bench_kernels)
 gdda_bench(bench_trace_overhead)
 gdda_bench(bench_metrics_overhead)
 gdda_bench(bench_pipeline_reuse)

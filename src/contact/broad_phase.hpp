@@ -45,14 +45,14 @@ inline geom::Aabb search_box(const geom::Aabb& raw_bounds, double rho) {
     return raw_bounds.inflated(rho * 0.5);
 }
 
-/// Scene size at which `SimConfig::broad_phase = Auto` switches from the
-/// all-pairs mapping to the spatial hash. Below it the paper's argument
+/// Scene size at which the engine switches from the all-pairs mapping to the
+/// spatial hash (DdaEngine::broad_phase_backend). Below it the paper's argument
 /// holds (the grid's build/teardown precondition costs more than it saves
 /// on a mid-size dense population); above it the quadratic pair matrix
 /// dominates every other pipeline module.
 inline constexpr std::size_t kAutoHashMinBlocks = 4096;
 
-/// Run the selected backend. AllPairs runs the triangular loop; with a
+/// Run one backend. AllPairs runs the triangular loop; with a
 /// `cost` sink it is priced as the balanced mapping. `cell_size` is
 /// forwarded to the hash (0 = auto-size, see spatial_hash.hpp). All
 /// backends return the same (a, b)-sorted set.

@@ -7,7 +7,7 @@
 // instead of re-running the broad phase.
 //
 // Correctness contract (proved in docs/CONTACTS.md, enforced bitwise by
-// tests/test_broadphase.cpp and bench_broadphase):
+// tests/test_broadphase.cpp):
 //
 //   * The cache stores a SUPERSET built with search distance rho + 2*margin.
 //     It stays valid while some common per-axis translation T keeps every

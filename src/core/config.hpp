@@ -24,16 +24,6 @@ enum class PrecondKind { BlockJacobi, SsorAi, Ilu0 };
     return "unknown";
 }
 
-/// Broad-phase backend selection (see docs/CONTACTS.md for the contract).
-/// All backends produce the identical candidate set, so this knob trades
-/// asymptotics, never answers:
-///   AllPairs  the paper's quadratic enumeration — triangular in both
-///             modes; Gpu mode prices the balanced n x ceil(n/2) mapping.
-///   Hash      spatial-hash grid — near-linear at physical densities.
-///   Auto      Hash at or above contact::kAutoHashMinBlocks blocks,
-///             AllPairs below (the paper's own crossover argument).
-enum class BroadPhase { Auto, AllPairs, Hash };
-
 struct SimConfig {
     double dt = 1e-3;      ///< initial physical time step (s)
     double dt_min = 1e-7;
@@ -47,17 +37,6 @@ struct SimConfig {
     double max_disp_ratio = 0.0075;
     /// Contact search distance as a multiple of the allowed displacement.
     double search_factor = 2.5;
-
-    /// Broad-phase backend (Auto switches on scene size; see enum above).
-    /// The spatial hash always auto-sizes its cell (contact/spatial_hash.hpp).
-    BroadPhase broad_phase = BroadPhase::Auto;
-    /// Persistent candidate-pair cache across steps: the broad phase is
-    /// rebuilt with an extra motion margin of one search distance rho, then
-    /// revalidated and re-filtered to the exact set per step, rerunning only
-    /// when the blocks' AABBs move apart by more than the margin (a common
-    /// translation is free). Warm steps are bitwise identical to cold ones
-    /// (docs/CONTACTS.md).
-    bool broad_phase_cache = true;
 
     /// Contact penalty as a multiple of the stiffest Young's modulus.
     double penalty_scale = 10.0;
@@ -97,9 +76,10 @@ struct SimConfig {
     int checkpoint_interval = 0;
 
     /// Throws std::invalid_argument describing the first nonsensical field
-    /// (non-positive or inverted dt bounds, ratios outside meaningful
-    /// ranges, enum values outside their enums). Engines validate on
-    /// construction, and snapshot readers on load.
+    /// (a NaN or infinite floating-point value, non-positive or inverted dt
+    /// bounds, ratios outside meaningful ranges, enum values outside their
+    /// enums). Engines validate on construction, and snapshot readers on
+    /// load.
     void validate() const;
     /// The paper caps PCG at 200 iterations and shrinks dt on failure; the
     /// default here is more generous because the very first (cold) solve of

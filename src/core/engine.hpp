@@ -96,8 +96,9 @@ public:
     /// The structure-caching solve path state (cold/warm counters, caches).
     [[nodiscard]] const SolveWorkspace& solve_workspace() const { return ws_; }
 
-    /// Broad-phase backend this engine actually runs (resolves Auto from
-    /// the scene size; see docs/CONTACTS.md).
+    /// Broad-phase backend this engine runs behind its pair cache: the
+    /// spatial hash at or above contact::kAutoHashMinBlocks blocks, the
+    /// all-pairs enumeration below (docs/CONTACTS.md).
     [[nodiscard]] contact::BroadPhaseBackend broad_phase_backend() const;
 
     /// Narrow-phase memo counters: pairs reused and rebuilt, and the steady

@@ -19,34 +19,49 @@ namespace gdda::core {
 using block::BlockSystem;
 using sparse::BlockVec;
 
+namespace {
+
+// Range checks that reject NaN and infinities: every comparison with a NaN is
+// false, so a bare `x < lo || x > hi` test lets one through.
+bool finite_in(double x, double lo, double hi) {
+    return std::isfinite(x) && x >= lo && x <= hi;
+}
+bool finite_at_least(double x, double lo) { return std::isfinite(x) && x >= lo; }
+bool finite_positive(double x) { return std::isfinite(x) && x > 0.0; }
+
+} // namespace
+
 void SimConfig::validate() const {
-    if (!(dt > 0.0)) throw std::invalid_argument("SimConfig: dt must be positive");
-    if (!(dt_min > 0.0) || dt_min > dt_max)
+    if (!finite_positive(dt)) throw std::invalid_argument("SimConfig: dt must be positive");
+    if (!finite_positive(dt_min) || !finite_positive(dt_max) || dt_min > dt_max)
         throw std::invalid_argument("SimConfig: dt_min must be positive and <= dt_max");
     if (dt < dt_min || dt > dt_max)
         throw std::invalid_argument("SimConfig: dt must lie within [dt_min, dt_max]");
-    if (velocity_carry < 0.0 || velocity_carry > 1.0)
+    if (!finite_in(velocity_carry, 0.0, 1.0))
         throw std::invalid_argument("SimConfig: velocity_carry must be in [0, 1]");
-    if (!(max_disp_ratio > 0.0) || max_disp_ratio > 0.5)
+    if (!finite_positive(max_disp_ratio) || max_disp_ratio > 0.5)
         throw std::invalid_argument("SimConfig: max_disp_ratio must be in (0, 0.5]");
-    if (!(search_factor >= 1.0))
+    if (!finite_at_least(search_factor, 1.0))
         throw std::invalid_argument("SimConfig: search_factor must be >= 1");
-    if (!(penalty_scale > 0.0))
-        throw std::invalid_argument("SimConfig: penalty_scale must be positive");
+    if (!finite_positive(penalty_scale) || !finite_positive(shear_penalty_ratio) ||
+        !finite_positive(fixed_penalty_ratio))
+        throw std::invalid_argument(
+            "SimConfig: penalty_scale and the penalty ratios must be positive");
     if (max_open_close_iters < 1 || max_step_retries < 1)
         throw std::invalid_argument("SimConfig: iteration limits must be >= 1");
-    if (!(dt_shrink > 0.0) || dt_shrink >= 1.0)
+    if (!finite_positive(dt_shrink) || dt_shrink >= 1.0)
         throw std::invalid_argument("SimConfig: dt_shrink must be in (0, 1)");
-    if (!(dt_grow >= 1.0)) throw std::invalid_argument("SimConfig: dt_grow must be >= 1");
-    if (pcg.max_iters < 1 || !(pcg.rel_tol > 0.0))
+    if (!finite_at_least(dt_grow, 1.0))
+        throw std::invalid_argument("SimConfig: dt_grow must be >= 1");
+    if (pcg.max_iters < 1 || !finite_positive(pcg.rel_tol) ||
+        !finite_at_least(pcg.abs_tol, 0.0))
         throw std::invalid_argument("SimConfig: pcg options invalid");
     if (step_threads < 0)
         throw std::invalid_argument("SimConfig: step_threads must be >= 0");
     if (checkpoint_interval < 0)
         throw std::invalid_argument("SimConfig: checkpoint_interval must be >= 0");
-    if (static_cast<unsigned>(broad_phase) > static_cast<unsigned>(BroadPhase::Hash) ||
-        static_cast<unsigned>(precond) > static_cast<unsigned>(PrecondKind::Ilu0))
-        throw std::invalid_argument("SimConfig: broad_phase or precond out of range");
+    if (static_cast<unsigned>(precond) > static_cast<unsigned>(PrecondKind::Ilu0))
+        throw std::invalid_argument("SimConfig: precond out of range");
     if (metrics.enabled) {
         if (metrics.flight_recorder_capacity < 1)
             throw std::invalid_argument(
@@ -56,11 +71,13 @@ void SimConfig::validate() const {
             h.oc_cap_warn_streak < 1 || h.oc_cap_critical_streak < 1 ||
             h.energy_growth_warn_streak < 1 || h.energy_growth_critical_streak < 1)
             throw std::invalid_argument("SimConfig: metrics health streaks must be >= 1");
-        if (!(h.penetration_warn_ratio > 0.0) ||
-            h.penetration_critical_ratio < h.penetration_warn_ratio)
+        if (!finite_positive(h.penetration_warn_ratio) ||
+            !finite_at_least(h.penetration_critical_ratio, h.penetration_warn_ratio))
             throw std::invalid_argument("SimConfig: metrics penetration ratios invalid");
-        if (!(h.latency_outlier_factor > 1.0) || h.latency_window < 1 ||
-            h.min_latency_samples < 1)
+        if (!finite_at_least(h.energy_growth_tol, 0.0))
+            throw std::invalid_argument("SimConfig: metrics energy_growth_tol invalid");
+        if (!std::isfinite(h.latency_outlier_factor) || !(h.latency_outlier_factor > 1.0) ||
+            h.latency_window < 1 || h.min_latency_samples < 1)
             throw std::invalid_argument("SimConfig: metrics latency rule invalid");
     }
 }
@@ -82,7 +99,6 @@ obs::JsonValue config_to_json(const SimConfig& cfg) {
     j.set("step_threads", obs::JsonValue::integer(cfg.step_threads));
     j.set("precond", obs::JsonValue::string(precond_name(cfg.precond)));
     j.set("exact_rotation", obs::JsonValue::boolean(cfg.exact_rotation));
-    j.set("broad_phase_cache", obs::JsonValue::boolean(cfg.broad_phase_cache));
     j.set("pcg_max_iters", obs::JsonValue::integer(cfg.pcg.max_iters));
     j.set("pcg_rel_tol", obs::JsonValue::number(cfg.pcg.rel_tol));
     return j;
@@ -126,11 +142,6 @@ void DdaEngine::attach_tracer(std::shared_ptr<trace::Tracer> tracer) {
 }
 
 contact::BroadPhaseBackend DdaEngine::broad_phase_backend() const {
-    switch (cfg_.broad_phase) {
-        case BroadPhase::AllPairs: return contact::BroadPhaseBackend::AllPairs;
-        case BroadPhase::Hash: return contact::BroadPhaseBackend::Hash;
-        case BroadPhase::Auto: break;
-    }
     return sys_->size() >= contact::kAutoHashMinBlocks
                ? contact::BroadPhaseBackend::Hash
                : contact::BroadPhaseBackend::AllPairs;
@@ -145,20 +156,13 @@ void DdaEngine::detect_contacts() {
     simt::KernelCost cost = simt::KernelCost::accumulator();
     if (mode_ == EngineMode::Gpu) sink = &cost;
 
-    // Broad phase: selectable backend behind an optional persistent pair
-    // cache. A warm cache skips the backend entirely and re-filters its
+    // Broad phase: the backend the scene size picks, behind the persistent
+    // pair cache. A warm cache skips the backend entirely and re-filters its
     // superset to the exact set the backend would return (pair_cache.hpp).
     // Both modes run the same enumeration; the sink prices it. The cache's
     // motion margin is one search distance, and the hash cell auto-sizes.
-    const contact::BroadPhaseBackend backend = broad_phase_backend();
-    std::span<const contact::BlockPair> pairs;
-    std::vector<contact::BlockPair> fresh;
-    if (cfg_.broad_phase_cache) {
-        pairs = pair_cache_.pairs(*sys_, rho, rho, backend, 0.0, sink);
-    } else {
-        fresh = contact::run_broad_phase(*sys_, rho, backend, 0.0, sink);
-        pairs = fresh;
-    }
+    const std::span<const contact::BlockPair> pairs =
+        pair_cache_.pairs(*sys_, rho, rho, broad_phase_backend(), 0.0, sink);
 
     // Divergence-aware classification buckets candidates by work class so
     // narrow-phase warps run uniform trip counts. It is a pure permutation
@@ -578,16 +582,13 @@ StepStats DdaEngine::step() {
         mctx.sys = sys_;
         mctx.length_scale = w0_;
         mctx.open_close_cap = cfg_.max_open_close_iters;
-        mctx.pair_cache_state = cfg_.broad_phase_cache ? (pair_cache_.warm() ? 1 : 0) : -1;
+        mctx.pair_cache_hit = pair_cache_.warm();
         mctx.narrow_pairs_reused = np_ws_.memo_stats.pairs_reused - memo_before.pairs_reused;
         mctx.narrow_pairs_rebuilt = np_ws_.memo_stats.pairs_rebuilt - memo_before.pairs_rebuilt;
         mctx.step_seconds = timers_.total() - timers_before.total();
         mctx.parallel_seconds = par_timers_.total() - par_timers_before.total();
-        if (metrics_->wants_energy()) {
-            // Read-only O(n) scan; requested by the observer, never fed back.
-            mctx.has_energy = true;
-            mctx.energy_total = measure_energy(*sys_).total();
-        }
+        // Read-only O(n) scan for the energy-growth rule, never fed back.
+        mctx.energy_total = measure_energy(*sys_).total();
         metrics_->on_step(rec, mctx);
     }
     return stats;

@@ -37,13 +37,10 @@ struct HealthConfig {
 };
 
 struct MetricsConfig {
+    /// Feed the live registry, the health watchdog (every rule of
+    /// HealthConfig, including the energy-growth rule and its O(n)
+    /// read-only energy scan per step) and the flight recorder.
     bool enabled = false;
-    /// Run the per-engine health watchdog (rule evaluation over the live
-    /// metrics; see HealthConfig).
-    bool health = true;
-    /// Include the energy-growth rule. Costs one O(n) read-only energy scan
-    /// per step; off leaves every other rule active.
-    bool energy = true;
     HealthConfig rules;
     /// Flight recorder depth: the last N step records retained for the
     /// post-mortem bundle.

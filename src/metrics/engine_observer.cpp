@@ -86,9 +86,9 @@ void EngineObserver::on_step(const obs::StepRecord& rec, const StepContext& ctx)
     if (ok > 0) pcg_solves_ok_total_->inc(static_cast<std::uint64_t>(ok));
     if (failed > 0) pcg_solves_failed_total_->inc(static_cast<std::uint64_t>(failed));
     pcg_iterations_total_->inc(static_cast<std::uint64_t>(rec.pcg_iterations));
-    if (ctx.pair_cache_state == 1)
+    if (ctx.pair_cache_hit)
         pair_cache_hits_total_->inc();
-    else if (ctx.pair_cache_state == 0)
+    else
         pair_cache_misses_total_->inc();
     if (ctx.narrow_pairs_reused > 0) narrow_cache_hits_total_->inc(ctx.narrow_pairs_reused);
     if (ctx.narrow_pairs_rebuilt > 0) narrow_cache_misses_total_->inc(ctx.narrow_pairs_rebuilt);
@@ -99,7 +99,7 @@ void EngineObserver::on_step(const obs::StepRecord& rec, const StepContext& ctx)
     active_contacts_->set(static_cast<double>(rec.active_contacts));
     max_penetration_->set(rec.max_penetration);
     if (!rec.solves.empty()) pcg_final_residual_->set(rec.solves.back().final_residual);
-    if (ctx.has_energy) energy_joules_->set(ctx.energy_total);
+    energy_joules_->set(ctx.energy_total);
     if (ctx.step_seconds > 0.0) {
         const double cov = ctx.parallel_seconds / ctx.step_seconds;
         parallel_coverage_->set(cov < 0.0 ? 0.0 : (cov > 1.0 ? 1.0 : cov));
@@ -110,30 +110,28 @@ void EngineObserver::on_step(const obs::StepRecord& rec, const StepContext& ctx)
     flight_.push(rec);
     ledger_.on_step(rec);
 
-    if (cfg_.health) {
-        HealthSample s;
-        s.step = rec.step;
-        s.latency_s = rec.seconds_total();
-        s.pcg_failed_solves = rec.pcg_failed_solves;
-        s.step_converged = rec.converged;
-        s.open_close_iters = rec.open_close_iters;
-        s.open_close_cap = ctx.open_close_cap;
-        s.max_penetration = rec.max_penetration;
-        s.length_scale = ctx.length_scale;
-        s.has_energy = ctx.has_energy;
-        s.energy_total = ctx.energy_total;
-        const HealthVerdict v = health_.evaluate(s);
-        health_grade_->set(static_cast<double>(static_cast<int>(v.grade)));
-        if (v.grade == HealthGrade::Warn) health_events_warn_total_->inc();
-        if (v.grade == HealthGrade::Critical) {
-            health_events_critical_total_->inc();
-            // First Critical verdict dumps a bundle (once per engine): this
-            // is the "job is dying" artifact even when nothing throws.
-            if (!critical_dumped_ && !cfg_.postmortem_dir.empty()) {
-                critical_dumped_ = true;
-                dump_postmortem("health_critical", v.rule + ": " + v.detail,
-                                ctx.sys ? block::state_fingerprint(*ctx.sys) : 0);
-            }
+    HealthSample s;
+    s.step = rec.step;
+    s.latency_s = rec.seconds_total();
+    s.pcg_failed_solves = rec.pcg_failed_solves;
+    s.step_converged = rec.converged;
+    s.open_close_iters = rec.open_close_iters;
+    s.open_close_cap = ctx.open_close_cap;
+    s.max_penetration = rec.max_penetration;
+    s.length_scale = ctx.length_scale;
+    s.has_energy = true;
+    s.energy_total = ctx.energy_total;
+    const HealthVerdict v = health_.evaluate(s);
+    health_grade_->set(static_cast<double>(static_cast<int>(v.grade)));
+    if (v.grade == HealthGrade::Warn) health_events_warn_total_->inc();
+    if (v.grade == HealthGrade::Critical) {
+        health_events_critical_total_->inc();
+        // First Critical verdict dumps a bundle (once per engine): this
+        // is the "job is dying" artifact even when nothing throws.
+        if (!critical_dumped_ && !cfg_.postmortem_dir.empty()) {
+            critical_dumped_ = true;
+            dump_postmortem("health_critical", v.rule + ": " + v.detail,
+                            ctx.sys ? block::state_fingerprint(*ctx.sys) : 0);
         }
     }
 }
@@ -156,7 +154,7 @@ bool EngineObserver::dump_postmortem(const std::string& reason, const std::strin
     ctx.checkpoint_step = checkpoint_step_;
     ctx.config = config_json_;
     ctx.recorder = &flight_;
-    ctx.health = cfg_.health ? &health_ : nullptr;
+    ctx.health = &health_;
     ctx.ledger = &ledger_;
     ctx.registry = reg_;
     std::string path;

@@ -37,12 +37,11 @@ struct StepContext {
     const block::BlockSystem* sys = nullptr; ///< for the dump-time fingerprint
     double length_scale = 1.0;               ///< w0 (penetration health ratio)
     int open_close_cap = 0;                  ///< SimConfig::max_open_close_iters
-    int pair_cache_state = -1; ///< -1 cache off, 0 rebuilt (miss), 1 reused (hit)
+    bool pair_cache_hit = false; ///< the pair cache reused its set (else rebuilt)
     /// Narrow-phase memo this step: pairs whose cached result was emitted
     /// (hits) and pairs run through the judgments (misses).
     std::uint64_t narrow_pairs_reused = 0;
     std::uint64_t narrow_pairs_rebuilt = 0;
-    bool has_energy = false;   ///< energy_total valid (observer asked for it)
     double energy_total = 0.0; ///< total mechanical energy (J)
     /// Amdahl picture of the step: wall seconds of the whole step and the
     /// slice spent inside dispatch-eligible par:: regions (see
@@ -61,11 +60,6 @@ public:
     /// the observer entirely, like Recorder::from_config).
     static std::shared_ptr<EngineObserver> from_config(const MetricsConfig& cfg,
                                                        std::string mode);
-
-    /// True when the engine should run the O(n) energy scan and fill
-    /// StepContext::energy_total. Read-only measurement, but still work —
-    /// only requested when the energy-growth rule is active.
-    [[nodiscard]] bool wants_energy() const { return cfg_.health && cfg_.energy; }
 
     void on_step(const obs::StepRecord& rec, const StepContext& ctx);
 

@@ -7,13 +7,13 @@
 namespace gdda::obs {
 
 struct TelemetryConfig {
+    /// Emit one record per step to the sinks below and to an in-memory
+    /// aggregator (per-module totals, table rendering).
     bool enabled = false;
     /// When non-empty, append one JSON record per step to this file.
     std::string jsonl_path;
     /// When non-empty, append one CSV row per step to this file.
     std::string csv_path;
-    /// Keep an in-memory aggregator (per-module totals, table rendering).
-    bool aggregate = true;
     /// Record the full per-iteration PCG residual curve of every linear
     /// solve (grows records; off by default).
     bool pcg_residuals = false;

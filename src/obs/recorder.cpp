@@ -8,7 +8,7 @@ std::shared_ptr<Recorder> Recorder::from_config(const TelemetryConfig& cfg) {
     rec->record_pcg_residuals = cfg.pcg_residuals;
     if (!cfg.jsonl_path.empty()) rec->add_sink(std::make_unique<JsonlSink>(cfg.jsonl_path));
     if (!cfg.csv_path.empty()) rec->add_sink(std::make_unique<CsvSink>(cfg.csv_path));
-    if (cfg.aggregate) rec->ensure_aggregator();
+    rec->ensure_aggregator();
     return rec;
 }
 

@@ -28,8 +28,8 @@ bool is_exactly_zero(const BlockVec& v) {
 // Fused x/r update: one pass computing x += alpha p, r -= alpha ap, and r.r.
 // The element expressions are exactly sparse::axpy's (`x[i] += p[i] * alpha`,
 // `r[i] += ap[i] * (-alpha)`) and the reduction uses the shared chunk
-// partitioning, so the pass is bit-identical to the three separate kernels it
-// replaces — only the memory traffic changes.
+// partitioning, so the pass is bit-identical to the two axpys and the
+// sparse::norm it stands for — only the memory traffic changes.
 double fused_xr_update(double alpha, const BlockVec& p, const BlockVec& ap,
                        BlockVec& x, BlockVec& r) {
     return par::deterministic_reduce(r.size(), [&](std::size_t b, std::size_t e) {
@@ -78,13 +78,7 @@ PcgResult pcg(const HsbcsrMatrix& a, const BlockVec& b, BlockVec& x, const Preco
         return res;
     }
 
-    double rz;
-    if (opts.fused) {
-        rz = m.apply_dot(r, z, cost);
-    } else {
-        m.apply(r, z, cost);
-        rz = sparse::dot(r, z);
-    }
+    double rz = m.apply_dot(r, z, cost);
     p = z;
 
     double rnorm = sparse::norm(r);
@@ -99,23 +93,14 @@ PcgResult pcg(const HsbcsrMatrix& a, const BlockVec& b, BlockVec& x, const Preco
         const double pap = sparse::dot(p, ap);
         if (pap <= 0.0) break; // matrix lost positive definiteness
         const double alpha = rz / pap;
-        double rz_new;
-        if (opts.fused) {
-            rnorm = std::sqrt(fused_xr_update(alpha, p, ap, x, r));
-            rz_new = m.apply_dot(r, z, cost);
-        } else {
-            sparse::axpy(alpha, p, x);
-            sparse::axpy(-alpha, ap, r);
-            m.apply(r, z, cost);
-            rz_new = sparse::dot(r, z);
-            rnorm = sparse::norm(r);
-        }
+        rnorm = std::sqrt(fused_xr_update(alpha, p, ap, x, r));
+        const double rz_new = m.apply_dot(r, z, cost);
         const double beta = rz_new / rz;
         rz = rz_new;
         sparse::xpay(z, beta, p);
         if (opts.residual_log) opts.residual_log->push_back(rnorm / bnorm);
         ++res.iterations;
-        if (cost) simt::record_kernel(cost, blas1_iteration_cost(a.n * 6ull, opts.fused));
+        if (cost) simt::record_kernel(cost, blas1_iteration_cost(a.n * 6ull));
     }
     res.final_residual = rnorm / bnorm;
     res.converged = res.converged || rnorm / bnorm < opts.rel_tol;

@@ -1,12 +1,13 @@
 #pragma once
 // Preconditioned conjugate gradient solver over the block system K d = F.
-// The matrix is consumed in HSBCSR form (the GPU-resident format). In the
-// default fused form an iteration is one SpMV, one preconditioner apply that
-// also yields dot(r,z), and three BLAS-1 kernels (dot(p,ap) | fused x,r
-// update producing r.r | xpay) — about 3 full-vector memory passes where the
-// textbook formulation needs ~7. The unfused form (PcgOptions::fused=false)
-// keeps the five separate BLAS-1 kernels; both produce bit-identical
-// results, and both are accounted into the analytic GPU trace on request.
+// The matrix is consumed in HSBCSR form (the GPU-resident format). An
+// iteration is one SpMV, one preconditioner apply that also yields dot(r,z),
+// and three BLAS-1 kernels (dot(p,ap) | fused x,r update producing r.r |
+// xpay) — about 3 full-vector memory passes where the textbook formulation
+// needs ~7. The fusion changes memory traffic only: x, the iteration count
+// and the residual curve are bit-identical to the textbook five-kernel loop
+// (tests/test_solve_threads.cpp keeps one as the reference). The iteration
+// is accounted into the analytic GPU trace on request.
 //
 // DDA-specific behavior from the paper:
 //  * the previous step's solution warm-starts the iteration (section IV.A),
@@ -36,10 +37,6 @@ struct PcgOptions {
     /// When set, each PCG iteration runs inside a trace::Span (category
     /// pcg_iteration). Engines wire this from TraceConfig::pcg_iteration_spans.
     trace::Tracer* tracer = nullptr;
-    /// Fused kernels (see header comment). Off reproduces the textbook
-    /// five-kernel BLAS-1 layout; results are bit-identical either way, only
-    /// the pass count and the SIMT cost accounting differ.
-    bool fused = true;
 };
 
 struct PcgResult {

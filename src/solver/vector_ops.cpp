@@ -25,23 +25,16 @@ void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
 
 double norm2(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
 
-simt::KernelCost blas1_iteration_cost(std::size_t dim, bool fused) {
+simt::KernelCost blas1_iteration_cost(std::size_t dim) {
     simt::KernelCost kc;
     const double d = static_cast<double>(dim);
-    kc.flops = 2.0 * d * 5.0; // the arithmetic is the same fused or not
-    if (fused) {
-        // Fused layout (solver/pcg.cpp): dot(p,ap) | x,r update + r.r | xpay,
-        // with dot(r,z) riding the preconditioner-apply pass for free.
-        kc.name = "pcg_blas1_fused";
-        kc.bytes_coalesced = d * sizeof(double) * 8.0; // 2 + (4r/2w overlap) + 3
-        kc.depth = 2 * 12; // two tree reductions (p.ap and r.r)
-        kc.launches = 3;
-    } else {
-        kc.name = "pcg_blas1";
-        kc.bytes_coalesced = d * sizeof(double) * 12.0; // stream in/out per kernel
-        kc.depth = 2 * 12;
-        kc.launches = 5;
-    }
+    // Fused layout (solver/pcg.cpp): dot(p,ap) | x,r update + r.r | xpay,
+    // with dot(r,z) riding the preconditioner-apply pass for free.
+    kc.name = "pcg_blas1_fused";
+    kc.flops = 2.0 * d * 5.0; // 3 axpy + 2 dot
+    kc.bytes_coalesced = d * sizeof(double) * 8.0; // 2 + (4r/2w overlap) + 3
+    kc.depth = 2 * 12; // two tree reductions (p.ap and r.r)
+    kc.launches = 3;
     return kc;
 }
 

@@ -132,8 +132,6 @@ void write_config(ByteWriter& w, const core::SimConfig& c) {
     w.f64(c.velocity_carry);
     w.f64(c.max_disp_ratio);
     w.f64(c.search_factor);
-    w.u8(static_cast<std::uint8_t>(c.broad_phase));
-    w.u8(c.broad_phase_cache ? 1 : 0);
     w.f64(c.penalty_scale);
     w.f64(c.shear_penalty_ratio);
     w.f64(c.fixed_penalty_ratio);
@@ -148,7 +146,6 @@ void write_config(ByteWriter& w, const core::SimConfig& c) {
     w.i32(c.pcg.max_iters);
     w.f64(c.pcg.rel_tol);
     w.f64(c.pcg.abs_tol);
-    w.u8(c.pcg.fused ? 1 : 0);
 }
 
 core::SimConfig read_config(ByteReader& r) {
@@ -159,8 +156,6 @@ core::SimConfig read_config(ByteReader& r) {
     c.velocity_carry = r.f64();
     c.max_disp_ratio = r.f64();
     c.search_factor = r.f64();
-    c.broad_phase = static_cast<core::BroadPhase>(r.u8());
-    c.broad_phase_cache = r.u8() != 0;
     c.penalty_scale = r.f64();
     c.shear_penalty_ratio = r.f64();
     c.fixed_penalty_ratio = r.f64();
@@ -175,7 +170,6 @@ core::SimConfig read_config(ByteReader& r) {
     c.pcg.max_iters = r.i32();
     c.pcg.rel_tol = r.f64();
     c.pcg.abs_tol = r.f64();
-    c.pcg.fused = r.u8() != 0;
     try {
         c.validate();
     } catch (const std::invalid_argument& ex) {
@@ -412,9 +406,9 @@ const char* to_string(SnapshotErrorCode code) {
 
 std::uint64_t config_fingerprint(const core::SimConfig& c) {
     // Canonical buffer over the trajectory-affecting knobs only. Knobs with
-    // proven bitwise-identity contracts (broad phase, caches, threads,
-    // fused PCG) and observer-only knobs are excluded so a
-    // resume may freely retune them without voiding the contract.
+    // proven bitwise-identity contracts (threads, checkpoint interval) and
+    // observer-only knobs are excluded so a resume may freely retune them
+    // without voiding the contract.
     ByteWriter w;
     w.f64(c.dt);
     w.f64(c.dt_min);

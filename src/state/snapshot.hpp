@@ -29,9 +29,9 @@ namespace gdda::state {
 
 /// On-disk schema version. Bump on any layout change; readers reject every
 /// other version with UnsupportedVersion, because the payload layout of
-/// another version is unknown to them (v1 to v3 stored longer SimConfigs,
+/// another version is unknown to them (v1 to v4 stored longer SimConfigs,
 /// and v3 numbered the preconditioners differently).
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Leading file magic ("GDDASNAP", 8 bytes, no terminator on disk).
 inline constexpr char kSnapshotMagic[9] = "GDDASNAP";

@@ -1,15 +1,17 @@
 // Broad-phase contact pipeline: spatial-hash backend edge cases, backend
-// candidate-set equivalence across the model zoo, the Auto selection rule,
-// the persistent pair cache (rebuild/reuse/invalidation and the superset
-// contract), divergence-aware pair classification, and whole-trajectory
-// bitwise identity across every pipeline configuration. The contracts under
-// test are documented in docs/CONTACTS.md.
+// candidate-set equivalence across the model zoo, the scene-size selection
+// rule, the persistent pair cache (rebuild/reuse/invalidation, the superset
+// contract, and exactness along engine trajectories), and divergence-aware
+// pair classification. The contracts under test are documented in
+// docs/CONTACTS.md.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "contact/broad_phase.hpp"
@@ -23,7 +25,6 @@
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
 #include "models/tunnel.hpp"
-#include "sched/job.hpp"
 
 namespace ct = gdda::contact;
 namespace bl = gdda::block;
@@ -155,7 +156,7 @@ TEST(BroadPhaseBackends, RunBroadPhaseDispatch) {
 }
 
 // ---------------------------------------------------------------------------
-// SimConfig::broad_phase selection, including the Auto scale rule.
+// Backend selection by scene size.
 
 TEST(BroadPhaseBackends, AutoSelectsByScale) {
     bl::BlockSystem small = models::make_column(6);
@@ -167,20 +168,6 @@ TEST(BroadPhaseBackends, AutoSelectsByScale) {
     ASSERT_GE(big.size(), ct::kAutoHashMinBlocks);
     core::DdaEngine big_engine(big, {}, core::EngineMode::Serial);
     EXPECT_EQ(big_engine.broad_phase_backend(), ct::BroadPhaseBackend::Hash);
-}
-
-TEST(BroadPhaseBackends, ExplicitConfigOverridesAuto) {
-    bl::BlockSystem sys = models::make_column(6);
-    core::SimConfig cfg;
-    cfg.broad_phase = core::BroadPhase::Hash;
-    core::DdaEngine forced_hash(sys, cfg, core::EngineMode::Serial);
-    EXPECT_EQ(forced_hash.broad_phase_backend(), ct::BroadPhaseBackend::Hash);
-
-    bl::BlockSystem big = models::make_block_lattice_with_blocks(
-        static_cast<int>(ct::kAutoHashMinBlocks) + 128);
-    cfg.broad_phase = core::BroadPhase::AllPairs;
-    core::DdaEngine forced_ap(big, cfg, core::EngineMode::Serial);
-    EXPECT_EQ(forced_ap.broad_phase_backend(), ct::BroadPhaseBackend::AllPairs);
 }
 
 // ---------------------------------------------------------------------------
@@ -377,29 +364,64 @@ TEST(PairClasses, ScheduleStatsMatchTheMaterialisedSchedule) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level bitwise identity: every pipeline configuration produces the
-// same trajectory, in both engine modes.
+// Engine level: the engine always runs the pair cache over the backend the
+// scene size picks. Along real trajectories, in both engine modes, a fresh
+// and a persistent cache over either backend must serve exactly the
+// triangular candidate set at every step, so neither the backend nor the
+// cache can move a trajectory.
 
-namespace {
-std::uint64_t trajectory_fp(core::BroadPhase backend, bool cache, core::EngineMode mode,
-                            int steps) {
-    bl::BlockSystem sys = models::make_falling_rocks_with_blocks(40);
-    core::SimConfig cfg;
-    cfg.broad_phase = backend;
-    cfg.broad_phase_cache = cache;
-    core::DdaEngine engine(sys, cfg, mode);
-    for (int s = 0; s < steps; ++s) engine.step();
-    return gdda::sched::state_fingerprint(sys);
-}
-} // namespace
-
-TEST(BroadPhasePipeline, TrajectoriesBitwiseIdenticalAcrossConfigs) {
-    for (core::EngineMode mode : {core::EngineMode::Serial, core::EngineMode::Gpu}) {
-        const int steps = 10;
-        const std::uint64_t ref = trajectory_fp(core::BroadPhase::AllPairs, false, mode, steps);
-        EXPECT_EQ(ref, trajectory_fp(core::BroadPhase::AllPairs, true, mode, steps));
-        EXPECT_EQ(ref, trajectory_fp(core::BroadPhase::Hash, false, mode, steps));
-        EXPECT_EQ(ref, trajectory_fp(core::BroadPhase::Hash, true, mode, steps));
+TEST(BroadPhasePipeline, PairCachesEqualTriangularEveryStep) {
+    struct Scene {
+        const char* name;
+        bl::BlockSystem (*make)();
+        int steps;
+    };
+    const Scene scenes[] = {
+        {"rocks:40", [] { return models::make_falling_rocks_with_blocks(40); }, 10},
+        // Gapped, so it settles far enough to rebuild the cache mid-run.
+        {"column:8", [] { return models::make_column(8, 0.05); }, 30},
+        // Above the hash threshold; floorless, so it falls as one rigid body
+        // and the translation-aware revalidation keeps the cache warm.
+        {"floorless lattice",
+         [] {
+             models::LatticeParams lp;
+             lp.fixed_floor = false;
+             return models::make_block_lattice_with_blocks(
+                 static_cast<int>(ct::kAutoHashMinBlocks) + 128, lp);
+         },
+         6},
+    };
+    const ct::BroadPhaseBackend backends[] = {ct::BroadPhaseBackend::AllPairs,
+                                              ct::BroadPhaseBackend::Hash};
+    for (const Scene& scene : scenes) {
+        for (core::EngineMode mode : {core::EngineMode::Serial, core::EngineMode::Gpu}) {
+            SCOPED_TRACE(std::string(scene.name) +
+                         (mode == core::EngineMode::Gpu ? " gpu" : " serial"));
+            bl::BlockSystem sys = scene.make();
+            core::DdaEngine engine(sys, {}, mode);
+            const core::SimConfig& cfg = engine.config();
+            // The engine's own search distance and motion margin.
+            const double rho = cfg.search_factor * cfg.max_disp_ratio * engine.capture().w0;
+            ct::BroadPhasePairCache persistent[std::size(backends)];
+            for (int s = 0; s <= scene.steps; ++s) {
+                if (s > 0) engine.step();
+                const std::vector<ct::BlockPair> ref =
+                    ct::broad_phase_triangular(engine.system(), rho);
+                for (std::size_t b = 0; b < std::size(backends); ++b) {
+                    SCOPED_TRACE("step " + std::to_string(s) + " backend " + std::to_string(b));
+                    simt::KernelCost cost = simt::KernelCost::accumulator();
+                    simt::KernelCost* sink = mode == core::EngineMode::Gpu ? &cost : nullptr;
+                    ct::BroadPhasePairCache fresh;
+                    EXPECT_EQ(fresh.pairs(engine.system(), rho, rho, backends[b], 0.0, sink), ref);
+                    EXPECT_EQ(persistent[b].pairs(engine.system(), rho, rho, backends[b], 0.0,
+                                                  sink),
+                              ref);
+                }
+            }
+            // The persistent caches took the warm path, so it was under test.
+            for (const ct::BroadPhasePairCache& cache : persistent)
+                EXPECT_GT(cache.stats().reuses, 0u);
+        }
     }
 }
 

@@ -142,7 +142,8 @@ TEST(Engine, SerialAndGpuTrajectoriesMatch) {
 // coalesced bytes of Contact Detection and Interpenetration Checking were
 // re-recorded when the contact geometry record shrank from 224 to 216
 // bytes: each contact_init and open_close_update record now moves 8 bytes
-// fewer, and every other field is unchanged.
+// fewer, and every other field is unchanged. The lattice case was recorded
+// at commit 23c8056, where the scene-size rule already picked the hash.
 TEST(Engine, GpuLedgersMatchRecordedPricing) {
     struct Expected {
         double flops, bytes_coalesced, bytes_texture, bytes_random;
@@ -151,36 +152,43 @@ TEST(Engine, GpuLedgersMatchRecordedPricing) {
     struct Case {
         const char* name;
         bl::BlockSystem (*make)();
-        co::BroadPhase broad_phase;
+        int steps;
+        gdda::contact::BroadPhaseBackend backend;
         Expected modules[co::kModuleCount];
     };
     const Case cases[] = {
-        // AllPairs via Auto; diagonal-cache hits and warm passes included.
+        // AllPairs; diagonal-cache hits and warm passes included.
         {"slope:120",
          [] { return gdda::models::make_slope_with_blocks(120); },
-         co::BroadPhase::Auto,
+         10,
+         gdda::contact::BroadPhaseBackend::AllPairs,
          {{10896736, 26440504, 4720984, 41920, 222},
           {2028600, 4590432, 185472, 0, 66},
           {72916272, 111015296, 0, 105150528, 292},
           {99061478, 362338028, 72041795.999999955, 10174464, 5019},
           {7147560, 34308288, 22872192, 0, 96},
           {1054420, 2231968, 312000, 0, 40}}},
-        {"rocks:64 hash",
-         [] { return gdda::models::make_falling_rocks_with_blocks(64); },
-         co::BroadPhase::Hash,
-         {{35138283, 94287588, 15694840, 113664, 209},
-          {560000, 371200, 51200, 0, 20},
-          {66145596, 97655888, 0, 94000320, 48},
-          {3050020, 11630540, 2564316, 2672640, 111},
-          {6511800, 31256640, 20837760, 0, 20},
-          {3415900, 8050960, 153600, 0, 40}}},
+        // Hash, at the size where the engine switches to it; ten all-open
+        // steps of free fall, then the impact on the floor with a retry.
+        {"lattice:4096",
+         [] {
+             return gdda::models::make_block_lattice_with_blocks(
+                 static_cast<int>(gdda::contact::kAutoHashMinBlocks));
+         },
+         12,
+         gdda::contact::BroadPhaseBackend::Hash,
+         {{216096063, 525562820, 126467136, 2094232, 252},
+          {37282700, 49491760, 3408704, 0, 35},
+          {646715268, 956128784, 0, 939521088, 72},
+          {4450246636, 15757505328, 3488399107.1999927, 127733760, 7881},
+          {63441840, 304520832, 203013888, 0, 44},
+          {27135120, 56078112, 9439488, 0, 48}}},
     };
     for (const Case& c : cases) {
         bl::BlockSystem sys = c.make();
-        co::SimConfig cfg;
-        cfg.broad_phase = c.broad_phase;
-        co::DdaEngine eng(sys, cfg, co::EngineMode::Gpu);
-        eng.run(10);
+        co::DdaEngine eng(sys, {}, co::EngineMode::Gpu);
+        ASSERT_EQ(eng.broad_phase_backend(), c.backend) << c.name;
+        eng.run(c.steps);
         for (int m = 0; m < co::kModuleCount; ++m) {
             SCOPED_TRACE(std::string(c.name) + " / " +
                          std::string(co::kModuleNames[static_cast<std::size_t>(m)]));

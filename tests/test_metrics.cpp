@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -503,8 +504,6 @@ TEST(MetricsEngine, TrajectoriesBitwiseIdenticalWithObserverOn) {
         {
             core::SimConfig cfg = small_cfg();
             cfg.metrics.enabled = true;
-            cfg.metrics.health = true;
-            cfg.metrics.energy = true;
             cfg.metrics.flight_recorder_capacity = 8;
             block::BlockSystem sys = models::make_slope_with_blocks(40);
             core::DdaEngine eng(sys, cfg, mode);
@@ -582,6 +581,12 @@ TEST(MetricsEngine, ConfigValidationRejectsNonsense) {
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
     cfg.metrics.rules.pcg_fail_warn_streak = 2;
     cfg.metrics.rules.penetration_critical_ratio = 0.001; // below warn ratio
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    // NaN thresholds would switch their rules off silently.
+    cfg.metrics.rules.penetration_critical_ratio = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    cfg.metrics.rules.penetration_critical_ratio = 0.05;
+    cfg.metrics.rules.energy_growth_tol = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 

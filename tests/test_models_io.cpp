@@ -5,6 +5,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 
 #include "core/engine.hpp"
@@ -232,9 +234,29 @@ TEST(Config, ValidateRejectsNonsense) {
     bad = ok;
     bad.precond = static_cast<gdda::core::PrecondKind>(3);
     EXPECT_THROW(bad.validate(), std::invalid_argument);
-    bad = ok;
-    bad.broad_phase = static_cast<gdda::core::BroadPhase>(3);
-    EXPECT_THROW(bad.validate(), std::invalid_argument);
+    // NaN and infinities fail every range check, and both penalty ratios
+    // must be positive.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::function<void(SimConfig&)> spoilers[] = {
+        [&](SimConfig& c) { c.velocity_carry = nan; },
+        [&](SimConfig& c) { c.dt_max = nan; },
+        [&](SimConfig& c) { c.dt_max = inf; },
+        [&](SimConfig& c) { c.pcg.abs_tol = nan; },
+        [&](SimConfig& c) { c.pcg.rel_tol = inf; },
+        [&](SimConfig& c) { c.shear_penalty_ratio = -1.0; },
+        [&](SimConfig& c) { c.shear_penalty_ratio = 0.0; },
+        [&](SimConfig& c) { c.fixed_penalty_ratio = nan; },
+        [&](SimConfig& c) { c.penalty_scale = inf; },
+        [&](SimConfig& c) { c.search_factor = inf; },
+        [&](SimConfig& c) { c.dt_grow = inf; },
+        [&](SimConfig& c) { c.dt_shrink = nan; },
+    };
+    for (const auto& spoil : spoilers) {
+        bad = ok;
+        spoil(bad);
+        EXPECT_THROW(bad.validate(), std::invalid_argument);
+    }
 
     // The engine enforces validation on construction.
     bl::BlockSystem sys = mo::make_column(1);

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "models/falling_rocks.hpp"
@@ -256,13 +257,14 @@ TEST(Snapshot, MalformedInputsRejectedWithTypedCodes) {
     zeroed[8] = '\0';
     EXPECT_EQ(load_error_code(zeroed), SnapshotErrorCode::UnsupportedVersion);
 
-    // An older version carries an older config layout (v3 stored two more
-    // config fields and numbered the preconditioners differently); the
-    // header sits outside the payload checksum, so only the version check
-    // stops the reader from misparsing it. Both entry points must refuse it.
+    // An older version carries an older config layout (v4 stored three more
+    // config bytes, v3 two more fields and other preconditioner numbers);
+    // the header sits outside the payload checksum, so only the version
+    // check stops the reader from misparsing it. Both entry points must
+    // refuse it.
     std::string older = good;
-    ASSERT_EQ(state::kSnapshotVersion, 4u);
-    older[8] = '\x03';
+    ASSERT_EQ(state::kSnapshotVersion, 5u);
+    older[8] = '\x04';
     EXPECT_EQ(load_error_code(older), SnapshotErrorCode::UnsupportedVersion);
     const std::string older_path = temp_path("older_version");
     {
@@ -313,11 +315,23 @@ TEST(Snapshot, StoredConfigOutOfRangeIsCorrupt) {
     };
     const std::string bad_precond =
         corrupted([](core::SimConfig& c) { c.precond = static_cast<core::PrecondKind>(3); });
-    const std::string bad_broad_phase =
-        corrupted([](core::SimConfig& c) { c.broad_phase = static_cast<core::BroadPhase>(7); });
     const std::string bad_dt = corrupted([](core::SimConfig& c) { c.dt = -1.0; });
     const std::string bad_threads = corrupted([](core::SimConfig& c) { c.step_threads = -2; });
-    for (const std::string* bytes : {&bad_precond, &bad_broad_phase, &bad_dt, &bad_threads})
+    // A NaN velocity_carry would poison every velocity of the resumed run.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::string nan_carry = corrupted([&](core::SimConfig& c) { c.velocity_carry = nan; });
+    const std::string nan_dt_max = corrupted([&](core::SimConfig& c) { c.dt_max = nan; });
+    const std::string nan_abs_tol = corrupted([&](core::SimConfig& c) { c.pcg.abs_tol = nan; });
+    const std::string bad_shear =
+        corrupted([](core::SimConfig& c) { c.shear_penalty_ratio = -1.0; });
+    const std::string nan_fixed =
+        corrupted([&](core::SimConfig& c) { c.fixed_penalty_ratio = nan; });
+    const std::string inf_grow = corrupted([](core::SimConfig& c) {
+        c.dt_grow = std::numeric_limits<double>::infinity();
+    });
+    for (const std::string* bytes : {&bad_precond, &bad_dt, &bad_threads, &nan_carry,
+                                     &nan_dt_max, &nan_abs_tol, &bad_shear, &nan_fixed,
+                                     &inf_grow})
         EXPECT_EQ(load_error_code(*bytes), SnapshotErrorCode::Corrupt);
 }
 

@@ -192,21 +192,14 @@ TEST(StepThreads, AssemblyBitwiseInvariantAcrossTeams) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-engine trajectories: the model zoo x both modes x the documented
-// bitwise-equivalent configuration variants, at every team size. Engine mode
-// only prices the run, so the two modes' baselines must agree as well.
+// Whole-engine trajectories: the model zoo x both modes x every step_threads
+// team size. Engine mode only prices the run, so the two modes' baselines
+// must agree as well. That the pair cache over either broad-phase backend
+// serves the exact candidate set is checked at the contact layer
+// (BroadPhasePipeline.PairCachesEqualTriangularEveryStep).
 
 TEST(StepThreads, FingerprintInvariantAcrossTeamsModesAndConfigs) {
     constexpr int kSteps = 5;
-    struct Variant {
-        const char* name;
-        void (*tweak)(core::SimConfig&);
-    };
-    const Variant variants[] = {
-        {"cache_off", [](core::SimConfig& c) { c.broad_phase_cache = false; }},
-        {"hash", [](core::SimConfig& c) { c.broad_phase = core::BroadPhase::Hash; }},
-        {"allpairs", [](core::SimConfig& c) { c.broad_phase = core::BroadPhase::AllPairs; }},
-    };
 
     for (const ZooEntry& zoo : kZoo) {
         std::uint64_t mode_baseline[2] = {};
@@ -233,19 +226,6 @@ TEST(StepThreads, FingerprintInvariantAcrossTeamsModesAndConfigs) {
                 for (int s = 0; s < kSteps; ++s) engine.step();
                 EXPECT_EQ(baseline, block::state_fingerprint(sys))
                     << where << " step_threads " << threads;
-            }
-            // Variants run with a 4-wide team: every one is documented
-            // bitwise-equivalent to the default path, so the fingerprint
-            // must not move.
-            for (const Variant& v : variants) {
-                block::BlockSystem sys = zoo.make();
-                core::SimConfig cfg;
-                cfg.step_threads = 4;
-                v.tweak(cfg);
-                core::DdaEngine engine(sys, cfg, mode);
-                for (int s = 0; s < kSteps; ++s) engine.step();
-                EXPECT_EQ(baseline, block::state_fingerprint(sys))
-                    << where << " variant " << v.name;
             }
         }
         EXPECT_EQ(mode_baseline[0], mode_baseline[1])
@@ -370,35 +350,35 @@ TEST(ContactPipelineThreads, LatticeStepsBitwiseAcrossTeams) {
 
 TEST(ContactPipelineThreads, FreefallLatticeCacheStaysWarmAndBitwiseExact) {
     // A floorless lattice falls as one rigid body: the translation-aware
-    // pair cache builds once and stays warm, and its re-filtered set drives
-    // the same trajectory and contact list as the uncached broad phase.
+    // pair cache builds once and stays warm, and the run lands on the same
+    // state and contact list in both modes at every team size. That the
+    // warm cache serves the exact candidate set is checked at the contact
+    // layer (BroadPhasePipeline.PairCachesEqualTriangularEveryStep).
+    struct Outcome {
+        std::uint64_t fingerprint = 0;
+        std::vector<std::uint64_t> contacts;
+    };
+    auto run = [](core::EngineMode mode, int team) {
+        models::LatticeParams lp;
+        lp.fixed_floor = false;
+        block::BlockSystem sys = models::make_block_lattice_with_blocks(2000, lp);
+        core::SimConfig cfg;
+        cfg.step_threads = team;
+        core::DdaEngine engine(sys, cfg, mode);
+        for (int s = 0; s < 30; ++s) engine.step();
+        EXPECT_EQ(engine.pair_cache().stats().rebuilds, 1u);
+        return Outcome{block::state_fingerprint(sys), contact_words(engine.contacts())};
+    };
+    const Outcome ref = run(core::EngineMode::Serial, 1);
+    EXPECT_FALSE(ref.contacts.empty());
     for (core::EngineMode mode : {core::EngineMode::Serial, core::EngineMode::Gpu}) {
         for (int team : {1, 2}) {
+            if (mode == core::EngineMode::Serial && team == 1) continue; // the reference
             const std::string where = std::string(mode == core::EngineMode::Gpu ? "gpu" : "serial") +
                                       " team " + std::to_string(team);
-            struct Outcome {
-                std::uint64_t fingerprint = 0;
-                std::vector<std::uint64_t> contacts;
-                std::uint64_t rebuilds = 0;
-            };
-            auto run = [&](bool cache) {
-                models::LatticeParams lp;
-                lp.fixed_floor = false;
-                block::BlockSystem sys = models::make_block_lattice_with_blocks(2000, lp);
-                core::SimConfig cfg;
-                cfg.step_threads = team;
-                cfg.broad_phase_cache = cache;
-                core::DdaEngine engine(sys, cfg, mode);
-                for (int s = 0; s < 30; ++s) engine.step();
-                return Outcome{block::state_fingerprint(sys), contact_words(engine.contacts()),
-                               engine.pair_cache().stats().rebuilds};
-            };
-            const Outcome cached = run(true);
-            const Outcome cold = run(false);
-            EXPECT_EQ(cached.rebuilds, 1u) << where;
-            EXPECT_EQ(cached.fingerprint, cold.fingerprint) << where;
-            EXPECT_EQ(cached.contacts, cold.contacts) << where;
-            EXPECT_FALSE(cached.contacts.empty()) << where;
+            const Outcome out = run(mode, team);
+            EXPECT_EQ(out.fingerprint, ref.fingerprint) << where;
+            EXPECT_EQ(out.contacts, ref.contacts) << where;
         }
     }
 }
