@@ -1,10 +1,12 @@
 #include "contact/open_close.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <numbers>
 
 #include "par/deterministic_reduce.hpp"
@@ -18,15 +20,13 @@ using sparse::Vec6;
 
 namespace {
 
-/// What both halves of a contact's geometry read: the vertex p1, the edge
-/// p2 -> p3 with its length (clamped away from zero in l), and the
-/// vertex's displacement rows.
+/// What both halves of a contact's geometry read: the vertex p1 and the
+/// edge p2 -> p3 with its length (clamped away from zero in l).
 struct ContactFrame {
     const Block& bi;
     const Block& bj;
     Vec2 p1, p2, p3, edge;
     double length, l;
-    Vec6 tx1, ty1;
 };
 
 ContactFrame contact_frame(const block::BlockSystem& sys, const Contact& c) {
@@ -37,20 +37,24 @@ ContactFrame contact_frame(const block::BlockSystem& sys, const Contact& c) {
     const Vec2 p3 = bj.verts[c.e2];
     const Vec2 edge = p3 - p2;
     const double length = edge.norm();
-    return {bi, bj, p1, p2, p3, edge, length, std::max(length, 1e-300), bi.tx(p1), bi.ty(p1)};
+    return {bi, bj, p1, p2, p3, edge, length, std::max(length, 1e-300)};
 }
 
-/// Normal half: gap0, en_i, gn_j, ratio and length, everything an open
-/// contact's update reads.
-void normal_geometry(const ContactFrame& f, ContactGeometry& g) {
+/// The projection parameter of the vertex onto the edge line. The
+/// open-contact update's exact span skip reads it, so it is exactly the
+/// bits the contact's record would hold.
+double frame_ratio(const ContactFrame& f) {
+    return f.l > 0.0 ? (f.p1 - f.p2).dot(f.edge) / (f.l * f.l) : 0.5;
+}
+
+/// The gap's gradients en_i and gn_j.
+void normal_rows(const ContactFrame& f, ContactGeometry& g) {
     const double l = f.l;
-    g.length = f.length;
-    // Normal gap: gap = -det(1 p1; 1 p2; 1 p3) / l, positive outside the
-    // CCW block bj. Gradients follow from the determinant's linearity.
-    g.gap0 = -geom::orient2d(f.p2, f.p3, f.p1) / l;
     const Vec2 p1 = f.p1;
     const Vec2 p2 = f.p2;
     const Vec2 p3 = f.p3;
+    const Vec6 tx1 = f.bi.tx(p1);
+    const Vec6 ty1 = f.bi.ty(p1);
     const Vec6 tx2 = f.bj.tx(p2);
     const Vec6 ty2 = f.bj.ty(p2);
     const Vec6 tx3 = f.bj.tx(p3);
@@ -61,12 +65,22 @@ void normal_geometry(const ContactFrame& f, ContactGeometry& g) {
 #pragma omp simd
 #endif
     for (int k = 0; k < 6; ++k) {
-        g.en_i[k] = -((p2.y - p3.y) * f.tx1[k] + (p3.x - p2.x) * f.ty1[k]) / l;
+        g.en_i[k] = -((p2.y - p3.y) * tx1[k] + (p3.x - p2.x) * ty1[k]) / l;
         g.gn_j[k] = -((p3.y - p1.y) * tx2[k] + (p1.x - p3.x) * ty2[k] +
                       (p1.y - p2.y) * tx3[k] + (p2.x - p1.x) * ty3[k]) /
                     l;
     }
-    g.ratio = l > 0.0 ? (p1 - p2).dot(f.edge) / (l * l) : 0.5;
+}
+
+/// Normal half: gap0, en_i, gn_j, ratio and length, everything an open
+/// contact's update reads.
+void normal_geometry(const ContactFrame& f, ContactGeometry& g) {
+    g.length = f.length;
+    // Normal gap: gap = -det(1 p1; 1 p2; 1 p3) / l, positive outside the
+    // CCW block bj. Gradients follow from the determinant's linearity.
+    g.gap0 = -geom::orient2d(f.p2, f.p3, f.p1) / f.l;
+    g.ratio = frame_ratio(f);
+    normal_rows(f, g);
 }
 
 /// Shear half: es_i and gs_j, the tangential offset of the vertex relative
@@ -75,15 +89,103 @@ void shear_geometry(const ContactFrame& f, ContactGeometry& g) {
     const Vec2 t = f.edge / f.l;
     const double r = geom::closest_param_on_segment(f.p2, f.p3, f.p1);
     const Vec2 p0 = f.p2 + f.edge * r;
+    const Vec6 tx1 = f.bi.tx(f.p1);
+    const Vec6 ty1 = f.bi.ty(f.p1);
     const Vec6 tx0 = f.bj.tx(p0);
     const Vec6 ty0 = f.bj.ty(p0);
     for (int k = 0; k < 6; ++k) {
-        g.es_i[k] = t.x * f.tx1[k] + t.y * f.ty1[k];
+        g.es_i[k] = t.x * tx1[k] + t.y * ty1[k];
         g.gs_j[k] = -(t.x * tx0[k] + t.y * ty0[k]);
     }
 }
 
+/// Relative rounding slack of the certificate, on the magnitude of the
+/// quantities the full evaluation's dn sums: that sum's worst-case
+/// rounding, the gap's division, the edge-length bounds and the
+/// certificate's own evaluation come to about 45 units of 2^-53
+/// (docs/CONTACTS.md, "The open-close certificate").
+constexpr double kCertSlack = 64.0 * std::numeric_limits<double>::epsilon();
+/// Absolute slack for results in the subnormal range, where rounding
+/// errors are absolute rather than relative.
+constexpr double kCertFloor = 64.0 * std::numeric_limits<double>::denorm_min();
+
+/// True when the dn the full evaluation would compute for the open contact
+/// of vertex p1 against edge p2 -> p3, under an increment that moves its
+/// blocks by mi and mj, is certainly >= -open_tol: the contact cannot
+/// close. A common translation cancels exactly from the relative normal
+/// motion, which is at most reach + 2 (s / l) spin_j with s bounding
+/// |p3 - p1| + |p1 - p2| and the rows' magnitude. The test is the
+/// condition multiplied by the edge length l, which lies between the
+/// edge's max and 1-norms: no square root, no division. Any NaN or
+/// infinity fails it, and so does an edge too short for its square to be
+/// a normal number.
+bool cannot_close(Vec2 p1, Vec2 p2, Vec2 p3, const BlockMotion& mi, const BlockMotion& mj,
+                  double open_tol) {
+    const Vec2 e = p3 - p2;
+    const Vec2 r = p1 - p2;
+    const double l1 = std::abs(e.x) + std::abs(e.y);
+    const double linf = std::max(std::abs(e.x), std::abs(e.y));
+    const double o = geom::orient2d(p2, p3, p1); // gap0 = -o / l
+    const double reach = std::abs(mi.u - mj.u) + std::abs(mi.v - mj.v) + mi.spin + mj.spin;
+    const double a = open_tol - reach;
+    const double s = l1 + std::abs(r.x) + std::abs(r.y);
+    const double wi = std::abs(mi.u) + std::abs(mi.v) + mi.spin;
+    const double wj = std::abs(mj.u) + std::abs(mj.v) + mj.spin;
+    const double y = 2.0 * mj.spin + kCertSlack * (wi + 2.0 * wj);
+    const double t = -o - kCertSlack * std::abs(o) + a * (a >= 0.0 ? linf : l1) -
+                     kCertSlack * (open_tol + reach) * l1 - s * y;
+    return linf >= 1e-150 && t >= kCertFloor;
+}
+
+/// Whether open contact c stays open in this pass without reading d: given
+/// the pass's block motions its entry gap is certified, or its projection
+/// falls off the edge's span (exact: the closing gate demands the span).
+/// The certificate goes first: on a rigidly moving scene it holds for
+/// every contact, so the span's square root and division are never paid
+/// there.
+bool stays_open(const block::BlockSystem& sys, const Contact& c,
+                std::span<const BlockMotion> motion, double open_tol) {
+    if (!motion.empty() &&
+        cannot_close(sys.blocks[c.bi].verts[c.vi], sys.blocks[c.bj].verts[c.e1],
+                     sys.blocks[c.bj].verts[c.e2], motion[c.bi], motion[c.bj], open_tol))
+        return true;
+    const double ratio = frame_ratio(contact_frame(sys, c));
+    return !(ratio > -0.01 && ratio < 1.01);
+}
+
+/// An open contact that stays open: prev_state Open, no switch, last_gap
+/// +0. Written only where a field differs, so a contact that was already
+/// in that state is read and not written.
+void stay_open(Contact& c) {
+    if (c.prev_state != ContactState::Open || c.p1 != 0 || c.p2 != 0 ||
+        std::bit_cast<std::uint64_t>(c.last_gap) != 0) {
+        c.prev_state = ContactState::Open;
+        c.p1 = 0;
+        c.p2 = 0;
+        c.last_gap = 0.0;
+    }
+}
+
 } // namespace
+
+void block_motion(const block::BlockSystem& sys, const BlockVec& d,
+                  std::span<BlockMotion> out) {
+    assert(out.size() == sys.blocks.size());
+    par::parallel_for(sys.blocks.size(), 64, [&](std::size_t b) {
+        const Block& blk = sys.blocks[b];
+        // rad bounds |X| and |Y| exactly as tx/ty compute them, so every
+        // vertex's rotation and strain displacement (-Y r0 + X ex + Y g/2,
+        // X r0 + Y ey + X g/2) has 1-norm at most rad (2|r0| + |ex| + |ey|
+        // + |g|).
+        double rad = 0.0;
+        for (const Vec2 p : blk.verts)
+            rad = std::max({rad, std::abs(p.x - blk.centroid.x), std::abs(p.y - blk.centroid.y)});
+        const Vec6& db = d[b];
+        out[b] = {db[0], db[1],
+                  rad * (2.0 * std::abs(db[2]) + std::abs(db[3]) + std::abs(db[4]) +
+                         std::abs(db[5]))};
+    });
+}
 
 ContactGeometry init_contact_geometry(const block::BlockSystem& sys, const Contact& c) {
     const ContactFrame f = contact_frame(sys, c);
@@ -143,7 +245,8 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
                                       std::span<ContactGeometry> geo,
                                       std::vector<Contact>& contacts, const BlockVec& d,
                                       const OpenCloseParams& params,
-                                      simt::KernelCost* cost) {
+                                      simt::KernelCost* cost,
+                                      std::span<const BlockMotion> motion) {
     // Every contact updates only itself; the two reductions (an integer
     // count and a max from +0) are exact in any grouping, so the result is
     // bitwise identical for any team size.
@@ -218,13 +321,15 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
                                         int(old != ContactState::Open));
         c.p2 = static_cast<std::int8_t>(int(next == ContactState::Lock) -
                                         int(old == ContactState::Lock));
+        ++res.evaluated;
         if (next != old) ++res.state_changes;
         if (next != ContactState::Open) ++res.closed;
         c.prev_state = old;
         c.state = next;
         // Friction limits derive a normal force from this gap; off-span
         // evaluations are extended-line artifacts and must not contribute.
-        c.last_gap = on_span ? dn : 0.0;
+        // Only closed contacts' gaps have a reader: an open one holds +0.
+        c.last_gap = next != ContactState::Open && on_span ? dn : 0.0;
 
         // Interpenetration is measured on closed contacts only: their dn is
         // the actual spring stretch. Open contacts with deep negative line
@@ -245,13 +350,23 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
         contacts.size(),
         [&](std::size_t begin, std::size_t end) {
             OpenCloseResult part;
-            for (std::size_t k = begin; k < end; ++k) update(part, k);
+            // An open contact that cannot close skips the rows, the d
+            // gathers and the dot products, and its writes when it is
+            // already in the stay-open state.
+            for (std::size_t k = begin; k < end; ++k) {
+                Contact& c = contacts[k];
+                if (c.state == ContactState::Open && stays_open(sys, c, motion, params.open_tol))
+                    stay_open(c);
+                else
+                    update(part, k);
+            }
             return part;
         },
         [](const OpenCloseResult& x, const OpenCloseResult& y) {
             OpenCloseResult sum;
             sum.state_changes = x.state_changes + y.state_changes;
             sum.closed = x.closed + y.closed;
+            sum.evaluated = x.evaluated + y.evaluated;
             sum.max_penetration = std::max(x.max_penetration, y.max_penetration);
             return sum;
         });
@@ -283,7 +398,8 @@ void commit_contact_springs(std::span<const ContactGeometry> geo,
                 break;
             case ContactState::Slide:
             case ContactState::Open:
-                c.shear_disp = 0.0;
+                // A bit test, so a -0 is still rewritten to +0.
+                if (std::bit_cast<std::uint64_t>(c.shear_disp) != 0) c.shear_disp = 0.0;
                 break;
         }
     });

@@ -127,6 +127,16 @@ struct StepStats {
     /// attempt (rejected attempts do not count).
     double max_penetration = 0.0;
     bool converged = true;
+    /// Work of the step's rejected attempts, thrown away by their retries:
+    /// linear solves and PCG iterations (pcg_solves and pcg_iterations
+    /// count them too), and open-close passes counted as open_close_iters
+    /// counts the committed attempt's.
+    int rejected_pcg_solves = 0;
+    int rejected_pcg_iterations = 0;
+    int rejected_open_close_iters = 0;
+    /// A retry shrank dt to dt_min; the step then ended in the last-resort
+    /// pass (converged = false).
+    bool hit_dt_min = false;
 };
 
 } // namespace gdda::core

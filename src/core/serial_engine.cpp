@@ -280,12 +280,16 @@ contact::OpenCloseResult DdaEngine::solve_pass(BlockVec& d, StepStats& stats,
     }
 
     // Interpenetration checking: evaluate contact states under d. A
-    // contact that closes writes its geometry record into geo_.
+    // contact that closes writes its geometry record into geo_. The blocks'
+    // motions under d let open contacts that cannot close skip their
+    // evaluation; the kernel is still priced for every contact.
     ScopedTimer t(timers_, Module::InterpenetrationCheck, tracer_.get(), &par_timers_);
     simt::KernelCost cost = simt::KernelCost::accumulator();
     simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
-    const contact::OpenCloseResult oc =
-        contact::update_contact_states(*sys_, geo_.span(), contacts_, d, sp.contact, sink);
+    motion_.reset(sys_->size());
+    contact::block_motion(*sys_, d, motion_.span());
+    const contact::OpenCloseResult oc = contact::update_contact_states(
+        *sys_, geo_.span(), contacts_, d, sp.contact, sink, motion_.span());
     stats.max_penetration = std::max(stats.max_penetration, oc.max_penetration);
     if (sink) ledgers_.add(Module::InterpenetrationCheck, cost);
     return oc;
@@ -399,6 +403,8 @@ StepStats DdaEngine::step_impl() {
         stats.converged = true;
         // The step reports, and pen_ok judges, this attempt's penetration.
         stats.max_penetration = 0.0;
+        const int solves_before = stats.pcg_solves;
+        const int iterations_before = stats.pcg_iterations;
         // Block state or dt changed since the last attempt: the cached
         // diagonal physics is stale (the contact structure may still hold).
         ++values_epoch_;
@@ -475,10 +481,17 @@ StepStats DdaEngine::step_impl() {
                          attempt, int(oc_converged), int(stats.converged), int(disp_ok),
                          int(pen_ok), maxd, stats.max_penetration, dt_);
         }
-        // Failure: shrink the physical time and retry the whole step.
+        // Failure: the attempt's work is thrown away. Shrink the physical
+        // time and retry the whole step.
+        stats.rejected_pcg_solves += stats.pcg_solves - solves_before;
+        stats.rejected_pcg_iterations += stats.pcg_iterations - iterations_before;
+        stats.rejected_open_close_iters += oc_iters;
         dt_ = std::max(dt_ * cfg_.dt_shrink, cfg_.dt_min);
         contact::restore_entry_states(entry_.span(), contacts_);
-        if (dt_ <= cfg_.dt_min) break;
+        if (dt_ <= cfg_.dt_min) {
+            stats.hit_dt_min = true;
+            break;
+        }
     }
 
     // Last resort: accept the step at dt_min to keep the simulation moving;
@@ -558,6 +571,10 @@ StepStats DdaEngine::step() {
     rec.pcg_solves = stats.pcg_solves;
     rec.pcg_iterations = stats.pcg_iterations;
     rec.pcg_failed_solves = stats.pcg_failed_solves;
+    rec.rejected_pcg_solves = stats.rejected_pcg_solves;
+    rec.rejected_pcg_iterations = stats.rejected_pcg_iterations;
+    rec.rejected_open_close_iters = stats.rejected_open_close_iters;
+    rec.hit_dt_min = stats.hit_dt_min;
     rec.contacts = contacts_.size();
     rec.active_contacts = stats.active_contacts;
     rec.max_displacement = stats.max_displacement;

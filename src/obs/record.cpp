@@ -92,6 +92,10 @@ JsonValue to_json(const StepRecord& rec) {
     j.set("pcg_solves", JsonValue::integer(rec.pcg_solves));
     j.set("pcg_iterations", JsonValue::integer(rec.pcg_iterations));
     j.set("pcg_failed_solves", JsonValue::integer(rec.pcg_failed_solves));
+    j.set("rejected_pcg_solves", JsonValue::integer(rec.rejected_pcg_solves));
+    j.set("rejected_pcg_iterations", JsonValue::integer(rec.rejected_pcg_iterations));
+    j.set("rejected_open_close_iters", JsonValue::integer(rec.rejected_open_close_iters));
+    j.set("hit_dt_min", JsonValue::boolean(rec.hit_dt_min));
     j.set("contacts", JsonValue::integer(static_cast<long long>(rec.contacts)));
     j.set("active_contacts", JsonValue::integer(static_cast<long long>(rec.active_contacts)));
     j.set("max_displacement", JsonValue::number(rec.max_displacement));
@@ -139,9 +143,9 @@ bool from_json(const JsonValue& doc, StepRecord& rec, std::string* err) {
                       std::string(kStepSchemaName) + "')");
     long long version = 0;
     if (!r.count(doc, "version", version)) return false;
-    // v1 predates span tracing, v2 predates pcg_failed_solves; both decode
-    // with the missing fields defaulted to 0. v4's mixed-precision counters
-    // are not read.
+    // v1 predates span tracing, v2 predates pcg_failed_solves, v5 the
+    // rejected-attempt counts; each decodes with the missing fields
+    // defaulted to 0 (false). v4's mixed-precision counters are not read.
     if (version < 1 || version > kSchemaVersion)
         return r.fail("unsupported schema version " + std::to_string(version) +
                       " (this build reads v1-v" + std::to_string(kSchemaVersion) + ")");
@@ -165,6 +169,21 @@ bool from_json(const JsonValue& doc, StepRecord& rec, std::string* err) {
         if (!r.count(doc, "pcg_failed_solves", rec.pcg_failed_solves)) return false;
         if (rec.pcg_failed_solves > rec.pcg_solves)
             return r.fail("'pcg_failed_solves' exceeds 'pcg_solves'");
+    }
+    rec.rejected_pcg_solves = 0;
+    rec.rejected_pcg_iterations = 0;
+    rec.rejected_open_close_iters = 0;
+    rec.hit_dt_min = false;
+    if (version >= 6) {
+        if (!r.count(doc, "rejected_pcg_solves", rec.rejected_pcg_solves)) return false;
+        if (rec.rejected_pcg_solves > rec.pcg_solves)
+            return r.fail("'rejected_pcg_solves' exceeds 'pcg_solves'");
+        if (!r.count(doc, "rejected_pcg_iterations", rec.rejected_pcg_iterations)) return false;
+        if (rec.rejected_pcg_iterations > rec.pcg_iterations)
+            return r.fail("'rejected_pcg_iterations' exceeds 'pcg_iterations'");
+        if (!r.count(doc, "rejected_open_close_iters", rec.rejected_open_close_iters))
+            return false;
+        if (!r.boolean(doc, "hit_dt_min", rec.hit_dt_min)) return false;
     }
     if (!r.count(doc, "contacts", rec.contacts)) return false;
     if (!r.count(doc, "active_contacts", rec.active_contacts)) return false;

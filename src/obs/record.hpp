@@ -26,8 +26,11 @@ inline constexpr std::string_view kStepSchemaName = "gdda.obs.step";
 /// previously dropped on the floor). v4 added three mixed-precision solver
 /// counters; v5 removed them with the mixed-precision solver. Older
 /// documents still decode — missing fields default to 0, and fields this
-/// build no longer knows (the v4 counters) are ignored.
-inline constexpr int kSchemaVersion = 5;
+/// build no longer knows (the v4 counters) are ignored. v6 added the
+/// rejected-attempt counts (`rejected_pcg_solves`,
+/// `rejected_pcg_iterations`, `rejected_open_close_iters`) and
+/// `hit_dt_min`.
+inline constexpr int kSchemaVersion = 6;
 
 /// Pipeline modules in the paper's Table II/III row order. Must stay in sync
 /// with core::Module (static_asserted where the engine builds records).
@@ -78,6 +81,14 @@ struct StepRecord {
     /// Of pcg_solves, how many exited without reaching tolerance (silent
     /// solver failures — surfaced in metrics and `gdda-serve --verify`).
     int pcg_failed_solves = 0;
+    /// Work of the step's rejected attempts (v6+; 0 when decoded from an
+    /// older record): solves and PCG iterations, which pcg_solves and
+    /// pcg_iterations include, and open-close passes.
+    int rejected_pcg_solves = 0;
+    int rejected_pcg_iterations = 0;
+    int rejected_open_close_iters = 0;
+    /// A retry shrank dt to dt_min (v6+; false when decoded from older).
+    bool hit_dt_min = false;
     std::size_t contacts = 0;
     std::size_t active_contacts = 0;
     double max_displacement = 0.0;

@@ -67,7 +67,7 @@ std::string schema_json() {
         fields.set(std::string(name), std::move(f));
     };
     field("schema", "string", "", "record type; always \"gdda.obs.step\"");
-    field("version", "count", "", "schema layout revision; this build writes v5, reads v1-v5");
+    field("version", "count", "", "schema layout revision; this build writes v6, reads v1-v6");
     field("mode", "string", "", "\"serial\" or \"gpu\" pipeline");
     field("step", "count", "", "0-based step index within the run");
     field("time", "number", "s", "simulated time after the step");
@@ -79,6 +79,17 @@ std::string schema_json() {
     field("pcg_failed_solves", "count", "",
           "of pcg_solves, how many exited without reaching tolerance (v3+; "
           "never exceeds pcg_solves)");
+    field("rejected_pcg_solves", "count", "",
+          "of pcg_solves, those of rejected attempts, thrown away by a retry (v6+; never "
+          "exceeds pcg_solves)");
+    field("rejected_pcg_iterations", "count", "",
+          "of pcg_iterations, those of rejected attempts (v6+; never exceeds "
+          "pcg_iterations)");
+    field("rejected_open_close_iters", "count", "",
+          "loop-3 passes of rejected attempts, counted as open_close_iters counts the "
+          "accepted one's (v6+)");
+    field("hit_dt_min", "bool", "",
+          "a retry shrank dt to dt_min, so the step ended in the last-resort pass (v6+)");
     field("contacts", "count", "", "contact points carried by the step");
     field("active_contacts", "count", "", "of which non-open (spring engaged)");
     field("max_displacement", "number", "m", "max vertex displacement of the step");

@@ -390,6 +390,32 @@ TEST(BroadPhasePipeline, PairCachesEqualTriangularEveryStep) {
                  static_cast<int>(ct::kAutoHashMinBlocks) + 128, lp);
          },
          6},
+        // Two floorless lattice bands side by side, about four search
+        // distances apart, thrown at each other: the pairs across the gap
+        // enter the exact set while the cache is warm (about two search
+        // distances of relative motion per build), and a cache that stayed
+        // warm for four would never have cached them.
+        {"converging bands",
+         [] {
+             models::LatticeParams lp;
+             lp.fixed_floor = false;
+             lp.rows = 4;
+             lp.cols = 10;
+             bl::BlockSystem sys = models::make_block_lattice(lp);
+             lp.seed = 22;
+             const bl::BlockSystem right = models::make_block_lattice(lp);
+             const double shift = lp.cols * (lp.block_size + lp.gap) + 0.13;
+             const std::size_t left = sys.size();
+             for (const bl::Block& b : right.blocks) {
+                 std::vector<Vec2> verts = b.verts;
+                 for (Vec2& p : verts) p.x += shift;
+                 sys.add_block(std::move(verts));
+             }
+             for (std::size_t i = 0; i < sys.size(); ++i)
+                 sys.blocks[i].velocity[0] = i < left ? 1.5 : -1.5;
+             return sys;
+         },
+         16},
     };
     const ct::BroadPhaseBackend backends[] = {ct::BroadPhaseBackend::AllPairs,
                                               ct::BroadPhaseBackend::Hash};
@@ -403,10 +429,13 @@ TEST(BroadPhasePipeline, PairCachesEqualTriangularEveryStep) {
             // The engine's own search distance and motion margin.
             const double rho = cfg.search_factor * cfg.max_disp_ratio * engine.capture().w0;
             ct::BroadPhasePairCache persistent[std::size(backends)];
+            std::vector<ct::BlockPair> last_ref;
+            int warm_changes = 0; // steps whose exact set changed under a warm cache
             for (int s = 0; s <= scene.steps; ++s) {
                 if (s > 0) engine.step();
                 const std::vector<ct::BlockPair> ref =
                     ct::broad_phase_triangular(engine.system(), rho);
+                bool warm = false;
                 for (std::size_t b = 0; b < std::size(backends); ++b) {
                     SCOPED_TRACE("step " + std::to_string(s) + " backend " + std::to_string(b));
                     simt::KernelCost cost = simt::KernelCost::accumulator();
@@ -416,11 +445,17 @@ TEST(BroadPhasePipeline, PairCachesEqualTriangularEveryStep) {
                     EXPECT_EQ(persistent[b].pairs(engine.system(), rho, rho, backends[b], 0.0,
                                                   sink),
                               ref);
+                    warm = warm || persistent[b].warm();
                 }
+                if (s > 0 && warm && ref != last_ref) ++warm_changes;
+                last_ref = ref;
             }
             // The persistent caches took the warm path, so it was under test.
             for (const ct::BroadPhasePairCache& cache : persistent)
                 EXPECT_GT(cache.stats().reuses, 0u);
+            // The bands' warm steps changed the exact set, so a warm cache
+            // serving stale pairs would show.
+            if (std::string(scene.name) == "converging bands") EXPECT_GE(warm_changes, 1);
         }
     }
 }

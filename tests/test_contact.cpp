@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <numbers>
 #include <random>
 #include <set>
@@ -17,6 +18,7 @@
 #include "contact/open_close.hpp"
 #include "contact/transfer.hpp"
 #include "core/engine.hpp"
+#include "models/falling_rocks.hpp"
 #include "models/large_scene.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
@@ -596,7 +598,7 @@ ct::OpenCloseResult full_record_update(const bl::BlockSystem& sys,
         if (next != ct::ContactState::Open) ++res.closed;
         c.prev_state = old;
         c.state = next;
-        c.last_gap = on_span ? dn : 0.0;
+        c.last_gap = next != ct::ContactState::Open && on_span ? dn : 0.0;
         if (next != ct::ContactState::Open && g.ratio > -0.01 && g.ratio < 1.01)
             res.max_penetration = std::max(res.max_penetration, -dn);
     }
@@ -710,4 +712,279 @@ TEST(OpenClose, GeometryOnDemandMatchesFullGeometry) {
             EXPECT_TRUE(same_contacts(got, ref));
         }
     }
+}
+
+namespace {
+
+/// Every open contact holds last_gap +0; with `shear_too`, shear_disp +0
+/// as well (true after a commit, and for contacts open since the last one).
+::testing::AssertionResult open_contacts_hold_zero(const std::vector<ct::Contact>& contacts,
+                                                   const std::vector<ct::Contact>* entry,
+                                                   bool shear_too) {
+    for (std::size_t k = 0; k < contacts.size(); ++k) {
+        const ct::Contact& c = contacts[k];
+        if (c.state != ct::ContactState::Open) continue;
+        if (!same_bits(c.last_gap, 0.0))
+            return ::testing::AssertionFailure() << "open contact " << k << " last_gap "
+                                                 << c.last_gap;
+        const bool open_since_commit =
+            shear_too || (entry && (*entry)[k].state == ct::ContactState::Open);
+        if (open_since_commit && !same_bits(c.shear_disp, 0.0))
+            return ::testing::AssertionFailure() << "open contact " << k << " shear_disp "
+                                                 << c.shear_disp;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/// One pass of the certified update against the full-evaluation oracle:
+/// contacts, state changes, closed count and penetration bit for bit.
+::testing::AssertionResult certified_pass_matches(const bl::BlockSystem& sys,
+                                                  std::vector<ct::ContactGeometry>& geo,
+                                                  const std::vector<ct::ContactGeometry>& full,
+                                                  std::vector<ct::Contact>& got,
+                                                  std::vector<ct::Contact>& ref,
+                                                  const gdda::sparse::BlockVec& d,
+                                                  const ct::OpenCloseParams& params, bool priced,
+                                                  std::size_t* evaluated = nullptr) {
+    std::vector<ct::BlockMotion> motion(sys.size());
+    ct::block_motion(sys, d, motion);
+    gdda::simt::KernelCost cost = gdda::simt::KernelCost::accumulator();
+    const ct::OpenCloseResult r0 = full_record_update(sys, full, ref, d, params);
+    const ct::OpenCloseResult r1 = ct::update_contact_states(
+        sys, geo, got, d, params, priced ? &cost : nullptr, motion);
+    if (evaluated) *evaluated += r1.evaluated;
+    if (::testing::AssertionResult same = same_contacts(got, ref); !same) return same;
+    if (r1.state_changes != r0.state_changes || r1.closed != r0.closed ||
+        !same_bits(r1.max_penetration, r0.max_penetration))
+        return ::testing::AssertionFailure()
+               << "changes " << r1.state_changes << "/" << r0.state_changes << " closed "
+               << r1.closed << "/" << r0.closed << " pen " << r1.max_penetration << "/"
+               << r0.max_penetration;
+    return ::testing::AssertionSuccess();
+}
+
+ct::OpenCloseParams engine_params(const gdda::core::SimConfig& cfg,
+                                  const gdda::core::EngineCheckpoint& entry) {
+    ct::OpenCloseParams params;
+    params.penalty = cfg.penalty_scale * entry.sys.max_young();
+    params.shear_penalty = params.penalty * cfg.shear_penalty_ratio;
+    params.max_closing_depth = 0.2 * entry.mobile_size;
+    params.open_tol = 1e-9 * entry.w0;
+    return params;
+}
+
+} // namespace
+
+TEST(OpenClose, CertifiedSkipMatchesFullEvaluation) {
+    // Part 1: real entry states. Each scene runs in both engine modes; a
+    // few entry captures are replayed through passes of the last step's
+    // increment scaled up and down (rotating and straining blocks on the
+    // slope and the rocks), a rigid translation of every block, and a
+    // retry from the entry states, at teams 1, 2 and 4.
+    struct Scene {
+        const char* name;
+        std::function<bl::BlockSystem()> make;
+        std::vector<int> capture_at; ///< steps whose entry state is replayed
+        bool until_impact = false;   ///< capture the steps around the first impact
+    };
+    const Scene scenes[] = {
+        {"floorless 2k lattice",
+         [] {
+             gdda::models::LatticeParams lp;
+             lp.fixed_floor = false;
+             return gdda::models::make_block_lattice_with_blocks(2000, lp);
+         },
+         {3, 8}},
+        {"floored 40x10 lattice",
+         [] {
+             gdda::models::LatticeParams lp;
+             lp.cols = 40;
+             lp.rows = 10;
+             return gdda::models::make_block_lattice(lp);
+         },
+         {},
+         true},
+        {"slope:300", [] { return gdda::models::make_slope_with_blocks(300); }, {2, 5}},
+        {"rocks:32", [] { return gdda::models::make_falling_rocks_with_blocks(32); }, {2, 5}},
+    };
+    std::size_t rigid_lattice_evaluated = 0;
+    for (const Scene& scene : scenes) {
+        std::size_t contacts_seen = 0;
+        std::size_t evaluated = 0;
+        for (gdda::core::EngineMode mode :
+             {gdda::core::EngineMode::Serial, gdda::core::EngineMode::Gpu}) {
+            const bool priced = mode == gdda::core::EngineMode::Gpu;
+            bl::BlockSystem sys = scene.make();
+            gdda::core::SimConfig cfg;
+            cfg.step_threads = 2;
+            gdda::core::DdaEngine eng(sys, cfg, mode);
+            std::vector<gdda::core::EngineCheckpoint> entries;
+            const int last = scene.until_impact
+                                 ? 200
+                                 : *std::max_element(scene.capture_at.begin(),
+                                                     scene.capture_at.end());
+            for (int s = 0; s <= last; ++s) {
+                gdda::core::EngineCheckpoint before = eng.capture();
+                const bool wanted = std::find(scene.capture_at.begin(), scene.capture_at.end(),
+                                              s) != scene.capture_at.end();
+                if (wanted) entries.push_back(before);
+                const gdda::core::StepStats st = eng.step();
+                // Along the engine's own run, after every commit.
+                ASSERT_TRUE(open_contacts_hold_zero(eng.contacts(), nullptr, true))
+                    << scene.name << " step " << s;
+                if (scene.until_impact && st.active_contacts > 0) {
+                    entries.push_back(std::move(before));
+                    entries.push_back(eng.capture());
+                    break;
+                }
+            }
+            ASSERT_FALSE(entries.empty()) << scene.name;
+
+            for (std::size_t e = 0; e < entries.size(); ++e) {
+                const gdda::core::EngineCheckpoint& entry = entries[e];
+                const bl::BlockSystem& at = entry.sys;
+                const double rho = cfg.search_factor * cfg.max_disp_ratio * entry.w0;
+                std::vector<ct::Contact> detected =
+                    ct::narrow_phase(at, ct::broad_phase_triangular(at, rho), rho).contacts;
+                ct::transfer_contacts(entry.contacts, detected);
+                const std::vector<ct::ContactGeometry> full = ct::contact_geometry(at, detected);
+                const ct::OpenCloseParams params = engine_params(cfg, entry);
+
+                auto scaled = [&](double f) {
+                    gdda::sparse::BlockVec d = entry.warm_start;
+                    for (std::size_t i = 0; i < d.size(); ++i)
+                        for (int k = 0; k < 6; ++k)
+                            d[i][k] *= f * (1.0 + 0.25 * std::sin(static_cast<double>(3 * i + k)));
+                    return d;
+                };
+                gdda::sparse::BlockVec rigid(at.size());
+                for (gdda::sparse::Vec6& v : rigid) {
+                    v[0] = 1e-3;
+                    v[1] = -2e-3;
+                }
+                const std::vector<std::vector<gdda::sparse::BlockVec>> attempts = {
+                    {entry.warm_start, scaled(4.0), scaled(0.5), rigid}, {scaled(6.0), scaled(2.0)}};
+
+                for (int team : {1, 2, 4}) {
+                    gdda::par::ScopedTeamSize scope(team);
+                    std::vector<ct::ContactGeometry> geo(detected.size());
+                    ct::init_all_contacts(at, detected, geo);
+                    std::vector<ct::Contact> ref;
+                    std::vector<ct::Contact> got;
+                    for (const std::vector<gdda::sparse::BlockVec>& passes : attempts) {
+                        ref = detected;
+                        got = detected;
+                        for (std::size_t pass = 0; pass < passes.size(); ++pass) {
+                            const std::string tag = std::string(scene.name) +
+                                                    (priced ? " gpu" : " serial") + " entry " +
+                                                    std::to_string(e) + " team " +
+                                                    std::to_string(team) + " pass " +
+                                                    std::to_string(pass);
+                            std::size_t pass_evaluated = 0;
+                            ASSERT_TRUE(certified_pass_matches(at, geo, full, got, ref,
+                                                               passes[pass], params, priced,
+                                                               &pass_evaluated))
+                                << tag;
+                            ASSERT_TRUE(open_contacts_hold_zero(got, &detected, false)) << tag;
+                            contacts_seen += got.size();
+                            evaluated += pass_evaluated;
+                            if (&passes[pass] == &attempts[0][3] && e == 0 &&
+                                std::string(scene.name) == "floorless 2k lattice")
+                                rigid_lattice_evaluated += pass_evaluated;
+                        }
+                    }
+                    const gdda::sparse::BlockVec d = scaled(1.0);
+                    ct::commit_contact_springs(full, ref, d);
+                    ct::commit_contact_springs(geo, got, d);
+                    ASSERT_TRUE(same_contacts(got, ref)) << scene.name;
+                    ASSERT_TRUE(open_contacts_hold_zero(got, nullptr, true)) << scene.name;
+                }
+            }
+        }
+        // The skips were under test: some contacts read no row of d.
+        EXPECT_LT(evaluated, contacts_seen) << scene.name;
+    }
+    // A rigid translation of the floorless lattice closes nothing, and
+    // every contact is skipped.
+    EXPECT_EQ(rigid_lattice_evaluated, 0u);
+
+    // Part 2: synthetic contacts on the certificate's edge. Block 0 is a
+    // unit square, block 1 a unit square above it at `gap`, shifted half a
+    // block so that its vertex 0 projects onto the middle of block 0's top
+    // edge. The pair is placed at the origin, near 1e4 and rotated; the
+    // increments close the gap to within a few ulps of -open_tol by a
+    // relative translation, by rotating or stretching the upper block, or
+    // by rotating the lower one.
+    std::mt19937 rng(77);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::size_t closed = 0;
+    std::size_t cases = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const double offset = trial % 2 ? 1e4 : 0.0;
+        const double angle = trial % 4 < 2 ? 0.0 : 0.3 + unit(rng);
+        const double c = std::cos(angle);
+        const double sn = std::sin(angle);
+        const Vec2 origin{offset + unit(rng), offset + unit(rng)};
+        auto place = [&](double x, double y) {
+            return Vec2{origin.x + c * x - sn * y, origin.y + sn * x + c * y};
+        };
+        const double gap = 1e-3 * (1.0 + unit(rng));
+        bl::BlockSystem sys;
+        sys.add_block({place(0, 0), place(1, 0), place(1, 1), place(0, 1)});
+        sys.add_block({place(0.5, 1 + gap), place(1.5, 1 + gap), place(1.5, 2 + gap),
+                       place(0.5, 2 + gap)});
+        sys.update_all_geometry();
+        ct::Contact contact;
+        contact.bi = 1;
+        contact.vi = 0;
+        contact.bj = 0;
+        contact.e1 = 2;
+        contact.e2 = 3;
+        std::vector<ct::Contact> contacts{contact};
+        const std::vector<ct::ContactGeometry> full = ct::contact_geometry(sys, contacts);
+        ct::OpenCloseParams params;
+        params.open_tol = 1e-9 * (1.0 + unit(rng));
+        params.max_closing_depth = 0.5;
+        // How far the vertex of block 1 must move toward block 0's edge,
+        // along the edge's inward normal, for dn to reach -open_tol.
+        const double target = full[0].gap0 + params.open_tol;
+        const Vec2 down{sn, -c}; // inward normal of block 0's top edge
+        const int kind = trial / 4 % 4;
+        for (int ulps = -6; ulps <= 6; ++ulps) {
+            const double reach = target * (1.0 + ulps * std::numeric_limits<double>::epsilon());
+            gdda::sparse::BlockVec d(2);
+            const double drift = 0.3 * (unit(rng) - 0.5); // common, cancels exactly
+            d[0][0] = d[1][0] = drift * c;
+            d[0][1] = d[1][1] = drift * sn;
+            const Vec2 p1 = sys.blocks[1].verts[0] - sys.blocks[1].centroid;
+            switch (kind) {
+                case 0: // relative translation along the normal
+                    d[1][0] += reach * down.x;
+                    d[1][1] += reach * down.y;
+                    break;
+                case 1: // rotate block 1 about its centroid: p1 moves by r0 x p1
+                    d[1][2] = reach / (p1.x * down.y - p1.y * down.x);
+                    break;
+                case 2: // stretch block 1 along y' in its own frame
+                    d[1][3] = reach * down.x / p1.x;
+                    d[1][4] = reach * down.y / p1.y;
+                    break;
+                case 3: { // rotate block 0 so its edge meets the vertex
+                    const Vec2 q = sys.blocks[1].verts[0] - sys.blocks[0].centroid;
+                    d[0][2] = -reach / (q.x * down.y - q.y * down.x);
+                    break;
+                }
+            }
+            std::vector<ct::Contact> got = contacts;
+            std::vector<ct::Contact> ref = contacts;
+            std::vector<ct::ContactGeometry> geo(1);
+            ASSERT_TRUE(certified_pass_matches(sys, geo, full, got, ref, d, params, false))
+                << "trial " << trial << " ulps " << ulps;
+            ++cases;
+            if (ref[0].state != ct::ContactState::Open) ++closed;
+        }
+    }
+    // Both sides of the threshold were visited.
+    EXPECT_GT(closed, cases / 10);
+    EXPECT_LT(closed, cases - cases / 10);
 }

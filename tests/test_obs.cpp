@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "models/large_scene.hpp"
 #include "models/slope.hpp"
 #include "obs/aggregator.hpp"
 #include "obs/json.hpp"
@@ -46,6 +47,10 @@ obs::StepRecord sample_record() {
     rec.pcg_solves = 3;
     rec.pcg_iterations = 41;
     rec.pcg_failed_solves = 1;
+    rec.rejected_pcg_solves = 1;
+    rec.rejected_pcg_iterations = 12;
+    rec.rejected_open_close_iters = 1;
+    rec.hit_dt_min = true;
     rec.contacts = 12;
     rec.active_contacts = 9;
     rec.max_displacement = 2.5e-4;
@@ -160,6 +165,10 @@ TEST(ObsRecord, JsonRoundTripPreservesEveryField) {
     EXPECT_EQ(back.pcg_solves, rec.pcg_solves);
     EXPECT_EQ(back.pcg_iterations, rec.pcg_iterations);
     EXPECT_EQ(back.pcg_failed_solves, rec.pcg_failed_solves);
+    EXPECT_EQ(back.rejected_pcg_solves, rec.rejected_pcg_solves);
+    EXPECT_EQ(back.rejected_pcg_iterations, rec.rejected_pcg_iterations);
+    EXPECT_EQ(back.rejected_open_close_iters, rec.rejected_open_close_iters);
+    EXPECT_EQ(back.hit_dt_min, rec.hit_dt_min);
     EXPECT_EQ(back.contacts, rec.contacts);
     EXPECT_EQ(back.active_contacts, rec.active_contacts);
     EXPECT_EQ(back.max_displacement, rec.max_displacement);
@@ -221,6 +230,30 @@ TEST(ObsValidate, DecodesV4DocumentIgnoringItsSolverCounters) {
     EXPECT_EQ(back.pcg_iterations, 41);
     EXPECT_EQ(back.pcg_failed_solves, 1);
     EXPECT_TRUE(obs::validate_line(doc.dump()));
+}
+
+TEST(ObsValidate, DecodesV5DocumentWithoutRejectedCounts) {
+    // v5 predates the rejected-attempt counts: a v5 document decodes with
+    // them defaulted, and a v6 one must carry them within the totals.
+    obs::JsonValue doc = obs::to_json(sample_record());
+    doc.set("version", obs::JsonValue::integer(5));
+    obs::StepRecord back;
+    std::string err;
+    ASSERT_TRUE(obs::from_json(doc, back, &err)) << err;
+    EXPECT_EQ(back.rejected_pcg_solves, 0);
+    EXPECT_EQ(back.rejected_pcg_iterations, 0);
+    EXPECT_EQ(back.rejected_open_close_iters, 0);
+    EXPECT_FALSE(back.hit_dt_min);
+
+    obs::JsonValue too_many = obs::to_json(sample_record());
+    too_many.set("rejected_pcg_solves", obs::JsonValue::integer(4));
+    EXPECT_FALSE(obs::validate_line(too_many.dump()));
+    too_many = obs::to_json(sample_record());
+    too_many.set("rejected_pcg_iterations", obs::JsonValue::integer(42));
+    EXPECT_FALSE(obs::validate_line(too_many.dump()));
+    obs::JsonValue missing = obs::to_json(sample_record());
+    missing.set("hit_dt_min", obs::JsonValue::integer(1));
+    EXPECT_FALSE(obs::validate_line(missing.dump()));
 }
 
 TEST(ObsValidate, RejectsMissingOrMistypedField) {
@@ -316,6 +349,67 @@ TEST(ObsEngine, AggregatorMatchesModuleTimersExactly) {
         EXPECT_NEAR(agg.module_seconds(m), eng.timers().seconds(static_cast<core::Module>(m)),
                     1e-9)
             << core::kModuleNames[m];
+}
+
+TEST(ObsEngine, RejectedAttemptsAreCounted) {
+    // The floored 40x10 lattice retries around its impact; slope:300's cold
+    // first step shrinks dt to dt_min and ends in the last-resort pass.
+    struct Scene {
+        const char* name;
+        block::BlockSystem (*make)();
+        int steps;
+    };
+    const Scene scenes[] = {
+        {"floored 40x10 lattice",
+         [] {
+             models::LatticeParams lp;
+             lp.cols = 40;
+             lp.rows = 10;
+             return models::make_block_lattice(lp);
+         },
+         150},
+        {"slope:300", [] { return models::make_slope_with_blocks(300); }, 1},
+    };
+    int rejected_solves = 0;
+    int dt_min_hits = 0;
+    for (const Scene& scene : scenes) {
+        block::BlockSystem sys = scene.make();
+        core::DdaEngine eng(sys, {}, core::EngineMode::Serial);
+        auto rec = std::make_shared<obs::Recorder>();
+        auto mem = std::make_unique<MemorySink>();
+        MemorySink* raw = mem.get();
+        rec->add_sink(std::move(mem));
+        eng.attach_recorder(rec);
+        for (int s = 0; s < scene.steps; ++s) {
+            SCOPED_TRACE(std::string(scene.name) + " step " + std::to_string(s));
+            const core::StepStats st = eng.step();
+            const obs::StepRecord& r = raw->records.back();
+            EXPECT_EQ(r.rejected_pcg_solves, st.rejected_pcg_solves);
+            EXPECT_EQ(r.rejected_pcg_iterations, st.rejected_pcg_iterations);
+            EXPECT_EQ(r.rejected_open_close_iters, st.rejected_open_close_iters);
+            EXPECT_EQ(r.hit_dt_min, st.hit_dt_min);
+            EXPECT_TRUE(obs::validate_line(obs::to_json(r).dump()));
+            // A step without retries threw nothing away; a retried step
+            // threw away at least one solve per rejected attempt.
+            if (st.retries == 0 && st.converged) {
+                EXPECT_EQ(st.rejected_pcg_solves, 0);
+                EXPECT_EQ(st.rejected_pcg_iterations, 0);
+                EXPECT_EQ(st.rejected_open_close_iters, 0);
+            } else {
+                EXPECT_GE(st.rejected_pcg_solves, st.retries);
+            }
+            // The committed attempt ran open_close_iters solves (one, the
+            // last-resort pass, when the step did not converge).
+            EXPECT_EQ(st.pcg_solves - st.rejected_pcg_solves,
+                      st.converged ? st.open_close_iters : 1);
+            EXPECT_LE(st.rejected_pcg_iterations, st.pcg_iterations);
+            if (st.hit_dt_min) EXPECT_FALSE(st.converged);
+            rejected_solves += st.rejected_pcg_solves;
+            dt_min_hits += st.hit_dt_min ? 1 : 0;
+        }
+    }
+    EXPECT_GT(rejected_solves, 0);
+    EXPECT_EQ(dt_min_hits, 1);
 }
 
 TEST(ObsEngine, SerialAndGpuRecordsAgreeOnPhysics) {
