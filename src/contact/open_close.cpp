@@ -40,9 +40,9 @@ ContactFrame contact_frame(const block::BlockSystem& sys, const Contact& c) {
     return {bi, bj, p1, p2, p3, edge, length, std::max(length, 1e-300)};
 }
 
-/// The projection parameter of the vertex onto the edge line. The
-/// open-contact update's exact span skip reads it, so it is exactly the
-/// bits the contact's record would hold.
+/// The projection parameter of the vertex onto the edge line, the record's
+/// ratio. The open-contact update reads it before anything else of the
+/// frame: off the span the contact cannot close.
 double frame_ratio(const ContactFrame& f) {
     return f.l > 0.0 ? (f.p1 - f.p2).dot(f.edge) / (f.l * f.l) : 0.5;
 }
@@ -72,14 +72,14 @@ void normal_rows(const ContactFrame& f, ContactGeometry& g) {
     }
 }
 
-/// Normal half: gap0, en_i, gn_j, ratio and length, everything an open
-/// contact's update reads.
-void normal_geometry(const ContactFrame& f, ContactGeometry& g) {
+/// Normal half: gap0, en_i, gn_j, ratio (frame_ratio(f), passed in) and
+/// length, everything an open contact's update reads.
+void normal_geometry(const ContactFrame& f, double ratio, ContactGeometry& g) {
     g.length = f.length;
     // Normal gap: gap = -det(1 p1; 1 p2; 1 p3) / l, positive outside the
     // CCW block bj. Gradients follow from the determinant's linearity.
     g.gap0 = -geom::orient2d(f.p2, f.p3, f.p1) / f.l;
-    g.ratio = frame_ratio(f);
+    g.ratio = ratio;
     normal_rows(f, g);
 }
 
@@ -137,37 +137,10 @@ bool cannot_close(Vec2 p1, Vec2 p2, Vec2 p3, const BlockMotion& mi, const BlockM
     return linf >= 1e-150 && t >= kCertFloor;
 }
 
-/// Whether open contact c stays open in this pass without reading d: given
-/// the pass's block motions its entry gap is certified, or its projection
-/// falls off the edge's span (exact: the closing gate demands the span).
-/// The certificate goes first: on a rigidly moving scene it holds for
-/// every contact, so the span's square root and division are never paid
-/// there.
-bool stays_open(const block::BlockSystem& sys, const Contact& c,
-                std::span<const BlockMotion> motion, double open_tol) {
-    if (!motion.empty() &&
-        cannot_close(sys.blocks[c.bi].verts[c.vi], sys.blocks[c.bj].verts[c.e1],
-                     sys.blocks[c.bj].verts[c.e2], motion[c.bi], motion[c.bj], open_tol))
-        return true;
-    const double ratio = frame_ratio(contact_frame(sys, c));
-    return !(ratio > -0.01 && ratio < 1.01);
-}
-
-/// An open contact that stays open: prev_state Open, no switch, last_gap
-/// +0. Written only where a field differs, so a contact that was already
-/// in that state is read and not written.
-void stay_open(Contact& c) {
-    if (c.prev_state != ContactState::Open || c.p1 != 0 || c.p2 != 0 ||
-        std::bit_cast<std::uint64_t>(c.last_gap) != 0) {
-        c.prev_state = ContactState::Open;
-        c.p1 = 0;
-        c.p2 = 0;
-        c.last_gap = 0.0;
-    }
-}
-
-} // namespace
-
+/// One parallel pass over the blocks' vertices: out[b] for every block b
+/// under the increment d. Each block's reach from its centroid is
+/// recomputed in every pass rather than kept for the step: it costs one
+/// vertex scan per pass, and no per-block state has to follow the vertices.
 void block_motion(const block::BlockSystem& sys, const BlockVec& d,
                   std::span<BlockMotion> out) {
     assert(out.size() == sys.blocks.size());
@@ -187,10 +160,25 @@ void block_motion(const block::BlockSystem& sys, const BlockVec& d,
     });
 }
 
+/// An open contact that stays open: prev_state Open, no switch, last_gap
+/// +0. Written only where a field differs, so a contact that was already
+/// in that state is read and not written.
+void stay_open(Contact& c) {
+    if (c.prev_state != ContactState::Open || c.p1 != 0 || c.p2 != 0 ||
+        std::bit_cast<std::uint64_t>(c.last_gap) != 0) {
+        c.prev_state = ContactState::Open;
+        c.p1 = 0;
+        c.p2 = 0;
+        c.last_gap = 0.0;
+    }
+}
+
+} // namespace
+
 ContactGeometry init_contact_geometry(const block::BlockSystem& sys, const Contact& c) {
     const ContactFrame f = contact_frame(sys, c);
     ContactGeometry g;
-    normal_geometry(f, g);
+    normal_geometry(f, frame_ratio(f), g);
     shear_geometry(f, g);
     return g;
 }
@@ -244,9 +232,9 @@ simt::KernelCost contact_init_cost(std::size_t count) {
 OpenCloseResult update_contact_states(const block::BlockSystem& sys,
                                       std::span<ContactGeometry> geo,
                                       std::vector<Contact>& contacts, const BlockVec& d,
-                                      const OpenCloseParams& params,
-                                      simt::KernelCost* cost,
-                                      std::span<const BlockMotion> motion) {
+                                      std::span<BlockMotion> motion,
+                                      const OpenCloseParams& params, simt::KernelCost* cost) {
+    block_motion(sys, d, motion);
     // Every contact updates only itself; the two reductions (an integer
     // count and a max from +0) are exact in any grouping, so the result is
     // bitwise identical for any team size.
@@ -269,15 +257,30 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
         // physically plausible depth; an already-closed contact survives a
         // wider band until the vertex clearly leaves the span.
         if (old == ContactState::Open) {
-            // An open contact reads only the normal half, evaluated here;
-            // it gets a record when it closes.
+            // An open contact that cannot close stays open without its
+            // rows, the d gathers or, when it already is in the stay-open
+            // state, any write. The certificate goes first: on a rigidly
+            // moving scene it holds for every contact, so the span's square
+            // root and division are never paid there.
+            const Block& bi = sys.blocks[c.bi];
+            const Block& bj = sys.blocks[c.bj];
+            if (cannot_close(bi.verts[c.vi], bj.verts[c.e1], bj.verts[c.e2], motion[c.bi],
+                             motion[c.bj], params.open_tol)) {
+                stay_open(c);
+                return;
+            }
             const ContactFrame f = contact_frame(sys, c);
+            ratio = frame_ratio(f);
+            if (!(ratio > -0.01 && ratio < 1.01)) { // exact: closing demands the span
+                stay_open(c);
+                return;
+            }
+            // The rest of the normal half, evaluated here; the contact gets
+            // a record when it closes.
             ContactGeometry g;
-            normal_geometry(f, g);
+            normal_geometry(f, ratio, g);
             dn = g.gap0 + g.en_i.dot(d[c.bi]) + g.gn_j.dot(d[c.bj]);
-            ratio = g.ratio;
-            const bool closing_ok = g.ratio > -0.01 && g.ratio < 1.01 &&
-                                    dn < -params.open_tol && dn > -params.max_closing_depth;
+            const bool closing_ok = dn < -params.open_tol && dn > -params.max_closing_depth;
             next = closing_ok ? ContactState::Lock : ContactState::Open;
             if (closing_ok) {
                 shear_geometry(f, g);
@@ -350,16 +353,7 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
         contacts.size(),
         [&](std::size_t begin, std::size_t end) {
             OpenCloseResult part;
-            // An open contact that cannot close skips the rows, the d
-            // gathers and the dot products, and its writes when it is
-            // already in the stay-open state.
-            for (std::size_t k = begin; k < end; ++k) {
-                Contact& c = contacts[k];
-                if (c.state == ContactState::Open && stays_open(sys, c, motion, params.open_tol))
-                    stay_open(c);
-                else
-                    update(part, k);
-            }
+            for (std::size_t k = begin; k < end; ++k) update(part, k);
             return part;
         },
         [](const OpenCloseResult& x, const OpenCloseResult& y) {

@@ -68,17 +68,13 @@ std::vector<ContactGeometry> contact_geometry(const block::BlockSystem& sys,
 /// certificate reads it: the translation (d[0], d[1]) and a bound `spin` on
 /// how far the rotation and strain terms move any vertex of the block,
 /// |T(p) d - (u, v)| <= spin (docs/CONTACTS.md, "The open-close
-/// certificate").
+/// certificate"). update_contact_states fills one per block into the
+/// caller's scratch.
 struct BlockMotion {
     double u = 0.0;
     double v = 0.0;
     double spin = 0.0;
 };
-
-/// One parallel pass over the blocks' vertices: out[b] for every block b
-/// under the increment d (out holds one slot per block).
-void block_motion(const block::BlockSystem& sys, const BlockVec& d,
-                  std::span<BlockMotion> out);
 
 struct OpenCloseResult {
     int state_changes = 0;
@@ -93,17 +89,17 @@ struct OpenCloseResult {
 /// Returns the number of switches; zero means loop 3 converged. geo[k]
 /// must hold contact k's full record while k is closed; an open contact's
 /// slot is not read, and gets its full record when the contact closes.
-/// An open contact whose projection falls off its edge's span stays open
-/// without reading `d`; with `motion` (block_motion of `d`, one slot per
-/// block), so does one whose entry gap certifiably exceeds what its blocks'
-/// relative motion can close. Every contact that ends open holds
-/// last_gap = +0.
+/// `motion` (one slot per block) is scratch: the update fills it from `d`
+/// in one parallel pass over the vertices. An open contact whose entry gap
+/// certifiably exceeds what its blocks' relative motion can close, or whose
+/// projection falls off its edge's span, stays open without reading `d`.
+/// Every contact that ends open holds last_gap = +0.
 OpenCloseResult update_contact_states(const block::BlockSystem& sys,
                                       std::span<ContactGeometry> geo,
                                       std::vector<Contact>& contacts, const BlockVec& d,
+                                      std::span<BlockMotion> motion,
                                       const OpenCloseParams& params,
-                                      simt::KernelCost* cost = nullptr,
-                                      std::span<const BlockMotion> motion = {});
+                                      simt::KernelCost* cost = nullptr);
 
 /// End-of-step bookkeeping: accumulate shear stretch on locked contacts and
 /// reset the sliding reference on sliding/open ones (written only where it

@@ -194,8 +194,8 @@ private:
     /// step entry or closed since (docs/CONTACTS.md); never initialized
     /// for contacts that stay open.
     par::ScratchArray<contact::ContactGeometry> geo_;
-    /// Per block, the current pass's translation and rotation/strain bound
-    /// (contact::block_motion), rewritten before every open-close update.
+    /// Scratch for the open-close update: per block, the current pass's
+    /// translation and rotation/strain bound (contact::block_motion).
     par::ScratchArray<contact::BlockMotion> motion_;
     contact::BroadPhasePairCache pair_cache_; ///< persistent candidate cache
     contact::PairScheduleStats sched_stats_;  ///< last step's pair schedule

@@ -287,9 +287,8 @@ contact::OpenCloseResult DdaEngine::solve_pass(BlockVec& d, StepStats& stats,
     simt::KernelCost cost = simt::KernelCost::accumulator();
     simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
     motion_.reset(sys_->size());
-    contact::block_motion(*sys_, d, motion_.span());
     const contact::OpenCloseResult oc = contact::update_contact_states(
-        *sys_, geo_.span(), contacts_, d, sp.contact, sink, motion_.span());
+        *sys_, geo_.span(), contacts_, d, motion_.span(), sp.contact, sink);
     stats.max_penetration = std::max(stats.max_penetration, oc.max_penetration);
     if (sink) ledgers_.add(Module::InterpenetrationCheck, cost);
     return oc;

@@ -455,7 +455,9 @@ TEST(BroadPhasePipeline, PairCachesEqualTriangularEveryStep) {
                 EXPECT_GT(cache.stats().reuses, 0u);
             // The bands' warm steps changed the exact set, so a warm cache
             // serving stale pairs would show.
-            if (std::string(scene.name) == "converging bands") EXPECT_GE(warm_changes, 1);
+            if (std::string(scene.name) == "converging bands") {
+                EXPECT_GE(warm_changes, 1);
+            }
         }
     }
 }

@@ -435,12 +435,13 @@ TEST(OpenClose, PenetrationClosesContact) {
     c.bi = 1; c.vi = 0; c.bj = 0; c.e1 = 2; c.e2 = 3;
     std::vector<ct::Contact> contacts{c};
     auto geo = ct::contact_geometry(sys, contacts);
+    std::vector<ct::BlockMotion> motion(sys.size());
 
     // Displacement pushing the upper block down by 0.002 -> penetration.
     gdda::sparse::BlockVec d(2);
     d[1][1] = -0.002;
     ct::OpenCloseParams params{.penalty = 1e9, .shear_penalty = 1e9, .open_tol = 0.0};
-    const auto res = ct::update_contact_states(sys, geo, contacts, d, params);
+    const auto res = ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(res.state_changes, 1);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Lock);
     EXPECT_NEAR(res.max_penetration, 0.001, 1e-9);
@@ -454,11 +455,12 @@ TEST(OpenClose, SeparationOpensContact) {
     c.state = ct::ContactState::Lock;
     std::vector<ct::Contact> contacts{c};
     auto geo = ct::contact_geometry(sys, contacts);
+    std::vector<ct::BlockMotion> motion(sys.size());
 
     gdda::sparse::BlockVec d(2);
     d[1][1] = +0.01; // moving away
     ct::OpenCloseParams params{.penalty = 1e9, .shear_penalty = 1e9, .open_tol = 0.0};
-    const auto res = ct::update_contact_states(sys, geo, contacts, d, params);
+    const auto res = ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Open);
     EXPECT_EQ(contacts[0].p1, -1);
     EXPECT_EQ(res.state_changes, 1);
@@ -472,12 +474,13 @@ TEST(OpenClose, ShearBeyondFrictionSlides) {
     c.state = ct::ContactState::Lock;
     std::vector<ct::Contact> contacts{c};
     auto geo = ct::contact_geometry(sys, contacts);
+    std::vector<ct::BlockMotion> motion(sys.size());
 
     gdda::sparse::BlockVec d(2);
     d[1][0] = 0.01;   // large tangential motion
     d[1][1] = -1e-5;  // slight compression keeps it closed
     ct::OpenCloseParams params{.penalty = 1e9, .shear_penalty = 1e9, .open_tol = 0.0};
-    ct::update_contact_states(sys, geo, contacts, d, params);
+    ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Slide);
     EXPECT_EQ(contacts[0].p2, -1); // shear spring switched off
 }
@@ -636,6 +639,7 @@ TEST(OpenClose, GeometryOnDemandMatchesFullGeometry) {
             ct::narrow_phase(at, ct::broad_phase_triangular(at, rho), rho).contacts;
         ct::transfer_contacts(entry.contacts, detected);
         const std::vector<ct::ContactGeometry> full = ct::contact_geometry(at, detected);
+        std::vector<ct::BlockMotion> motion(at.size());
 
         ct::OpenCloseParams params;
         params.penalty = cfg.penalty_scale * at.max_young();
@@ -689,7 +693,7 @@ TEST(OpenClose, GeometryOnDemandMatchesFullGeometry) {
                     const std::vector<ct::Contact> before = got;
                     const ct::OpenCloseResult r0 = full_record_update(at, full, ref, d, params);
                     const ct::OpenCloseResult r1 =
-                        ct::update_contact_states(at, geo, got, d, params);
+                        ct::update_contact_states(at, geo, got, d, motion, params);
                     const std::string tag = "entry " + std::to_string(e) + " team " +
                                             std::to_string(team) + " pass x" + std::to_string(f);
                     ASSERT_TRUE(same_contacts(got, ref)) << tag;
@@ -747,11 +751,10 @@ namespace {
                                                   const ct::OpenCloseParams& params, bool priced,
                                                   std::size_t* evaluated = nullptr) {
     std::vector<ct::BlockMotion> motion(sys.size());
-    ct::block_motion(sys, d, motion);
     gdda::simt::KernelCost cost = gdda::simt::KernelCost::accumulator();
     const ct::OpenCloseResult r0 = full_record_update(sys, full, ref, d, params);
     const ct::OpenCloseResult r1 = ct::update_contact_states(
-        sys, geo, got, d, params, priced ? &cost : nullptr, motion);
+        sys, geo, got, d, motion, params, priced ? &cost : nullptr);
     if (evaluated) *evaluated += r1.evaluated;
     if (::testing::AssertionResult same = same_contacts(got, ref); !same) return same;
     if (r1.state_changes != r0.state_changes || r1.closed != r0.closed ||

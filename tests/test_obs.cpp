@@ -403,7 +403,9 @@ TEST(ObsEngine, RejectedAttemptsAreCounted) {
             EXPECT_EQ(st.pcg_solves - st.rejected_pcg_solves,
                       st.converged ? st.open_close_iters : 1);
             EXPECT_LE(st.rejected_pcg_iterations, st.pcg_iterations);
-            if (st.hit_dt_min) EXPECT_FALSE(st.converged);
+            if (st.hit_dt_min) {
+                EXPECT_FALSE(st.converged);
+            }
             rejected_solves += st.rejected_pcg_solves;
             dt_min_hits += st.hit_dt_min ? 1 : 0;
         }

@@ -45,6 +45,7 @@ TEST(Hysteresis, ZeroGapContactDoesNotFlicker) {
     bl::BlockSystem sys = two_squares(0.0); // exact touch
     std::vector<ct::Contact> contacts{top_contact()};
     auto geo = ct::contact_geometry(sys, contacts);
+    std::vector<ct::BlockMotion> motion(sys.size());
     ct::OpenCloseParams params;
     params.penalty = 1e10;
     params.shear_penalty = 1e10;
@@ -52,12 +53,12 @@ TEST(Hysteresis, ZeroGapContactDoesNotFlicker) {
 
     gdda::sparse::BlockVec d(2); // zero displacement: dn == 0 exactly
     // An open contact at gap zero must STAY open (closing needs dn < -tol)...
-    const auto r1 = ct::update_contact_states(sys, geo, contacts, d, params);
+    const auto r1 = ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Open);
     EXPECT_EQ(r1.state_changes, 0);
     // ...and a locked contact at gap zero must STAY locked.
     contacts[0].state = ct::ContactState::Lock;
-    const auto r2 = ct::update_contact_states(sys, geo, contacts, d, params);
+    const auto r2 = ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Lock);
     EXPECT_EQ(r2.state_changes, 0);
 }
@@ -67,6 +68,7 @@ TEST(Hysteresis, NoiseWithinBandIgnored) {
     std::vector<ct::Contact> contacts{top_contact()};
     contacts[0].state = ct::ContactState::Lock;
     auto geo = ct::contact_geometry(sys, contacts);
+    std::vector<ct::BlockMotion> motion(sys.size());
     ct::OpenCloseParams params;
     params.penalty = 1e10;
     params.shear_penalty = 1e10;
@@ -74,10 +76,10 @@ TEST(Hysteresis, NoiseWithinBandIgnored) {
 
     gdda::sparse::BlockVec d(2);
     d[1][1] = +5e-9; // separation smaller than the band
-    ct::update_contact_states(sys, geo, contacts, d, params);
+    ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Lock);
     d[1][1] = +5e-8; // beyond the band: opens
-    ct::update_contact_states(sys, geo, contacts, d, params);
+    ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Open);
 }
 
@@ -95,6 +97,7 @@ TEST(SpanGate, PhantomDeepContactRefusesToClose) {
     c.e2 = 1; // off-span to the left (ratio < 0)
     std::vector<ct::Contact> contacts{c};
     auto geo = ct::contact_geometry(sys, contacts);
+    std::vector<ct::BlockMotion> motion(sys.size());
     EXPECT_LT(geo[0].gap0, 0.0);
     EXPECT_LT(geo[0].ratio, -0.01);
 
@@ -102,10 +105,10 @@ TEST(SpanGate, PhantomDeepContactRefusesToClose) {
     params.penalty = 1e10;
     params.shear_penalty = 1e10;
     gdda::sparse::BlockVec d(2);
-    ct::update_contact_states(sys, geo, contacts, d, params);
+    ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Open);
     // And phantom depth does not pollute the penetration metric.
-    const auto r = ct::update_contact_states(sys, geo, contacts, d, params);
+    const auto r = ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_DOUBLE_EQ(r.max_penetration, 0.0);
 }
 
@@ -116,13 +119,14 @@ TEST(SpanGate, LockedContactOpensWhenVertexLeavesSpan) {
     // Slide the top block sideways so its vertex passes the edge end.
     for (Vec2& p : sys.blocks[1].verts) p.x += 1.4;
     auto geo = ct::contact_geometry(sys, contacts);
+    std::vector<ct::BlockMotion> motion(sys.size());
     EXPECT_TRUE(geo[0].ratio < -0.25 || geo[0].ratio > 1.25);
 
     ct::OpenCloseParams params;
     params.penalty = 1e10;
     params.shear_penalty = 1e10;
     gdda::sparse::BlockVec d(2);
-    ct::update_contact_states(sys, geo, contacts, d, params);
+    ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Open);
 }
 
@@ -132,6 +136,7 @@ TEST(SpanGate, ClosingDepthGateBlocksDeepFreshContacts) {
     for (Vec2& p : sys.blocks[1].verts) p.y -= 0.5;
     std::vector<ct::Contact> contacts{top_contact()};
     auto geo = ct::contact_geometry(sys, contacts);
+    std::vector<ct::BlockMotion> motion(sys.size());
     ASSERT_LT(geo[0].gap0, -0.4);
 
     ct::OpenCloseParams params;
@@ -139,10 +144,10 @@ TEST(SpanGate, ClosingDepthGateBlocksDeepFreshContacts) {
     params.shear_penalty = 1e10;
     params.max_closing_depth = 0.1;
     gdda::sparse::BlockVec d(2);
-    ct::update_contact_states(sys, geo, contacts, d, params);
+    ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Open); // too deep to grab
     params.max_closing_depth = 1.0;
-    ct::update_contact_states(sys, geo, contacts, d, params);
+    ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Lock); // within the gate
 }
 
@@ -253,6 +258,7 @@ TEST(FrictionHysteresis, SlideRelocksOnlyWithMargin) {
     contacts[0].state = ct::ContactState::Slide;
     contacts[0].slide_sign = 1.0;
     auto geo = ct::contact_geometry(sys, contacts);
+    std::vector<ct::BlockMotion> motion(sys.size());
 
     ct::OpenCloseParams params;
     params.penalty = 1e10;
@@ -266,13 +272,13 @@ TEST(FrictionHysteresis, SlideRelocksOnlyWithMargin) {
     const double limit = 1e10 * 1e-5 * std::tan(30.0 * std::acos(-1.0) / 180.0);
     // Top edge of block 0 runs (1,1)->(0,1): +x vertex motion = -shear.
     d[1][0] = -(0.95 * limit) / 1e10;
-    ct::update_contact_states(sys, geo, contacts, d, params);
+    ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Slide);
 
     // At 50% of the limit it re-locks.
     contacts[0].state = ct::ContactState::Slide;
     d[1][0] = -(0.5 * limit) / 1e10;
-    ct::update_contact_states(sys, geo, contacts, d, params);
+    ct::update_contact_states(sys, geo, contacts, d, motion, params);
     EXPECT_EQ(contacts[0].state, ct::ContactState::Lock);
 }
 

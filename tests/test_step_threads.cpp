@@ -277,8 +277,9 @@ TEST(ContactPipelineThreads, StagesBitwiseInvariantAcrossTeams) {
         params.penalty = 10.0 * sys.max_young();
         params.shear_penalty = params.penalty;
         params.max_closing_depth = 0.2;
+        std::vector<contact::BlockMotion> motion(sys.size());
         const contact::OpenCloseResult oc =
-            contact::update_contact_states(sys, geo, contacts, d, params);
+            contact::update_contact_states(sys, geo, contacts, d, motion, params);
         o.updated = contact_words(contacts);
         o.changes = oc.state_changes;
         o.max_penetration = std::bit_cast<std::uint64_t>(oc.max_penetration);
