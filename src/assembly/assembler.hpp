@@ -127,15 +127,21 @@ inline bool bits_equal(const Vec6& a, const Vec6& b) {
         if (!bits_equal(a[k], b[k])) return false;
     return true;
 }
-/// True when the memo snapshot matches every contact_contribution input.
+/// True when the memo snapshot matches every input contact_contribution
+/// reads for the contact's state. Both closed states read the four
+/// gradients and gap0. Lock adds shear_disp. Slide adds the joint material
+/// of (bi, bj), last_gap, slide_sign and length. No state reads ratio, and
+/// the open-close update rewrites a Lock contact's last_gap every pass, so
+/// comparing it would turn every such pass into a miss.
 inline bool memo_hit(const DiagPhysicsCache::ContactMemo& m, const Contact& c,
                      const ContactGeometry& g) {
-    return m.bi == c.bi && m.bj == c.bj && m.state == c.state &&
-           bits_equal(m.shear_disp, c.shear_disp) && bits_equal(m.slide_sign, c.slide_sign) &&
-           bits_equal(m.last_gap, c.last_gap) && bits_equal(m.geo.en_i, g.en_i) &&
-           bits_equal(m.geo.gn_j, g.gn_j) && bits_equal(m.geo.es_i, g.es_i) &&
-           bits_equal(m.geo.gs_j, g.gs_j) && bits_equal(m.geo.gap0, g.gap0) &&
-           bits_equal(m.geo.length, g.length) && bits_equal(m.geo.ratio, g.ratio);
+    if (m.state != c.state || !bits_equal(m.geo.en_i, g.en_i) ||
+        !bits_equal(m.geo.gn_j, g.gn_j) || !bits_equal(m.geo.es_i, g.es_i) ||
+        !bits_equal(m.geo.gs_j, g.gs_j) || !bits_equal(m.geo.gap0, g.gap0))
+        return false;
+    if (c.state == contact::ContactState::Lock) return bits_equal(m.shear_disp, c.shear_disp);
+    return m.bi == c.bi && m.bj == c.bj && bits_equal(m.last_gap, c.last_gap) &&
+           bits_equal(m.slide_sign, c.slide_sign) && bits_equal(m.geo.length, g.length);
 }
 
 inline const ContactContribution* DiagPhysicsCache::recall(std::size_t c, const Contact& ct,

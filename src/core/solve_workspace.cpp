@@ -56,7 +56,7 @@ void SolveWorkspace::prepare_solve(PrecondKind kind, simt::KernelCost* sink) {
         // Off-diagonal slices that hold +0 and would be refilled with +0
         // (nothing was placed off the diagonal, before or now) stay as
         // they are; the kernel is priced whole either way.
-        sparse::hsbcsr_refill(h_, as_.k, !(h_.upper_zero && as_offdiag_zero_));
+        sparse::hsbcsr_refill(h_, as_.k, !(h_.upper_dead() && as_offdiag_zero_));
         ++stats_.structural_kernels_skipped;
         if (sink) {
             simt::record_kernel(sink, hsbcsr_refill_cost(h_));

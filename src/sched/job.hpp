@@ -116,6 +116,14 @@ struct JobResult {
     /// Shrunken-dt step retries (StepStats::retries) summed over the job's
     /// completed steps.
     long long step_retries = 0;
+    /// Work the retries threw away, summed over the job's completed steps:
+    /// PCG solves, PCG iterations and open-close passes of rejected
+    /// attempts (StepStats::rejected_*), and the steps whose retries shrank
+    /// dt to dt_min (StepStats::hit_dt_min).
+    long long rejected_pcg_solves = 0;
+    long long rejected_pcg_iterations = 0;
+    long long rejected_open_close_iters = 0;
+    long long dt_min_steps = 0;
     /// Post-mortem bundle written for this job ("" when none was dumped).
     std::string postmortem_path;
     core::ModuleTimers timers;    ///< merged per-module wall seconds

@@ -48,6 +48,10 @@ BatchReport BatchReport::from(std::vector<JobResult> jobs, int workers, double w
         if (j.pcg_failed_solves > 0) ++r.jobs_with_failed_solves;
         r.nonconverged_steps += j.nonconverged_steps;
         r.step_retries += j.step_retries;
+        r.rejected_pcg_solves += j.rejected_pcg_solves;
+        r.rejected_pcg_iterations += j.rejected_pcg_iterations;
+        r.rejected_open_close_iters += j.rejected_open_close_iters;
+        r.dt_min_steps += j.dt_min_steps;
         r.busy_ms += j.wall_ms;
         r.timers.merge(j.timers);
         r.ledgers.merge(j.ledgers);
@@ -122,6 +126,14 @@ std::string BatchReport::summary() const {
                       step_retries);
         out += line;
     }
+    if (rejected_pcg_solves > 0 || rejected_open_close_iters > 0 || dt_min_steps > 0) {
+        std::snprintf(line, sizeof line,
+                      "rejected work: %lld PCG solve(s), %lld PCG iteration(s), %lld "
+                      "open-close pass(es) in retried attempts | %lld step(s) hit dt_min\n",
+                      rejected_pcg_solves, rejected_pcg_iterations, rejected_open_close_iters,
+                      dt_min_steps);
+        out += line;
+    }
     std::snprintf(line, sizeof line,
                   "occupancy: workers %.1f%% busy | modeled device load %.3f ms "
                   "(%.2f device-ms per wall-ms)\n",
@@ -148,6 +160,10 @@ obs::JsonValue BatchReport::to_json() const {
     doc.set("jobs_with_failed_solves", JsonValue::integer(jobs_with_failed_solves));
     doc.set("nonconverged_steps", JsonValue::integer(nonconverged_steps));
     doc.set("step_retries", JsonValue::integer(step_retries));
+    doc.set("rejected_pcg_solves", JsonValue::integer(rejected_pcg_solves));
+    doc.set("rejected_pcg_iterations", JsonValue::integer(rejected_pcg_iterations));
+    doc.set("rejected_open_close_iters", JsonValue::integer(rejected_open_close_iters));
+    doc.set("dt_min_steps", JsonValue::integer(dt_min_steps));
     doc.set("jobs_per_s", JsonValue::number(jobs_per_s));
     doc.set("steps_per_s", JsonValue::number(steps_per_s));
     doc.set("p50_step_ms", JsonValue::number(p50_step_ms));
@@ -182,6 +198,10 @@ obs::JsonValue BatchReport::to_json() const {
         row.set("pcg_failed_solves", JsonValue::integer(j.pcg_failed_solves));
         row.set("nonconverged_steps", JsonValue::integer(j.nonconverged_steps));
         row.set("step_retries", JsonValue::integer(j.step_retries));
+        row.set("rejected_pcg_solves", JsonValue::integer(j.rejected_pcg_solves));
+        row.set("rejected_pcg_iterations", JsonValue::integer(j.rejected_pcg_iterations));
+        row.set("rejected_open_close_iters", JsonValue::integer(j.rejected_open_close_iters));
+        row.set("dt_min_steps", JsonValue::integer(j.dt_min_steps));
         if (!j.postmortem_path.empty())
             row.set("postmortem_path", JsonValue::string(j.postmortem_path));
         if (!j.error.empty()) row.set("error", JsonValue::string(j.error));

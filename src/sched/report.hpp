@@ -49,6 +49,12 @@ struct BatchReport {
     /// summed over every job's completed steps.
     long long nonconverged_steps = 0;
     long long step_retries = 0;
+    /// Work thrown away by those retries (JobResult::rejected_*) and the
+    /// steps that hit dt_min, summed over every job.
+    long long rejected_pcg_solves = 0;
+    long long rejected_pcg_iterations = 0;
+    long long rejected_open_close_iters = 0;
+    long long dt_min_steps = 0;
     double jobs_per_s = 0.0;  ///< finished-ok jobs per wall second
     double steps_per_s = 0.0; ///< completed steps per wall second (all jobs)
     double p50_step_ms = 0.0;
@@ -78,18 +84,21 @@ struct BatchReport {
 
     /// Fixed-width human-readable summary (per-job table + fleet stats).
     [[nodiscard]] std::string summary() const;
-    /// Machine-readable document (schema "gdda.sched.batch" v3; v2 added
+    /// Machine-readable document (schema "gdda.sched.batch" v5; v2 added
     /// pcg_failed_solves fleet-wide and per job, plus per-job
     /// postmortem_path when a flight-recorder bundle was written; v3 adds
     /// the unique-vs-computed step accounting — steps_computed and
     /// steps_recomputed fleet-wide, steps_computed / steps_recomputed /
     /// resumed_from_step per job; v4 adds nonconverged_steps and
-    /// step_retries fleet-wide and per job).
+    /// step_retries fleet-wide and per job; v5 adds rejected_pcg_solves,
+    /// rejected_pcg_iterations, rejected_open_close_iters and dt_min_steps
+    /// fleet-wide and per job). Every field of v4 keeps its name and
+    /// meaning, so a v4 reader reads v5 by ignoring the new keys.
     [[nodiscard]] obs::JsonValue to_json() const;
 };
 
 inline constexpr std::string_view kBatchSchemaName = "gdda.sched.batch";
-inline constexpr int kBatchSchemaVersion = 4;
+inline constexpr int kBatchSchemaVersion = 5;
 
 /// Write every job's collected trace events (SchedulerConfig::collect_traces)
 /// as one Chrome trace file: one pid, one tid lane per worker, span ids

@@ -164,6 +164,10 @@ JobResult Scheduler::run_job(JobTicket& ticket, int lane) {
         res.pcg_failed_solves = 0;
         res.nonconverged_steps = 0;
         res.step_retries = 0;
+        res.rejected_pcg_solves = 0;
+        res.rejected_pcg_iterations = 0;
+        res.rejected_open_close_iters = 0;
+        res.dt_min_steps = 0;
         res.error.clear();
         // steps_computed / steps_recomputed deliberately NOT reset: they
         // accumulate real engine work across attempts, so report consumers
@@ -245,6 +249,10 @@ JobResult Scheduler::run_job(JobTicket& ticket, int lane) {
                 res.pcg_failed_solves += res.last.pcg_failed_solves;
                 res.nonconverged_steps += res.last.converged ? 0 : 1;
                 res.step_retries += res.last.retries;
+                res.rejected_pcg_solves += res.last.rejected_pcg_solves;
+                res.rejected_pcg_iterations += res.last.rejected_pcg_iterations;
+                res.rejected_open_close_iters += res.last.rejected_open_close_iters;
+                res.dt_min_steps += res.last.hit_dt_min ? 1 : 0;
                 steps_total_->inc();
                 ++res.steps_done;
                 ++res.steps_computed;

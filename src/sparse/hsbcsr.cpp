@@ -13,6 +13,12 @@ namespace gdda::sparse {
 
 namespace {
 int pad32(int x) { return (x + 31) / 32 * 32; }
+
+// Block rows per parallel grain in the live-list passes: a row holds a
+// handful of blocks, so a thread needs a batch of rows.
+constexpr std::size_t kRowGrain = 64;
+// Marks a dead block in live_q while the live list is being built.
+constexpr std::uint32_t kDead = 0xffffffffu;
 } // namespace
 
 HsbcsrMatrix hsbcsr_structure(const BsrMatrix& a) {
@@ -25,7 +31,14 @@ HsbcsrMatrix hsbcsr_structure(const BsrMatrix& a) {
     // Slice data allocated and zeroed; hsbcsr_refill writes the values.
     h.d_data.assign(static_cast<std::size_t>(h.padded_n) * 36, 0.0);
     h.nd_data_up.assign(static_cast<std::size_t>(h.padded_m) * 36, 0.0);
-    h.upper_zero = true;
+    // Zeroed slices hold no live block. The list buffers are sized for
+    // every block once, so refills never allocate.
+    h.live_known = true;
+    h.live.reserve(h.m);
+    h.live_q.assign(h.m, kDead);
+    h.live_up_i.assign(h.n, 0);
+    h.live_low_q.reserve(h.m);
+    h.live_low_i.assign(h.n, 0);
 
     // Upper non-diagonal blocks are already (row, col)-sorted in BSR order.
     h.rc.resize(h.m);
@@ -77,24 +90,75 @@ void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a, bool offdiag) {
     // The structure build numbers the upper blocks in BSR order, so slice
     // position p is BSR value q = p; the index arrays are not touched.
     if (!offdiag) return;
-    // The OR of every written bit pattern is 0 exactly when all are +0; OR
-    // does not depend on the grouping.
+    // Pass over the written bits: a block is live when the OR of its 36
+    // bit patterns is non-zero, i.e. some value is not +0. live_q holds 0
+    // for a live block and kDead for a dead one until its q is known.
     const std::size_t ndstride = static_cast<std::size_t>(h.padded_m) * 6;
-    const std::uint64_t bits = par::exact_reduce<std::uint64_t>(
+    h.live_q.resize(h.m);
+    h.live_up_i.resize(h.n);
+    h.live_low_i.resize(h.n);
+    const std::size_t count = par::exact_reduce<std::size_t>(
         static_cast<std::size_t>(h.m),
         [&](std::size_t p0, std::size_t p1) {
-            std::uint64_t any = 0;
-            for (std::size_t p = p0; p < p1; ++p)
+            std::size_t live = 0;
+            for (std::size_t p = p0; p < p1; ++p) {
+                std::uint64_t any = 0;
                 for (int r = 0; r < 6; ++r)
                     for (int c = 0; c < 6; ++c) {
                         const double v = a.vals[p](r, c);
                         h.nd_data_up[r * ndstride + p * 6 + c] = v;
                         any |= std::bit_cast<std::uint64_t>(v);
                     }
-            return any;
+                h.live_q[p] = any != 0 ? 0 : kDead;
+                live += any != 0;
+            }
+            return live;
         },
-        [](std::uint64_t x, std::uint64_t y) { return x | y; });
-    h.upper_zero = bits == 0;
+        [](std::size_t x, std::size_t y) { return x + y; });
+
+    h.live_known = true;
+    h.live.resize(count);
+    // Every block appears once in the lower ordering, so the lower list is
+    // as long as the live list.
+    h.live_low_q.resize(count);
+    if (count == 0) {
+        std::fill(h.live_up_i.begin(), h.live_up_i.end(), 0u);
+        std::fill(h.live_low_i.begin(), h.live_low_i.end(), 0u);
+        return;
+    }
+    const std::size_t rows = static_cast<std::size_t>(h.n);
+    auto up_begin = [&](std::size_t i) { return i > 0 ? h.row_up_i[i - 1] : 0u; };
+    auto low_begin = [&](std::size_t i) { return i > 0 ? h.row_low_i[i - 1] : 0u; };
+    // Per-row live counts, scanned into end offsets. Row i owns its upper
+    // positions, so the list stays in ascending p, and its lower entries
+    // keep their row_low_p order.
+    par::parallel_for(rows, kRowGrain, [&](std::size_t i) {
+        std::uint32_t up = 0;
+        for (std::uint32_t p = up_begin(i); p < h.row_up_i[i]; ++p) up += h.live_q[p] != kDead;
+        std::uint32_t low = 0;
+        for (std::uint32_t k = low_begin(i); k < h.row_low_i[i]; ++k)
+            low += h.live_q[h.row_low_p[k]] != kDead;
+        h.live_up_i[i] = up;
+        h.live_low_i[i] = low;
+    });
+    std::partial_sum(h.live_up_i.begin(), h.live_up_i.end(), h.live_up_i.begin());
+    std::partial_sum(h.live_low_i.begin(), h.live_low_i.end(), h.live_low_i.begin());
+    par::parallel_for(rows, kRowGrain, [&](std::size_t i) {
+        std::uint32_t q = i > 0 ? h.live_up_i[i - 1] : 0;
+        for (std::uint32_t p = up_begin(i); p < h.row_up_i[i]; ++p) {
+            if (h.live_q[p] == kDead) continue;
+            h.live[q] = p;
+            h.live_q[p] = q++;
+        }
+    });
+    // The lower entries read q of blocks in other rows: a second pass.
+    par::parallel_for(rows, kRowGrain, [&](std::size_t i) {
+        std::uint32_t t = i > 0 ? h.live_low_i[i - 1] : 0;
+        for (std::uint32_t k = low_begin(i); k < h.row_low_i[i]; ++k) {
+            const std::uint32_t q = h.live_q[h.row_low_p[k]];
+            if (q != kDead) h.live_low_q[t++] = q;
+        }
+    });
 }
 
 HsbcsrMatrix hsbcsr_from_bsr(const BsrMatrix& a) {

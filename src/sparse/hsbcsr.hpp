@@ -16,11 +16,11 @@
 //   row_low_p  maps the k-th lower-triangle entry to the position of its
 //              transposed source block in the upper ordering
 //
-// SpMV runs in two stages (Figs. 8-9): stage 1 multiplies every non-diagonal
-// block with both the "upper" vector x[col] (-> up_res) and, transposed, the
-// "lower" vector x[row] (-> low_res); stage 2 reduces up_res rows (regular,
-// coalesced) and low_res rows (gathered through row_low_p), then adds the
-// diagonal product.
+// SpMV runs in two stages (Figs. 8-9): stage 1 multiplies every live
+// non-diagonal block (see live below) with both the "upper" vector x[col]
+// (-> up_res) and, transposed, the "lower" vector x[row] (-> low_res);
+// stage 2 reduces up_res rows (regular, coalesced) and low_res rows
+// (gathered through live_low_q), then adds the diagonal product.
 
 #include <cstdint>
 #include <vector>
@@ -47,12 +47,34 @@ struct HsbcsrMatrix {
     std::vector<std::uint32_t> row_low_i; ///< size n, end offsets per lower row
     std::vector<std::uint32_t> row_low_p; ///< size m, lower -> upper position
 
-    /// Every value of the upper slices is known to be +0 (all bits clear),
-    /// so spmv_hsbcsr skips stage 1 and the off-diagonal gathers.
-    /// hsbcsr_structure() and hsbcsr_refill() keep it true to the data; any
-    /// other writer of nd_data_up must clear it. A hand-built matrix starts
-    /// at "not known zero".
-    bool upper_zero = false;
+    /// Live-block list: the ascending upper positions p whose slice data
+    /// hold a non-+0 bit pattern. SpMV multiplies only the live blocks. A
+    /// block whose values are all +0 or -0 yields exactly +0 products for
+    /// finite x, and adding +0 to a stage-2 accumulator, which starts at
+    /// +0.0 and so is never -0, leaves its bits unchanged. Any superset of
+    /// the non-+0 blocks is therefore exact (this one keeps the -0 blocks),
+    /// and the empty list skips stage 1 altogether.
+    ///
+    /// hsbcsr_structure() sets an empty list (its slices are zeroed) and
+    /// hsbcsr_refill() rebuilds it from the bits it writes; a diagonal-only
+    /// refill keeps it. Any other writer of nd_data_up must call
+    /// mark_all_live(). A hand-built matrix has live_known false and reads
+    /// as all-live: every block is multiplied, in its stored order.
+    bool live_known = false;
+    std::vector<std::uint32_t> live;       ///< ascending live positions p
+    std::vector<std::uint32_t> live_q;     ///< size m: p -> its index q in live
+    std::vector<std::uint32_t> live_up_i;  ///< size n, end offsets into live per row
+    std::vector<std::uint32_t> live_low_q; ///< live lower entries as q, row_low_p order
+    std::vector<std::uint32_t> live_low_i; ///< size n, end offsets into live_low_q
+
+    /// Forget the list: every block counts as live again.
+    void mark_all_live() { live_known = false; }
+    /// Upper blocks stage 1 multiplies.
+    [[nodiscard]] std::size_t live_count() const {
+        return live_known ? live.size() : static_cast<std::size_t>(m);
+    }
+    /// Every upper value is known to be +0 or -0.
+    [[nodiscard]] bool upper_dead() const { return live_known && live.empty(); }
 
     [[nodiscard]] std::uint32_t row_of(std::size_t p) const {
         return static_cast<std::uint32_t>(rc[p] >> 32);
@@ -81,7 +103,7 @@ HsbcsrMatrix hsbcsr_from_bsr(const BsrMatrix& a);
 
 /// Symbolic half of the conversion: padded sizes, rc, row_up_i, row_low_i
 /// and row_low_p (the stable lower-triangle sort), with the slice data
-/// allocated and zeroed (so upper_zero is true). Reusable across solves
+/// allocated and zeroed, and an empty live list. Reusable across solves
 /// while the block sparsity of `a` is unchanged.
 HsbcsrMatrix hsbcsr_structure(const BsrMatrix& a);
 
@@ -90,8 +112,9 @@ HsbcsrMatrix hsbcsr_structure(const BsrMatrix& a);
 /// been built by hsbcsr_structure()/hsbcsr_from_bsr() on a matrix with the
 /// same structure; throws std::invalid_argument on a dimension mismatch.
 /// With `offdiag` false only the diagonal slices are rewritten: for a
-/// caller that knows the upper slices already hold a's values. With
-/// `offdiag` true, upper_zero records whether every written value is +0.
+/// caller that knows the upper slices already hold a's values, and the
+/// live list is kept. With `offdiag` true the live list is rebuilt from
+/// the written bits, in parallel and with the same result for any team.
 void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a, bool offdiag = true);
 
 /// Reconstruct a BSR matrix (for round-trip tests).

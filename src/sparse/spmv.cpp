@@ -49,44 +49,48 @@ void spmv_hsbcsr(const HsbcsrMatrix& a, const BlockVec& x, BlockVec& y,
                  HsbcsrWorkspace& ws, simt::KernelCost* cost) {
     assert(static_cast<int>(x.size()) == a.n && static_cast<int>(y.size()) == a.n);
 
-    // Upper slices known to hold only +0: for finite x every stage-1 term
-    // is +0, and adding +0 to a row accumulator that started at +0.0 (it
-    // can never be -0) leaves its bits unchanged, so stage 1 and the
-    // off-diagonal gathers are skipped. The kernel is priced whole either
-    // way.
-    const bool offdiag = !a.upper_zero;
+    // Only live blocks are multiplied (HsbcsrMatrix::live): a dead block
+    // adds exactly +0 to its rows for finite x, which leaves a stage-2
+    // accumulator's bits unchanged. A matrix without a known list reads as
+    // all-live: block p is entry q = p, and the stage-2 lists are the
+    // structure's own. The kernel is priced whole either way.
+    const bool known = a.live_known;
+    const std::size_t blocks = a.live_count();
+    const std::uint32_t* live = known ? a.live.data() : nullptr;
+    const std::uint32_t* up_end = known ? a.live_up_i.data() : a.row_up_i.data();
+    const std::uint32_t* low_q = known ? a.live_low_q.data() : a.row_low_p.data();
+    const std::uint32_t* low_end = known ? a.live_low_i.data() : a.row_low_i.data();
 
-    // Stage 1: per non-diagonal block p at (r, c):
-    //   up_res[p]  = B_p   * x[c]   (contribution to block row r)
-    //   low_res[p] = B_p^T * x[r]   (contribution to block row c)
+    // Stage 1: per live block q at position p = (r, c):
+    //   up_res[q]  = B_p   * x[c]   (contribution to block row r)
+    //   low_res[q] = B_p^T * x[r]   (contribution to block row c)
     // Block data are read slice-by-slice (coalesced); x through texture.
-    // Each p writes only its own workspace slots: data-parallel.
-    if (offdiag) {
-        ws.resize(a.m);
-        par::parallel_for(static_cast<std::size_t>(a.m), kBlockGrain, [&](std::size_t p) {
-            const std::uint32_t r = a.row_of(p);
-            const std::uint32_t c = a.col_of(p);
-            const Vec6& xu = x[c];
-            const Vec6& xl = x[r];
-            Vec6 up{};
-            Vec6 low{};
-            for (int s = 0; s < 6; ++s) {
-                const double* row = &a.nd_data_up[static_cast<std::size_t>(s) * a.padded_m * 6 +
-                                                  static_cast<std::size_t>(p) * 6];
-                up[s] = slice_row_dot(row, xu);
-                slice_row_axpy(row, xl[s], low); // transpose product in registers
-            }
-            ws.up_res[p] = up;
-            ws.low_res[p] = low;
-        });
-    }
+    // Each q writes only its own workspace slots: data-parallel.
+    ws.resize(blocks);
+    par::parallel_for(blocks, kBlockGrain, [&](std::size_t q) {
+        const std::size_t p = live ? live[q] : q;
+        const std::uint32_t r = a.row_of(p);
+        const std::uint32_t c = a.col_of(p);
+        const Vec6& xu = x[c];
+        const Vec6& xl = x[r];
+        Vec6 up{};
+        Vec6 low{};
+        for (int s = 0; s < 6; ++s) {
+            const double* row =
+                &a.nd_data_up[static_cast<std::size_t>(s) * a.padded_m * 6 + p * 6];
+            up[s] = slice_row_dot(row, xu);
+            slice_row_axpy(row, xl[s], low); // transpose product in registers
+        }
+        ws.up_res[q] = up;
+        ws.low_res[q] = low;
+    });
 
     // Stage 2: row-wise reduction of up_res (regular/coalesced) and low_res
-    // (gathered via row_low_p through texture), plus the diagonal product.
-    // Each block row writes only y[i] and reads the stage-1 results through
-    // read-only index arrays, so rows are conflict-free, and the per-row
-    // accumulation order is the serial one — any team size produces the same
-    // bits.
+    // (gathered via the lower list through texture), plus the diagonal
+    // product. Each block row writes only y[i] and reads the stage-1
+    // results through read-only index arrays, so rows are conflict-free,
+    // and the per-row accumulation order is the serial one — any team size
+    // produces the same bits.
     par::parallel_for(static_cast<std::size_t>(a.n), kRowGrain, [&](std::size_t i) {
         Vec6 acc{};
         for (int s = 0; s < 6; ++s) {
@@ -94,14 +98,10 @@ void spmv_hsbcsr(const HsbcsrMatrix& a, const BlockVec& x, BlockVec& y,
                                            static_cast<std::size_t>(i) * 6];
             acc[s] = slice_row_dot(drow, x[i]);
         }
-        if (offdiag) {
-            const std::uint32_t ub = i > 0 ? a.row_up_i[i - 1] : 0;
-            const std::uint32_t ue = a.row_up_i[i];
-            for (std::uint32_t p = ub; p < ue; ++p) acc += ws.up_res[p];
-            const std::uint32_t lb = i > 0 ? a.row_low_i[i - 1] : 0;
-            const std::uint32_t le = a.row_low_i[i];
-            for (std::uint32_t k = lb; k < le; ++k) acc += ws.low_res[a.row_low_p[k]];
-        }
+        for (std::uint32_t q = i > 0 ? up_end[i - 1] : 0; q < up_end[i]; ++q)
+            acc += ws.up_res[q];
+        for (std::uint32_t t = i > 0 ? low_end[i - 1] : 0; t < low_end[i]; ++t)
+            acc += ws.low_res[low_q[t]];
         y[i] = acc;
     });
 

@@ -235,6 +235,81 @@ TEST(Assemble, PlanSkipsOpenContactsBitIdentical) {
     check("mixed, new penalty");
 }
 
+TEST(Assembly, MemoKeyedOnStateInputs) {
+    Fixture f = make_fixture(gdda::models::make_slope_with_blocks(60), false);
+    assign_states(f.contacts, 0);
+    as::DiagPhysicsCache cache;
+    cache.begin_memo_pass(f.contacts.size());
+    std::size_t lock = f.contacts.size();
+    std::size_t slide = f.contacts.size();
+    for (std::size_t c = 0; c < f.contacts.size(); ++c) {
+        const ct::Contact& k = f.contacts[c];
+        if (k.state == ct::ContactState::Open) continue;
+        if (k.state == ct::ContactState::Lock && lock == f.contacts.size()) lock = c;
+        if (k.state == ct::ContactState::Slide && slide == f.contacts.size()) slide = c;
+        cache.store(c, k, f.geo[c], as::contact_contribution(f.sys, k, f.geo[c], f.sp.contact));
+    }
+    ASSERT_LT(lock, f.contacts.size());
+    ASSERT_LT(slide, f.contacts.size());
+
+    auto same_bits = [](const as::ContactContribution& a, const as::ContactContribution& b) {
+        return a.active == b.active &&
+               !std::memcmp(a.kii.a.data(), b.kii.a.data(), sizeof(double) * 36) &&
+               !std::memcmp(a.kjj.a.data(), b.kjj.a.data(), sizeof(double) * 36) &&
+               !std::memcmp(a.kij.a.data(), b.kij.a.data(), sizeof(double) * 36) &&
+               as::bits_equal(a.fi, b.fi) && as::bits_equal(a.fj, b.fj);
+    };
+    // Whether contact c, changed by `edit`, hits the memo; a hit must be
+    // bit-equal to recomputing the changed contact.
+    auto hits = [&](std::size_t c, auto edit) {
+        ct::Contact k = f.contacts[c];
+        ct::ContactGeometry g = f.geo[c];
+        edit(k, g);
+        const as::ContactContribution* hit = cache.recall(c, k, g);
+        if (hit) {
+            EXPECT_TRUE(same_bits(*hit, as::contact_contribution(f.sys, k, g, f.sp.contact)));
+        }
+        return hit != nullptr;
+    };
+
+    // Lock reads the gradients, gap0 and shear_disp only.
+    EXPECT_TRUE(hits(lock, [](ct::Contact&, ct::ContactGeometry&) {}));
+    EXPECT_TRUE(hits(lock, [](ct::Contact& k, ct::ContactGeometry&) { k.last_gap -= 3e-6; }));
+    EXPECT_TRUE(hits(lock, [](ct::Contact& k, ct::ContactGeometry&) { k.slide_sign *= -1; }));
+    EXPECT_TRUE(hits(lock, [](ct::Contact&, ct::ContactGeometry& g) {
+        g.length *= 2.0;
+        g.ratio = 0.75;
+    }));
+    EXPECT_FALSE(hits(lock, [](ct::Contact& k, ct::ContactGeometry&) { k.shear_disp += 1e-7; }));
+    EXPECT_FALSE(hits(lock, [](ct::Contact&, ct::ContactGeometry& g) { g.gap0 -= 1e-7; }));
+    EXPECT_FALSE(hits(lock, [](ct::Contact&, ct::ContactGeometry& g) { g.es_i[2] += 1e-3; }));
+    EXPECT_FALSE(hits(lock, [](ct::Contact& k, ct::ContactGeometry&) {
+        k.state = ct::ContactState::Slide;
+    }));
+
+    // Slide reads last_gap, slide_sign, length and the joint besides.
+    EXPECT_TRUE(hits(slide, [](ct::Contact&, ct::ContactGeometry&) {}));
+    EXPECT_TRUE(hits(slide, [](ct::Contact& k, ct::ContactGeometry&) { k.shear_disp += 1e-7; }));
+    EXPECT_TRUE(hits(slide, [](ct::Contact&, ct::ContactGeometry& g) { g.ratio = 0.75; }));
+    EXPECT_FALSE(hits(slide, [](ct::Contact& k, ct::ContactGeometry&) { k.last_gap -= 3e-6; }));
+    EXPECT_FALSE(hits(slide, [](ct::Contact& k, ct::ContactGeometry&) { k.slide_sign *= -1; }));
+    EXPECT_FALSE(hits(slide, [](ct::Contact&, ct::ContactGeometry& g) { g.length *= 2.0; }));
+    EXPECT_FALSE(hits(slide, [](ct::Contact&, ct::ContactGeometry& g) { g.gn_j[0] += 1e-3; }));
+
+    // Through the plan: every Lock contact's last_gap moves between two
+    // passes, as the open-close update moves it, and the memo-served
+    // system stays bit-equal to the serial reference.
+    const as::AssemblyPlan plan(static_cast<int>(f.sys.size()), f.contacts);
+    as::DiagPhysicsCache plan_cache;
+    as::AssembledSystem out;
+    plan.assemble_into(out, f.sys, f.att, f.contacts, f.geo, f.sp, nullptr, &plan_cache);
+    for (ct::Contact& k : f.contacts)
+        if (k.state != ct::ContactState::Open) k.last_gap -= 2e-6;
+    plan.assemble_into(out, f.sys, f.att, f.contacts, f.geo, f.sp, nullptr, &plan_cache);
+    EXPECT_TRUE(
+        same_system_bits(as::assemble_serial(f.sys, f.att, f.contacts, f.geo, f.sp), out));
+}
+
 TEST(Assemble, CategoriesPartitionContacts) {
     Fixture f = make_fixture(gdda::models::make_column(4), true);
     for (std::size_t i = 0; i < f.contacts.size(); ++i) {

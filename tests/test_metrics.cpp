@@ -649,7 +649,7 @@ TEST(MetricsSched, SchedulerInstrumentsAndFailureBundle) {
 
     // Batch report surfaces the bundle path and the schema carries it.
     const obs::JsonValue batch = report.to_json();
-    EXPECT_EQ(static_cast<int>(batch.find("version")->as_number()), 4);
+    EXPECT_EQ(static_cast<int>(batch.find("version")->as_number()), 5);
     ASSERT_NE(batch.find("jobs")->items()[1].find("postmortem_path"), nullptr);
     std::filesystem::remove_all(dir);
 }

@@ -262,6 +262,7 @@ TEST(Scheduler, LastResortStepsAndRetriesReachTheReport) {
     j.steps = 3;
     long long nonconverged = 0;
     long long retries = 0;
+    long long rejected_solves = 0, rejected_iters = 0, rejected_passes = 0, dt_min = 0;
     {
         block::BlockSystem sys = j.scene();
         core::DdaEngine engine(sys, j.config, j.mode);
@@ -269,9 +270,15 @@ TEST(Scheduler, LastResortStepsAndRetriesReachTheReport) {
             const core::StepStats st = engine.step();
             nonconverged += st.converged ? 0 : 1;
             retries += st.retries;
+            rejected_solves += st.rejected_pcg_solves;
+            rejected_iters += st.rejected_pcg_iterations;
+            rejected_passes += st.rejected_open_close_iters;
+            dt_min += st.hit_dt_min ? 1 : 0;
         }
     }
     ASSERT_GT(nonconverged, 0) << "the seeded cold step must take the dt_min path";
+    ASSERT_GT(rejected_solves, 0);
+    ASSERT_GT(dt_min, 0);
 
     sched::SchedulerConfig cfg;
     cfg.workers = 1;
@@ -285,6 +292,15 @@ TEST(Scheduler, LastResortStepsAndRetriesReachTheReport) {
     EXPECT_EQ(report.nonconverged_steps, nonconverged);
     EXPECT_EQ(report.step_retries, retries);
     EXPECT_NE(report.summary().find("last-resort step(s)"), std::string::npos);
+    EXPECT_EQ(r.rejected_pcg_solves, rejected_solves);
+    EXPECT_EQ(r.rejected_pcg_iterations, rejected_iters);
+    EXPECT_EQ(r.rejected_open_close_iters, rejected_passes);
+    EXPECT_EQ(r.dt_min_steps, dt_min);
+    EXPECT_EQ(report.rejected_pcg_solves, rejected_solves);
+    EXPECT_EQ(report.rejected_pcg_iterations, rejected_iters);
+    EXPECT_EQ(report.rejected_open_close_iters, rejected_passes);
+    EXPECT_EQ(report.dt_min_steps, dt_min);
+    EXPECT_NE(report.summary().find("hit dt_min"), std::string::npos);
 
     const obs::JsonValue doc = report.to_json();
     EXPECT_EQ(doc.find("nonconverged_steps")->as_number(), static_cast<double>(nonconverged));
@@ -292,6 +308,16 @@ TEST(Scheduler, LastResortStepsAndRetriesReachTheReport) {
     const obs::JsonValue& row = doc.find("jobs")->items().at(0);
     EXPECT_EQ(row.find("nonconverged_steps")->as_number(), static_cast<double>(nonconverged));
     EXPECT_EQ(row.find("step_retries")->as_number(), static_cast<double>(retries));
+    EXPECT_EQ(doc.find("version")->as_number(), 5.0);
+    for (const obs::JsonValue* d : {&doc, &row}) {
+        EXPECT_EQ(d->find("rejected_pcg_solves")->as_number(),
+                  static_cast<double>(rejected_solves));
+        EXPECT_EQ(d->find("rejected_pcg_iterations")->as_number(),
+                  static_cast<double>(rejected_iters));
+        EXPECT_EQ(d->find("rejected_open_close_iters")->as_number(),
+                  static_cast<double>(rejected_passes));
+        EXPECT_EQ(d->find("dt_min_steps")->as_number(), static_cast<double>(dt_min));
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -327,6 +327,39 @@ TEST(PcgThreads, BitsInvariantAcrossTeamsAllPreconditioners) {
     }
 }
 
+TEST(PcgThreads, LiveListMatchesAllLive) {
+    // The engine's matrix multiplies only its live blocks; the same matrix
+    // marked all-live multiplies every stored block. PCG on the two must
+    // agree bit for bit, on the contact-rich scenes whose closed contacts
+    // leave most stored blocks +0.
+    std::size_t partial = 0; // passes whose list skipped some blocks
+    for (const char* spec : {"tunnel", "slope:60", "column:8"}) {
+        block::BlockSystem sys = sched::parse_scene_spec(spec)();
+        core::DdaEngine engine(sys, core::SimConfig{}, core::EngineMode::Serial);
+        for (int step = 1; step <= 8; ++step) {
+            engine.step();
+            if (step % 2) continue;
+            const core::SolveWorkspace& ws = engine.solve_workspace();
+            const sparse::HsbcsrMatrix& h = ws.matrix();
+            ASSERT_TRUE(h.live_known) << spec;
+            if (h.live_count() > 0 && h.live_count() < static_cast<std::size_t>(h.m)) ++partial;
+            sparse::HsbcsrMatrix all = h;
+            all.mark_all_live();
+            for (int team : {1, 2}) {
+                par::ScopedTeamSize scope(team);
+                const PcgRun got = run_pcg(h, ws.rhs(), ws.precond());
+                const PcgRun ref = run_pcg(all, ws.rhs(), ws.precond());
+                const std::string tag = std::string(spec) + " step " + std::to_string(step) +
+                                        " team " + std::to_string(team);
+                EXPECT_EQ(got.iterations, ref.iterations) << tag;
+                expect_same_bits(got.x, ref.x, tag + " x");
+                expect_same_bits(got.residuals, ref.residuals, tag + " residuals");
+            }
+        }
+    }
+    EXPECT_GT(partial, 0u) << "no pass exercised a partial live list";
+}
+
 TEST(PcgThreads, MultiChunkSystemBitsInvariantAcrossTeams) {
     // > kReduceChunk blocks so every reduction in the solve is multi-chunk.
     const int n = 3000;

@@ -299,7 +299,7 @@ TEST(Spmv, ZeroOffDiagonalSkipIsBitwise) {
     for (int b = 0; b < a.n; b += 17) a.diag[b] = sp::Mat6{};
     sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
     ASSERT_GT(h.m, 0);
-    ASSERT_TRUE(h.upper_zero);
+    ASSERT_TRUE(h.upper_dead());
 
     // x mixes signs, -0.0, +0.0, subnormals and normal values.
     sp::BlockVec x = random_block_vec(a.n, 37);
@@ -324,7 +324,7 @@ TEST(Spmv, ZeroOffDiagonalSkipIsBitwise) {
     };
     // The two-stage path over the same +0 slices is the reference.
     sp::HsbcsrMatrix full = h;
-    full.upper_zero = false;
+    full.mark_all_live();
     const auto [ref, ref_flops] = multiply(full, 1);
     for (int team : {1, 2, 4}) {
         const auto [got, flops] = multiply(h, team);
@@ -332,19 +332,19 @@ TEST(Spmv, ZeroOffDiagonalSkipIsBitwise) {
         EXPECT_EQ(flops, ref_flops) << "the skip is priced whole";
     }
 
-    // Diagonal-only refills keep the flag; any non-+0 upper write clears
-    // it, -0.0 included, and an all-+0 rewrite sets it again.
+    // Diagonal-only refills keep the list; any non-+0 upper write makes a
+    // block live, -0.0 included, and an all-+0 rewrite empties it again.
     sp::hsbcsr_refill(h, a, false);
-    EXPECT_TRUE(h.upper_zero);
+    EXPECT_TRUE(h.upper_dead());
     sp::BsrMatrix b = a;
     b.vals[b.vals.size() / 2](3, 4) = -0.0;
     sp::hsbcsr_refill(h, b);
-    EXPECT_FALSE(h.upper_zero);
+    EXPECT_FALSE(h.upper_dead());
     sp::hsbcsr_refill(h, a);
-    EXPECT_TRUE(h.upper_zero);
+    EXPECT_TRUE(h.upper_dead());
     b.vals[0](0, 5) = 0.25;
     sp::hsbcsr_refill(h, b);
-    ASSERT_FALSE(h.upper_zero);
+    ASSERT_FALSE(h.upper_dead());
     sp::BlockVec y_ref(b.n);
     b.multiply(x, y_ref);
     sp::HsbcsrWorkspace ws;
@@ -352,8 +352,128 @@ TEST(Spmv, ZeroOffDiagonalSkipIsBitwise) {
     sp::spmv_hsbcsr(h, x, y, ws);
     for (int i = 0; i < b.n; ++i)
         for (int k = 0; k < 6; ++k) EXPECT_NEAR(y[i][k], y_ref[i][k], 1e-12);
-    // A hand-built matrix starts at "not known zero".
-    EXPECT_FALSE(sp::HsbcsrMatrix{}.upper_zero);
+    // A hand-built matrix reads as all-live.
+    EXPECT_FALSE(sp::HsbcsrMatrix{}.upper_dead());
+}
+
+namespace {
+std::vector<std::uint64_t> block_bits(const sp::BlockVec& v) {
+    std::vector<std::uint64_t> out(v.size() * 6);
+    std::memcpy(out.data(), v.data(), out.size() * sizeof(double));
+    return out;
+}
+
+// y = A x at a team size, as bits, with the priced flops.
+std::pair<std::vector<std::uint64_t>, double> spmv_bits(const sp::HsbcsrMatrix& m,
+                                                        const sp::BlockVec& x, int team) {
+    gdda::par::ScopedTeamSize scope(team);
+    sp::HsbcsrWorkspace ws;
+    sp::BlockVec y(m.n);
+    gdda::simt::KernelCost cost;
+    sp::spmv_hsbcsr(m, x, y, ws, &cost);
+    return {block_bits(y), cost.flops};
+}
+
+// The live list as the refill must build it: ascending p of every block
+// holding a non-+0 bit.
+std::vector<std::uint32_t> expected_live(const sp::BsrMatrix& a) {
+    std::vector<std::uint32_t> out;
+    for (std::size_t p = 0; p < a.vals.size(); ++p)
+        for (double v : a.vals[p].a)
+            if (std::bit_cast<std::uint64_t>(v) != 0) {
+                out.push_back(static_cast<std::uint32_t>(p));
+                break;
+            }
+    return out;
+}
+} // namespace
+
+TEST(Spmv, LiveListIsBitwise) {
+    // x mixes signs, -0.0, +0.0, subnormals and normal values.
+    sp::BlockVec x = random_block_vec(300, 41);
+    const double specials[] = {-0.0, 0.0, 4.9e-324, -4.9e-324, 2.2e-310, -1e-300};
+    for (std::size_t i = 0; i < x.size(); ++i)
+        for (int k = 0; k < 6; ++k)
+            if ((i * 6 + static_cast<std::size_t>(k)) % 5 == 0) x[i][k] = specials[(i + k) % 6];
+
+    // About 1%, 16%, 43% and 100% of the upper blocks hold values; the
+    // rest are +0, except about one in a hundred holding -0.0 in some
+    // entries (live: its bits are not all clear, and its products are +0),
+    // and some diagonal blocks are all zero.
+    for (const int live_pct : {1, 16, 43, 100}) {
+        sp::BsrMatrix a = random_spd_bsr(300, 2000, 43 + live_pct);
+        std::mt19937 rng(live_pct);
+        std::uniform_int_distribution<int> pct(0, 99);
+        for (std::size_t p = 0; p < a.vals.size(); ++p) {
+            if (pct(rng) < live_pct) continue;
+            a.vals[p] = sp::Mat6{};
+            if (p % 97 == 0)
+                for (int e = static_cast<int>(p % 7); e < 36; e += 5) a.vals[p].a[e] = -0.0;
+        }
+        for (int b = 0; b < a.n; b += 23) a.diag[b] = sp::Mat6{};
+        const sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
+        ASSERT_TRUE(h.live_known);
+        const std::vector<std::uint32_t> want = expected_live(a);
+        ASSERT_EQ(h.live, want) << live_pct << "% live";
+        ASSERT_EQ(h.live_count(), want.size());
+        EXPECT_NEAR(static_cast<double>(want.size()) / h.m, live_pct / 100.0, 0.05);
+
+        sp::HsbcsrMatrix all = h;
+        all.mark_all_live();
+        EXPECT_EQ(all.live_count(), static_cast<std::size_t>(all.m));
+        const auto [ref, ref_flops] = spmv_bits(all, x, 1);
+        for (int team : {1, 2, 4}) {
+            const auto [got, flops] = spmv_bits(h, x, team);
+            EXPECT_TRUE(got == ref) << live_pct << "% live, team " << team;
+            EXPECT_EQ(flops, ref_flops) << "the list is priced whole";
+            const auto [all_got, all_flops] = spmv_bits(all, x, team);
+            EXPECT_TRUE(all_got == ref) << "all-live, team " << team;
+        }
+    }
+
+    // Refill transitions on one structure.
+    sp::BsrMatrix a = random_spd_bsr(300, 2000, 47);
+    for (std::size_t p = 0; p < a.vals.size(); ++p)
+        if (p % 6 != 0) a.vals[p] = sp::Mat6{};
+    sp::HsbcsrMatrix h = sp::hsbcsr_structure(a);
+    EXPECT_TRUE(h.upper_dead()) << "the structure's zeroed slices hold no live block";
+    auto check = [&](const sp::BsrMatrix& src, const char* what) {
+        EXPECT_EQ(h.live, expected_live(src)) << what;
+        sp::HsbcsrMatrix all = h;
+        all.mark_all_live();
+        for (int team : {1, 2, 4}) {
+            EXPECT_TRUE(spmv_bits(h, x, team).first == spmv_bits(all, x, 1).first)
+                << what << ", team " << team;
+        }
+    };
+    sp::hsbcsr_refill(h, a);
+    check(a, "first refill");
+    const std::size_t dead = 7; // p % 6 != 0: dead in a
+    ASSERT_EQ(std::count(h.live.begin(), h.live.end(), dead), 0);
+    sp::BsrMatrix b = a;
+    b.vals[dead](2, 3) = -1.5;
+    sp::hsbcsr_refill(h, b);
+    check(b, "a block turns live");
+    EXPECT_EQ(std::count(h.live.begin(), h.live.end(), dead), 1);
+    b.vals[0] = sp::Mat6{};
+    sp::hsbcsr_refill(h, b);
+    check(b, "a block turns dead");
+    EXPECT_EQ(std::count(h.live.begin(), h.live.end(), 0u), 0);
+    b.vals[0](4, 4) = -0.0;
+    sp::hsbcsr_refill(h, b);
+    check(b, "a -0.0 block is live");
+    EXPECT_EQ(std::count(h.live.begin(), h.live.end(), 0u), 1);
+
+    // A diagonal-only refill rewrites the diagonal and keeps the list.
+    const std::vector<std::uint32_t> kept = h.live;
+    const std::vector<std::uint32_t> kept_low = h.live_low_q;
+    sp::BsrMatrix c = b;
+    for (sp::Mat6& d : c.diag) d(0, 0) += 1.0;
+    sp::hsbcsr_refill(h, c, false);
+    EXPECT_EQ(h.live, kept);
+    EXPECT_EQ(h.live_low_q, kept_low);
+    check(c, "diagonal-only refill");
+    EXPECT_EQ(h.d_at(5, 0, 0), c.diag[5](0, 0));
 }
 
 TEST(Spmv, HsbcsrStorageIsHalfOfFull) {
