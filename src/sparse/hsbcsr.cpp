@@ -121,6 +121,8 @@ void hsbcsr_refill(HsbcsrMatrix& h, const BsrMatrix& a, bool offdiag) {
     // Every block appears once in the lower ordering, so the lower list is
     // as long as the live list.
     h.live_low_q.resize(count);
+    // An all-dead refill (an all-open scene's cold pass) skips the row
+    // passes below.
     if (count == 0) {
         std::fill(h.live_up_i.begin(), h.live_up_i.end(), 0u);
         std::fill(h.live_low_i.begin(), h.live_low_i.end(), 0u);

@@ -73,7 +73,7 @@ struct HsbcsrMatrix {
     [[nodiscard]] std::size_t live_count() const {
         return live_known ? live.size() : static_cast<std::size_t>(m);
     }
-    /// Every upper value is known to be +0 or -0.
+    /// Every upper value is known to be +0 (a -0 makes its block live).
     [[nodiscard]] bool upper_dead() const { return live_known && live.empty(); }
 
     [[nodiscard]] std::uint32_t row_of(std::size_t p) const {
