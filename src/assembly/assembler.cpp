@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
 
 #include "par/parallel_for.hpp"
@@ -53,13 +52,8 @@ CategoryStats classify_categories(std::span<const Contact> contacts) {
     return s;
 }
 
-void record_assembly_costs(AssemblyCosts& costs, int n, std::size_t contacts, bool diag_hit,
-                           bool warm) {
+void record_diag_costs(simt::KernelCost* sink, int n, bool diag_hit) {
     const double nn = n;
-    const double m = static_cast<double>(contacts);
-    const double e = 3.0 * m + nn; // emitted entries: a diagonal per block, 3 per contact
-    // Module hints (1 = DiagBuild, 2 = NondiagBuild): these costs are
-    // recorded after both assembly phases ran, outside any module span.
     if (diag_hit) {
         // The physics kernel is replaced by a straight copy of the cached
         // blocks and loads.
@@ -68,8 +62,8 @@ void record_assembly_costs(AssemblyCosts& costs, int n, std::size_t contacts, bo
         kc.bytes_coalesced = 2.0 * nn * (36 + 6) * sizeof(double);
         kc.depth = 2;
         kc.launches = 1;
-        simt::record_kernel(&costs.diagonal, kc, 1);
-        simt::record_skipped_kernel(&costs.diagonal, "diag_build", 1);
+        simt::record_kernel(sink, kc);
+        simt::record_skipped_kernel(sink, "diag_build");
     } else {
         simt::KernelCost kc;
         kc.name = "diag_build";
@@ -81,8 +75,14 @@ void record_assembly_costs(AssemblyCosts& costs, int n, std::size_t contacts, bo
         kc.branch_slots = nn / 4.0;
         kc.divergent_slots = 0.06 * kc.branch_slots;
         kc.launches = 2;
-        simt::record_kernel(&costs.diagonal, kc, 1);
+        simt::record_kernel(sink, kc);
     }
+}
+
+void record_nondiag_costs(simt::KernelCost* sink, int n, std::size_t contacts, bool warm) {
+    const double nn = n;
+    const double m = static_cast<double>(contacts);
+    const double e = 3.0 * m + nn; // emitted entries: a diagonal per block, 3 per contact
     if (warm) {
         simt::KernelCost kc;
         kc.name = "nondiag_refill";
@@ -96,8 +96,8 @@ void record_assembly_costs(AssemblyCosts& costs, int n, std::size_t contacts, bo
         kc.branch_slots = e;
         kc.divergent_slots = 0.22 * e; // ragged segments
         kc.launches = 2;
-        simt::record_kernel(&costs.nondiagonal, kc, 2);
-        simt::record_skipped_kernel(&costs.nondiagonal, "nondiag_sort_scan", 2);
+        simt::record_kernel(sink, kc);
+        simt::record_skipped_kernel(sink, "nondiag_sort_scan");
     } else {
         simt::KernelCost kc;
         kc.name = "nondiag_build";
@@ -113,14 +113,14 @@ void record_assembly_costs(AssemblyCosts& costs, int n, std::size_t contacts, bo
         kc.branch_slots = e;
         kc.divergent_slots = 0.22 * e; // ragged segments
         kc.launches = 30;
-        simt::record_kernel(&costs.nondiagonal, kc, 2);
+        simt::record_kernel(sink, kc);
     }
 }
 
 AssembledSystem assemble_serial(const BlockSystem& sys, const BlockAttachments& att,
                                 std::span<const Contact> contacts,
                                 std::span<const ContactGeometry> geo,
-                                const StepParams& sp, double* diag_seconds) {
+                                const StepParams& sp) {
     assert(contacts.size() == geo.size());
     const int n = static_cast<int>(sys.size());
 
@@ -134,7 +134,6 @@ AssembledSystem assemble_serial(const BlockSystem& sys, const BlockAttachments& 
     AssembledSystem out;
     out.f.assign(n, Vec6{});
 
-    const auto diag_start = std::chrono::steady_clock::now();
     for (int i = 0; i < n; ++i) {
         Mat6 k;
         Vec6 f;
@@ -144,9 +143,6 @@ AssembledSystem assemble_serial(const BlockSystem& sys, const BlockAttachments& 
         blocks.push_back(k);
         out.f[i] += f;
     }
-    if (diag_seconds)
-        *diag_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - diag_start).count();
 
     for (std::size_t c = 0; c < contacts.size(); ++c) {
         const Contact& ct = contacts[c];
@@ -217,58 +213,57 @@ AssemblyPlan::AssemblyPlan(int n, std::span<const Contact> contacts) : n_(n) {
     }
 }
 
+void assemble_diagonal(AssembledSystem& out, const BlockSystem& sys,
+                       const BlockAttachments& att, const StepParams& sp,
+                       DiagPhysicsCache* diag_cache) {
+    const std::size_t n = sys.size();
+    // block_diagonal and the cache copy below assign every diagonal block.
+    out.k.diag.resize(n);
+    out.f.assign(n, Vec6{});
+    // Every index writes only its own diag/f rows, so the loop runs under
+    // parallel_for with no ordering concern.
+    if (diag_cache && diag_cache->valid) {
+        par::parallel_for(n, par::kDefaultGrain, [&](std::size_t i) {
+            out.k.diag[i] = diag_cache->k[i];
+            out.f[i] = diag_cache->f[i];
+        });
+        return;
+    }
+    par::parallel_for(n, 64, [&](std::size_t i) {
+        Vec6 f;
+        block_diagonal(sys, att, static_cast<int>(i), sp, out.k.diag[i], f);
+        out.f[i] += f;
+    });
+    if (diag_cache) {
+        diag_cache->k.assign(out.k.diag.begin(), out.k.diag.end());
+        diag_cache->f = out.f;
+        diag_cache->valid = true;
+    }
+}
+
 AssembledSystem AssemblyPlan::assemble(const BlockSystem& sys, const BlockAttachments& att,
                                        std::span<const Contact> contacts,
                                        std::span<const ContactGeometry> geo,
-                                       const StepParams& sp, double* diag_seconds) const {
+                                       const StepParams& sp) const {
     AssembledSystem out;
-    assemble_into(out, sys, att, contacts, geo, sp, diag_seconds, nullptr, nullptr);
+    assemble_diagonal(out, sys, att, sp);
+    assemble_contacts(out, sys, contacts, geo, sp);
     return out;
 }
 
-bool AssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys,
-                                 const BlockAttachments& att, std::span<const Contact> contacts,
-                                 std::span<const ContactGeometry> geo, const StepParams& sp,
-                                 double* diag_seconds, DiagPhysicsCache* diag_cache,
-                                 double* diag_par_seconds, bool offdiag_vals_zero) const {
+bool AssemblyPlan::assemble_contacts(AssembledSystem& out, const BlockSystem& sys,
+                                     std::span<const Contact> contacts,
+                                     std::span<const ContactGeometry> geo, const StepParams& sp,
+                                     DiagPhysicsCache* diag_cache, bool offdiag_vals_zero) const {
     assert(static_cast<int>(sys.size()) == n_ && contacts.size() == offdiag_slot_.size());
+    assert(out.k.diag.size() == static_cast<std::size_t>(n_) && out.f.size() == out.k.diag.size());
     out.k.n = n_;
     out.k.row_ptr = row_ptr_;
     out.k.col_idx = col_idx_;
-    // block_diagonal and the cache copy below assign every diagonal block,
-    // so only the off-diagonal values (summed into) need a zero fill, and
-    // not even that when the caller knows they are all +0 already.
-    out.k.diag.resize(n_);
+    // Only the off-diagonal values (summed into) need a zero fill, and not
+    // even that when the caller knows they are all +0 already.
     if (!offdiag_vals_zero || out.k.vals.size() != col_idx_.size())
         out.k.vals.assign(col_idx_.size(), Mat6{});
-    out.f.assign(n_, Vec6{});
-
-    // Diagonal physics: every index writes only its own diag/f rows, so the
-    // loop runs under parallel_for with no ordering concern.
-    const auto diag_start = std::chrono::steady_clock::now();
-    const double diag_par0 = par::parallel_region_seconds();
-    if (diag_cache && diag_cache->valid) {
-        par::parallel_for(static_cast<std::size_t>(n_), par::kDefaultGrain,
-                          [&](std::size_t i) {
-                              out.k.diag[i] = diag_cache->k[i];
-                              out.f[i] = diag_cache->f[i];
-                          });
-    } else {
-        par::parallel_for(static_cast<std::size_t>(n_), 64, [&](std::size_t i) {
-            Vec6 f;
-            block_diagonal(sys, att, static_cast<int>(i), sp, out.k.diag[i], f);
-            out.f[i] += f;
-        });
-        if (diag_cache) {
-            diag_cache->k.assign(out.k.diag.begin(), out.k.diag.end());
-            diag_cache->f = out.f;
-            diag_cache->valid = true;
-        }
-    }
-    if (diag_par_seconds) *diag_par_seconds = par::parallel_region_seconds() - diag_par0;
-    if (diag_seconds)
-        *diag_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - diag_start).count();
 
     // Per-contact submatrices (the expensive physics) in parallel into a
     // scratch array — each index owns its memo entry and its slot of the

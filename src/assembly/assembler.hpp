@@ -3,7 +3,8 @@
 // (Fig. 1 pipeline); AssemblyPlan is the one assembly path both engine modes
 // run, bit-identical to it (tests enforce this). The paper's Fig. 4
 // sort-and-scan segmented assembly is a GPU schedule of the same sums: it is
-// not executed here, only priced from counts by record_assembly_costs.
+// not executed here, only priced from counts by record_diag_costs and
+// record_nondiag_costs.
 
 #include <bit>
 #include <cstdint>
@@ -99,25 +100,16 @@ struct CategoryStats {
 };
 CategoryStats classify_categories(std::span<const Contact> contacts);
 
-/// The two Table-II matrix-building ledgers: diagonal (per-block physics)
-/// and non-diagonal (contact contributions plus the sort/scan machinery).
-struct AssemblyCosts {
-    simt::KernelCost diagonal = simt::KernelCost::accumulator();
-    simt::KernelCost nondiagonal = simt::KernelCost::accumulator();
-};
-
-/// Price one assembly pass as the paper's Fig. 4 GPU pipeline runs it:
-/// every contribution computes its sub-matrix into array D, D is
-/// radix-sorted by packed (row, col) key, a scan of the segment heads gives
-/// each unique sub-matrix its slot, and segmented sums reduce it. The
-/// kernels depend only on counts — `n` blocks, `contacts` contacts, whether
-/// the diagonal physics came from the cache (`diag_hit`: diag_copy instead
-/// of diag_build) and whether the structure was cached (`warm`: the numeric
-/// nondiag_refill instead of nondiag_build, with the skipped sort/scan as a
-/// zero-cost "[cached]" event). Records accumulate into `costs` and reach
-/// the kernel trace hook under the DiagBuild / NondiagBuild module rows.
-void record_assembly_costs(AssemblyCosts& costs, int n, std::size_t contacts, bool diag_hit,
-                           bool warm);
+/// Price one assembly pass as the paper's Fig. 4 GPU pipeline runs it, one
+/// call per Table-II row, from counts alone: contributions into array D, a
+/// radix sort of D by (row, col) key, a scan of segment heads, segmented
+/// sums. The diagonal phase is diag_build, or diag_copy when the physics
+/// came from the cache (`diag_hit`); the contact phase is nondiag_build,
+/// or nondiag_refill with the skipped sort/scan as a zero-cost "[cached]"
+/// event when the structure was cached (`warm`). Records accumulate into
+/// `sink` and reach the trace hook under the caller's module scope.
+void record_diag_costs(simt::KernelCost* sink, int n, bool diag_hit);
+void record_nondiag_costs(simt::KernelCost* sink, int n, std::size_t contacts, bool warm);
 
 inline bool bits_equal(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -152,12 +144,19 @@ inline const ContactContribution* DiagPhysicsCache::recall(std::size_t c, const 
 /// Serial reference assembly: diagonal physics plus contact springs.
 /// All contacts (including open ones) claim a sparsity slot so the matrix
 /// structure is invariant across the open-close iterations of one step.
-/// `diag_seconds`, when given, receives the wall time of the diagonal
-/// (per-block physics) phase so callers can report the two Table-II rows.
 AssembledSystem assemble_serial(const BlockSystem& sys, const BlockAttachments& att,
                                 std::span<const Contact> contacts,
                                 std::span<const ContactGeometry> geo,
-                                const StepParams& sp, double* diag_seconds = nullptr);
+                                const StepParams& sp);
+
+/// Diagonal phase of one assembly pass (the Table-II "Diagonal Matrix
+/// Building" row): resets `out.f` and writes every diagonal block and load
+/// from the per-block physics, or copies them from a valid `diag_cache`
+/// (bitwise the same); a cache that is not valid is filled. The contact
+/// phase, AssemblyPlan::assemble_contacts, must follow in the same pass.
+void assemble_diagonal(AssembledSystem& out, const BlockSystem& sys,
+                       const BlockAttachments& att, const StepParams& sp,
+                       DiagPhysicsCache* diag_cache = nullptr);
 
 /// Symbolic assembly plan: the sparsity structure and per-contact slot map
 /// computed once per contact structure (the contact set is fixed across the
@@ -169,29 +168,26 @@ public:
     AssemblyPlan() = default;
     AssemblyPlan(int n, std::span<const Contact> contacts);
 
+    /// Both phases into a fresh system.
     [[nodiscard]] AssembledSystem assemble(const BlockSystem& sys,
                                            const BlockAttachments& att,
                                            std::span<const Contact> contacts,
                                            std::span<const ContactGeometry> geo,
-                                           const StepParams& sp,
-                                           double* diag_seconds = nullptr) const;
+                                           const StepParams& sp) const;
 
-    /// Numeric refill into a caller-owned system: the cached structure is
-    /// copied (or kept, when already matching) and only block values are
-    /// rewritten, so repeated passes reuse `out`'s allocations. With a valid
-    /// `diag_cache` the per-block physics phase becomes a copy; either way
-    /// the result is bitwise identical to assemble().
-    /// `diag_par_seconds`, when given, receives the parallel-region slice
-    /// of `diag_seconds` (see par::parallel_region_seconds()).
-    /// `offdiag_vals_zero` asserts that every off-diagonal value of `out.k`
-    /// is already +0 (the caller's last pass placed nothing there), which
-    /// spares the zero fill. Returns whether this pass placed anything off
-    /// the diagonal.
-    bool assemble_into(AssembledSystem& out, const BlockSystem& sys, const BlockAttachments& att,
-                       std::span<const Contact> contacts, std::span<const ContactGeometry> geo,
-                       const StepParams& sp, double* diag_seconds = nullptr,
-                       DiagPhysicsCache* diag_cache = nullptr, double* diag_par_seconds = nullptr,
-                       bool offdiag_vals_zero = false) const;
+    /// Contact phase of one assembly pass (the "Non-diagonal Matrix
+    /// Building" row), after assemble_diagonal: copies the structure into
+    /// `out.k` (reusing its allocations) and sums the closed contacts'
+    /// springs in. `diag_cache`, when given, memoizes per-contact
+    /// contributions, bitwise identically. `offdiag_vals_zero` asserts that
+    /// every off-diagonal value of `out.k` is already +0, which spares the
+    /// zero fill. Returns whether this pass placed anything off the
+    /// diagonal.
+    bool assemble_contacts(AssembledSystem& out, const BlockSystem& sys,
+                           std::span<const Contact> contacts,
+                           std::span<const ContactGeometry> geo, const StepParams& sp,
+                           DiagPhysicsCache* diag_cache = nullptr,
+                           bool offdiag_vals_zero = false) const;
 
 private:
     int n_ = 0;

@@ -4,8 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <numbers>
 
@@ -235,10 +233,9 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
                                       std::span<BlockMotion> motion,
                                       const OpenCloseParams& params, simt::KernelCost* cost) {
     block_motion(sys, d, motion);
-    // Every contact updates only itself; the two reductions (an integer
-    // count and a max from +0) are exact in any grouping, so the result is
-    // bitwise identical for any team size.
-    const bool debug = std::getenv("GDDA_DEBUG_OC") != nullptr;
+    // Every contact updates only itself; the reductions (integer counts and
+    // a max from +0) are exact in any grouping, so the result is bitwise
+    // identical for any team size.
     auto update = [&](OpenCloseResult& res, std::size_t k) {
         Contact& c = contacts[k];
         const ContactState old = c.state;
@@ -316,7 +313,10 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
         c.p2 = static_cast<std::int8_t>(int(next == ContactState::Lock) -
                                         int(old == ContactState::Lock));
         ++res.evaluated;
-        if (next != old) ++res.state_changes;
+        if (next != old) {
+            ++res.state_changes;
+            ++res.transitions[static_cast<int>(old)][static_cast<int>(next)];
+        }
         if (next != ContactState::Open) ++res.closed;
         c.prev_state = old;
         c.state = next;
@@ -328,17 +328,8 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
         // Interpenetration is measured on closed contacts only: their dn is
         // the actual spring stretch. Open contacts with deep negative line
         // gaps are corner artifacts the closing gate already rejects.
-        if (next != ContactState::Open && ratio > -0.01 && ratio < 1.01) {
+        if (next != ContactState::Open && ratio > -0.01 && ratio < 1.01)
             res.max_penetration = std::max(res.max_penetration, -dn);
-            if (-dn > 0.03 && debug) {
-                const ContactGeometry& g = geo[k];
-                std::fprintf(stderr,
-                             "[oc] deep dn=%.4f gap0=%.4f ratio=%.3f shear_disp=%.4f kind=%d "
-                             "state %d->%d bi=%d vi=%d bj=%d e1=%d\n",
-                             dn, g.gap0, g.ratio, c.shear_disp, int(c.kind), int(old),
-                             int(next), c.bi, c.vi, c.bj, c.e1);
-            }
-        }
     };
     const OpenCloseResult res = par::exact_reduce<OpenCloseResult>(
         contacts.size(),
@@ -369,6 +360,9 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
             sum.state_changes = x.state_changes + y.state_changes;
             sum.closed = x.closed + y.closed;
             sum.evaluated = x.evaluated + y.evaluated;
+            for (int from = 0; from < 3; ++from)
+                for (int to = 0; to < 3; ++to)
+                    sum.transitions[from][to] = x.transitions[from][to] + y.transitions[from][to];
             sum.max_penetration = std::max(x.max_penetration, y.max_penetration);
             return sum;
         });

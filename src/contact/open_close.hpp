@@ -6,6 +6,7 @@
 // switch among open / slide / lock; the step's system is reassembled and
 // re-solved until the state vector is a fixed point.
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -78,6 +79,10 @@ struct BlockMotion {
 
 struct OpenCloseResult {
     int state_changes = 0;
+    /// state_changes per (from, to) pair, indexed by ContactState: entry
+    /// [from][to] counts the contacts that switched from `from` to `to`.
+    /// The diagonal stays 0 and the entries sum to state_changes.
+    std::array<std::array<int, 3>, 3> transitions{};
     std::size_t closed = 0;       ///< contacts closed after the update
     /// Contacts evaluated under d; the others were open and certified or
     /// off their edge's span, and read no row of d.

@@ -213,7 +213,10 @@ private:
     std::shared_ptr<trace::Tracer> tracer_;
     std::shared_ptr<metrics::EngineObserver> metrics_;
     int step_index_ = 0;
-    std::vector<obs::PcgSolveRecord> step_solves_; ///< scratch, cleared per step
+    /// The step's per-pass and rejected-attempt entries of its obs record;
+    /// filled only while a recorder or metrics observer is attached.
+    std::vector<obs::PcgSolveRecord> step_solves_;
+    std::vector<obs::AttemptRecord> step_attempts_;
 };
 
 } // namespace gdda::core

@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 
 #include "core/energy.hpp"
@@ -62,24 +60,8 @@ void SimConfig::validate() const {
         throw std::invalid_argument("SimConfig: checkpoint_interval must be >= 0");
     if (static_cast<unsigned>(precond) > static_cast<unsigned>(PrecondKind::Ilu0))
         throw std::invalid_argument("SimConfig: precond out of range");
-    if (metrics.enabled) {
-        if (metrics.flight_recorder_capacity < 1)
-            throw std::invalid_argument(
-                "SimConfig: metrics.flight_recorder_capacity must be >= 1");
-        const metrics::HealthConfig& h = metrics.rules;
-        if (h.pcg_fail_warn_streak < 1 || h.pcg_fail_critical_streak < 1 ||
-            h.oc_cap_warn_streak < 1 || h.oc_cap_critical_streak < 1 ||
-            h.energy_growth_warn_streak < 1 || h.energy_growth_critical_streak < 1)
-            throw std::invalid_argument("SimConfig: metrics health streaks must be >= 1");
-        if (!finite_positive(h.penetration_warn_ratio) ||
-            !finite_at_least(h.penetration_critical_ratio, h.penetration_warn_ratio))
-            throw std::invalid_argument("SimConfig: metrics penetration ratios invalid");
-        if (!finite_at_least(h.energy_growth_tol, 0.0))
-            throw std::invalid_argument("SimConfig: metrics energy_growth_tol invalid");
-        if (!std::isfinite(h.latency_outlier_factor) || !(h.latency_outlier_factor > 1.0) ||
-            h.latency_window < 1 || h.min_latency_samples < 1)
-            throw std::invalid_argument("SimConfig: metrics latency rule invalid");
-    }
+    if (metrics.enabled && metrics.flight_recorder_capacity < 1)
+        throw std::invalid_argument("SimConfig: metrics.flight_recorder_capacity must be >= 1");
 }
 
 namespace {
@@ -211,46 +193,27 @@ contact::OpenCloseResult DdaEngine::solve_pass(BlockVec& d, StepStats& stats,
     sp.contact.max_push = std::max(10.0 * dt_, 40e-9 * w0_);
     sp.fixed_penalty = sp.contact.penalty * cfg_.fixed_penalty_ratio;
 
-    // Matrix building. The diagonal (per-block physics) and non-diagonal
-    // (contact) phases are timed separately to match the Table II/III rows.
-    // The workspace decides cold (structure rebuild) vs warm (numeric
-    // refill) from the contact fingerprint.
+    // Matrix building, one timed scope per Table II/III row. The workspace
+    // decides cold (structure rebuild) vs warm (numeric refill) from the
+    // contact fingerprint.
     {
-        const double t0_us = trace::now_us();
-        const double par0 = par::parallel_region_seconds();
-        double diag_seconds = 0.0;
-        double diag_par_seconds = 0.0;
-        assembly::AssemblyCosts costs;
-        const bool priced = mode_ == EngineMode::Gpu;
-        ws_.assemble(*sys_, attachments_, contacts_, geo_.span(), sp, values_epoch_,
-                     priced ? &costs : nullptr, &diag_seconds, &diag_par_seconds,
-                     &contacts_fp_);
-        if (priced) {
-            ledgers_.add(Module::DiagBuild, costs.diagonal);
-            ledgers_.add(Module::NondiagBuild, costs.nondiagonal);
-        }
-        const double end_us = trace::now_us();
-        const double total = (end_us - t0_us) * 1e-6;
-        const double par_total = par::parallel_region_seconds() - par0;
-        timers_.add(Module::DiagBuild, diag_seconds);
-        timers_.add(Module::NondiagBuild, std::max(total - diag_seconds, 0.0));
-        par_timers_.add(Module::DiagBuild, diag_par_seconds);
-        par_timers_.add(Module::NondiagBuild, std::max(par_total - diag_par_seconds, 0.0));
-        if (tracer_) {
-            // One timed region split into the two matrix-building rows:
-            // retroactive spans with the same clock samples the timers used.
-            const double diag_us = diag_seconds * 1e6;
-            tracer_->complete(trace::Category::Module,
-                              kModuleNames[static_cast<int>(Module::DiagBuild)], t0_us,
-                              diag_us, static_cast<int>(Module::DiagBuild));
-            tracer_->complete(trace::Category::Module,
-                              kModuleNames[static_cast<int>(Module::NondiagBuild)],
-                              t0_us + diag_us, std::max(end_us - t0_us - diag_us, 0.0),
-                              static_cast<int>(Module::NondiagBuild));
-        }
+        ScopedTimer t(timers_, Module::DiagBuild, tracer_.get(), &par_timers_);
+        simt::KernelCost cost = simt::KernelCost::accumulator();
+        simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
+        ws_.assemble_diagonal(*sys_, attachments_, sp, values_epoch_, sink);
+        if (sink) ledgers_.add(Module::DiagBuild, cost);
+    }
+    {
+        ScopedTimer t(timers_, Module::NondiagBuild, tracer_.get(), &par_timers_);
+        simt::KernelCost cost = simt::KernelCost::accumulator();
+        simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
+        ws_.assemble_contacts(*sys_, contacts_, geo_.span(), sp, sink, &contacts_fp_);
+        if (sink) ledgers_.add(Module::NondiagBuild, cost);
     }
 
     // Equation solving.
+    solver::PcgResult r;
+    std::vector<double> residuals;
     {
         ScopedTimer t(timers_, Module::EquationSolving, tracer_.get(), &par_timers_);
         simt::KernelCost cost = simt::KernelCost::accumulator();
@@ -262,20 +225,16 @@ contact::OpenCloseResult DdaEngine::solve_pass(BlockVec& d, StepStats& stats,
         // previous pass's solution, which is closer.
         if (fresh_pass) d = warm_start_;
         solver::PcgOptions popts = cfg_.pcg;
-        std::vector<double> residuals;
         if (recorder_ && recorder_->record_pcg_residuals) popts.residual_log = &residuals;
         if (tracer_ && cfg_.trace.pcg_iteration_spans) popts.tracer = tracer_.get();
         trace::Span solve_span(tracer_.get(), trace::Category::Solve, "pcg_solve");
-        const solver::PcgResult r = solver::pcg(ws_.matrix(), ws_.rhs(), d, ws_.precond(),
-                                                popts, sink, &ws_.pcg_workspace());
+        r = solver::pcg(ws_.matrix(), ws_.rhs(), d, ws_.precond(), popts, sink,
+                        &ws_.pcg_workspace());
         solve_span.close();
         stats.pcg_iterations += r.iterations;
         ++stats.pcg_solves;
         if (!r.converged) ++stats.pcg_failed_solves;
         stats.converged = stats.converged && r.converged;
-        if (recorder_ || metrics_)
-            step_solves_.push_back(
-                {r.iterations, r.final_residual, r.converged, std::move(residuals)});
         if (sink) ledgers_.add(Module::EquationSolving, *sink);
     }
 
@@ -291,6 +250,19 @@ contact::OpenCloseResult DdaEngine::solve_pass(BlockVec& d, StepStats& stats,
         *sys_, geo_.span(), contacts_, d, motion_.span(), sp.contact, sink);
     stats.max_penetration = std::max(stats.max_penetration, oc.max_penetration);
     if (sink) ledgers_.add(Module::InterpenetrationCheck, cost);
+    if (recorder_ || metrics_) {
+        obs::PcgSolveRecord& rec = step_solves_.emplace_back();
+        rec.iterations = r.iterations;
+        rec.final_residual = r.final_residual;
+        rec.converged = r.converged;
+        rec.residuals = std::move(residuals);
+        rec.state_changes = oc.state_changes;
+        int pair = 0;
+        for (int from = 0; from < 3; ++from)
+            for (int to = 0; to < 3; ++to)
+                if (from != to) rec.transitions[pair++] = oc.transitions[from][to];
+        rec.max_penetration = oc.max_penetration;
+    }
     return oc;
 }
 
@@ -385,7 +357,6 @@ void DdaEngine::restore(const EngineCheckpoint& snap) {
 
 StepStats DdaEngine::step_impl() {
     StepStats stats;
-    const bool debug = std::getenv("GDDA_DEBUG_STEP") != nullptr;
     detect_contacts();
 
     const double allowed = cfg_.max_disp_ratio * w0_;
@@ -432,9 +403,6 @@ StepStats DdaEngine::step_impl() {
         contact::OpenCloseResult last;
         for (; oc_iters < cfg_.max_open_close_iters; ++oc_iters) {
             last = solve_pass(d, stats, oc_iters == 0);
-            if (debug)
-                std::fprintf(stderr, "[gdda]   oc pass %d: changes=%d pen=%.3e\n",
-                             oc_iters, last.state_changes, stats.max_penetration);
             if (!stats.converged) break; // PCG exhausted: shrink dt
             if (last.state_changes == 0) {
                 oc_converged = true;
@@ -473,13 +441,9 @@ StepStats DdaEngine::step_impl() {
             return stats;
         }
 
-        if (debug) {
-            std::fprintf(stderr,
-                         "[gdda] step retry %d: oc_converged=%d pcg_ok=%d disp_ok=%d "
-                         "pen_ok=%d (maxd=%.3e pen=%.3e) dt=%.3e\n",
-                         attempt, int(oc_converged), int(stats.converged), int(disp_ok),
-                         int(pen_ok), maxd, stats.max_penetration, dt_);
-        }
+        if (recorder_ || metrics_)
+            step_attempts_.push_back({dt_, oc_converged, stats.converged, disp_ok, pen_ok, maxd,
+                                      stats.max_penetration});
         // Failure: the attempt's work is thrown away. Shrink the physical
         // time and retry the whole step.
         stats.rejected_pcg_solves += stats.pcg_solves - solves_before;
@@ -551,6 +515,7 @@ StepStats DdaEngine::step() {
     }
 
     step_solves_.clear();
+    step_attempts_.clear();
     const ModuleTimers timers_before = timers_;
     const ModuleTimers par_timers_before = par_timers_;
     std::array<simt::KernelCost, kModuleCount> ledgers_before;
@@ -591,7 +556,9 @@ StepStats DdaEngine::step() {
     }
     rec.trace_span = step_span.id();
     rec.solves = std::move(step_solves_);
+    rec.attempts = std::move(step_attempts_);
     step_solves_.clear();
+    step_attempts_.clear();
     if (recorder_) recorder_->on_step(rec);
     if (metrics_) {
         metrics::StepContext mctx;

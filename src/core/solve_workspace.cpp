@@ -4,19 +4,10 @@
 
 namespace gdda::core {
 
-void SolveWorkspace::assemble(const block::BlockSystem& sys,
-                              const assembly::BlockAttachments& att,
-                              std::span<const contact::Contact> contacts,
-                              std::span<const contact::ContactGeometry> geo,
-                              const assembly::StepParams& sp, std::uint64_t values_epoch,
-                              assembly::AssemblyCosts* costs, double* diag_seconds,
-                              double* diag_par_seconds,
-                              const assembly::ContactFingerprint* fingerprint) {
-    const int n = static_cast<int>(sys.size());
-    const assembly::ContactFingerprint fp =
-        fingerprint ? *fingerprint : assembly::contact_fingerprint(n, contacts);
-    warm_ = have_structure_ && fp == fp_;
-
+void SolveWorkspace::assemble_diagonal(const block::BlockSystem& sys,
+                                       const assembly::BlockAttachments& att,
+                                       const assembly::StepParams& sp,
+                                       std::uint64_t values_epoch, simt::KernelCost* sink) {
     if (values_epoch != diag_epoch_) {
         // Block state / dt changed: both the diagonal physics and the
         // per-contact contribution memo were computed from stale inputs.
@@ -25,7 +16,23 @@ void SolveWorkspace::assemble(const block::BlockSystem& sys,
         diag_epoch_ = values_epoch;
     }
     const bool diag_hit = diag_cache_.valid;
+    assembly::assemble_diagonal(as_, sys, att, sp, &diag_cache_);
+    if (sink) assembly::record_diag_costs(sink, static_cast<int>(sys.size()), diag_hit);
+    if (diag_hit) {
+        ++stats_.diag_physics_reuses;
+        ++stats_.structural_kernels_skipped;
+    }
+}
 
+void SolveWorkspace::assemble_contacts(const block::BlockSystem& sys,
+                                       std::span<const contact::Contact> contacts,
+                                       std::span<const contact::ContactGeometry> geo,
+                                       const assembly::StepParams& sp, simt::KernelCost* sink,
+                                       const assembly::ContactFingerprint* fingerprint) {
+    const int n = static_cast<int>(sys.size());
+    const assembly::ContactFingerprint fp =
+        fingerprint ? *fingerprint : assembly::contact_fingerprint(n, contacts);
+    warm_ = have_structure_ && fp == fp_;
     if (!warm_) {
         fp_ = fp;
         plan_ = assembly::AssemblyPlan(n, contacts);
@@ -41,14 +48,10 @@ void SolveWorkspace::assemble(const block::BlockSystem& sys,
         ++stats_.structural_kernels_skipped; // the plan's slot map
     }
 
-    const bool placed = plan_.assemble_into(as_, sys, att, contacts, geo, sp, diag_seconds,
-                                            &diag_cache_, diag_par_seconds, as_offdiag_zero_);
+    const bool placed =
+        plan_.assemble_contacts(as_, sys, contacts, geo, sp, &diag_cache_, as_offdiag_zero_);
     as_offdiag_zero_ = !placed;
-    if (costs) assembly::record_assembly_costs(*costs, n, contacts.size(), diag_hit, warm_);
-    if (diag_hit) {
-        ++stats_.diag_physics_reuses;
-        ++stats_.structural_kernels_skipped;
-    }
+    if (sink) assembly::record_nondiag_costs(sink, n, contacts.size(), warm_);
 }
 
 void SolveWorkspace::prepare_solve(PrecondKind kind, simt::KernelCost* sink) {

@@ -50,25 +50,28 @@ struct SolveWorkspaceStats {
 class SolveWorkspace {
 public:
     /// Assemble K and F for the current contact state into the persistent
-    /// AssembledSystem. Decides cold vs warm from the contact fingerprint;
-    /// `values_epoch` tracks when the diagonal physics inputs (block state,
-    /// dt) last changed — bump it per displacement attempt. GPU callers pass
-    /// `costs` to have the pass priced into the two Table-II ledgers
-    /// (assembly::record_assembly_costs); serial callers pass nullptr.
-    /// `diag_par_seconds`, when given, receives the slice of `diag_seconds`
-    /// spent inside dispatch-eligible parallel_for regions (the per-module
-    /// serial-fraction split between the two matrix-building rows).
-    /// `fingerprint`, when given, is contact_fingerprint(n, contacts) as the
-    /// caller already knows it (the engine computes it once per step).
-    void assemble(const block::BlockSystem& sys, const assembly::BlockAttachments& att,
-                  std::span<const contact::Contact> contacts,
-                  std::span<const contact::ContactGeometry> geo, const assembly::StepParams& sp,
-                  std::uint64_t values_epoch, assembly::AssemblyCosts* costs,
-                  double* diag_seconds, double* diag_par_seconds = nullptr,
-                  const assembly::ContactFingerprint* fingerprint = nullptr);
+    /// AssembledSystem in two calls per pass, one per Table-II
+    /// matrix-building row. GPU callers pass `sink` to have each phase
+    /// priced; serial callers pass nullptr.
+    ///
+    /// assemble_diagonal: the per-block physics, or its cached copy.
+    /// `values_epoch` tracks when its inputs (block state, dt) last
+    /// changed — bump it per displacement attempt.
+    void assemble_diagonal(const block::BlockSystem& sys, const assembly::BlockAttachments& att,
+                           const assembly::StepParams& sp, std::uint64_t values_epoch,
+                           simt::KernelCost* sink);
+    /// assemble_contacts, after assemble_diagonal: decides cold vs warm
+    /// from the contact fingerprint and sums the contact springs in.
+    /// `fingerprint`, when given, is contact_fingerprint(n, contacts) as
+    /// the caller already knows it.
+    void assemble_contacts(const block::BlockSystem& sys,
+                           std::span<const contact::Contact> contacts,
+                           std::span<const contact::ContactGeometry> geo,
+                           const assembly::StepParams& sp, simt::KernelCost* sink,
+                           const assembly::ContactFingerprint* fingerprint = nullptr);
 
     /// HSBCSR conversion + preconditioner setup for the system assembled by
-    /// the last assemble() call. Warm passes refill slice data and refactor
+    /// the last assembly pass. Warm passes refill slice data and refactor
     /// the cached preconditioner; `sink` (GPU mode only) receives the
     /// numeric kernel costs and the "[cached]" skip markers.
     void prepare_solve(PrecondKind kind, simt::KernelCost* sink);
@@ -79,7 +82,7 @@ public:
     [[nodiscard]] const solver::Preconditioner& precond() const { return *pre_; }
     [[nodiscard]] solver::PcgWorkspace& pcg_workspace() { return pcg_ws_; }
     [[nodiscard]] const SolveWorkspaceStats& stats() const { return stats_; }
-    /// True when the last assemble() reused the cached structure.
+    /// True when the last assemble_contacts() reused the cached structure.
     [[nodiscard]] bool warm() const { return warm_; }
 
     /// Drop every cache (checkpoint restore, external mutation of the block

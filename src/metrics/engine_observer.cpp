@@ -9,7 +9,6 @@ EngineObserver::EngineObserver(MetricsConfig cfg, std::string mode, Registry* re
     : cfg_(std::move(cfg)),
       mode_(std::move(mode)),
       reg_(reg ? reg : &Registry::global()),
-      health_(cfg_.rules),
       flight_(cfg_.flight_recorder_capacity) {
     Registry& r = *reg_;
     const Labels ml = {{"mode", mode_}};

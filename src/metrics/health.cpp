@@ -10,6 +10,19 @@ namespace {
 
 constexpr std::size_t kRecentVerdictCap = 64;
 
+// Rule thresholds (docs/OBSERVABILITY.md). Streak rules fire after N
+// consecutive offending steps, so one-off hiccups never page anyone; the
+// interpenetration rule fires at once, on penetration as a fraction of w0.
+constexpr int kPcgFailWarnStreak = 2, kPcgFailCriticalStreak = 5;
+constexpr int kOcCapWarnStreak = 3, kOcCapCriticalStreak = 8;
+constexpr double kEnergyGrowthTol = 0.05; ///< relative growth per step
+constexpr int kEnergyGrowthWarnStreak = 3, kEnergyGrowthCriticalStreak = 8;
+constexpr double kPenetrationWarnRatio = 0.01, kPenetrationCriticalRatio = 0.05;
+/// A step slower than this factor times the running median of the last
+/// kLatencyWindow steps (once kMinLatencySamples were seen) grades Warn.
+constexpr double kLatencyOutlierFactor = 8.0;
+constexpr std::size_t kLatencyWindow = 32, kMinLatencySamples = 8;
+
 std::string fmt(const char* pattern, double a, double b) {
     char buf[160];
     std::snprintf(buf, sizeof buf, pattern, a, b);
@@ -27,9 +40,7 @@ std::string_view health_grade_name(HealthGrade g) {
     return "ok";
 }
 
-HealthMonitor::HealthMonitor(HealthConfig cfg) : cfg_(cfg) {
-    latency_window_.assign(static_cast<std::size_t>(std::max(cfg_.latency_window, 1)), 0.0);
-}
+HealthMonitor::HealthMonitor() : latency_window_(kLatencyWindow, 0.0) {}
 
 void HealthMonitor::remember(HealthVerdict v) {
     if (recent_.size() >= kRecentVerdictCap)
@@ -62,14 +73,14 @@ HealthVerdict HealthMonitor::evaluate(const HealthSample& s) {
         ++pcg_fail_streak_;
     else
         pcg_fail_streak_ = 0;
-    if (pcg_fail_streak_ >= cfg_.pcg_fail_critical_streak)
+    if (pcg_fail_streak_ >= kPcgFailCriticalStreak)
         fire(HealthGrade::Critical, "pcg_nonconverged_streak",
              fmt("%.0f consecutive steps with failed solves (critical at %.0f)",
-                 pcg_fail_streak_, cfg_.pcg_fail_critical_streak));
-    else if (pcg_fail_streak_ >= cfg_.pcg_fail_warn_streak)
+                 pcg_fail_streak_, kPcgFailCriticalStreak));
+    else if (pcg_fail_streak_ >= kPcgFailWarnStreak)
         fire(HealthGrade::Warn, "pcg_nonconverged_streak",
              fmt("%.0f consecutive steps with failed solves (warn at %.0f)", pcg_fail_streak_,
-                 cfg_.pcg_fail_warn_streak));
+                 kPcgFailWarnStreak));
 
     // Rule 2: open-close iteration cap hits. The inner loop giving up on a
     // consistent contact-state set step after step means the penalty/contact
@@ -78,14 +89,14 @@ HealthVerdict HealthMonitor::evaluate(const HealthSample& s) {
         ++oc_cap_streak_;
     else
         oc_cap_streak_ = 0;
-    if (oc_cap_streak_ >= cfg_.oc_cap_critical_streak)
+    if (oc_cap_streak_ >= kOcCapCriticalStreak)
         fire(HealthGrade::Critical, "open_close_cap_streak",
              fmt("open-close cap hit %.0f steps in a row (critical at %.0f)", oc_cap_streak_,
-                 cfg_.oc_cap_critical_streak));
-    else if (oc_cap_streak_ >= cfg_.oc_cap_warn_streak)
+                 kOcCapCriticalStreak));
+    else if (oc_cap_streak_ >= kOcCapWarnStreak)
         fire(HealthGrade::Warn, "open_close_cap_streak",
              fmt("open-close cap hit %.0f steps in a row (warn at %.0f)", oc_cap_streak_,
-                 cfg_.oc_cap_warn_streak));
+                 kOcCapWarnStreak));
 
     // Rule 3: energy growth. Implicit DDA with frictional contact dissipates;
     // sustained relative growth of total mechanical energy means the
@@ -95,18 +106,18 @@ HealthVerdict HealthMonitor::evaluate(const HealthSample& s) {
             const double scale =
                 std::max({std::fabs(prev_energy_), std::fabs(s.energy_total), 1e-12});
             const double rel = (s.energy_total - prev_energy_) / scale;
-            if (rel > cfg_.energy_growth_tol)
+            if (rel > kEnergyGrowthTol)
                 ++energy_growth_streak_;
             else
                 energy_growth_streak_ = 0;
-            if (energy_growth_streak_ >= cfg_.energy_growth_critical_streak)
+            if (energy_growth_streak_ >= kEnergyGrowthCriticalStreak)
                 fire(HealthGrade::Critical, "energy_growth",
                      fmt("energy grew >%.2f%% for %.0f consecutive steps",
-                         100.0 * cfg_.energy_growth_tol, energy_growth_streak_));
-            else if (energy_growth_streak_ >= cfg_.energy_growth_warn_streak)
+                         100.0 * kEnergyGrowthTol, energy_growth_streak_));
+            else if (energy_growth_streak_ >= kEnergyGrowthWarnStreak)
                 fire(HealthGrade::Warn, "energy_growth",
                      fmt("energy grew >%.2f%% for %.0f consecutive steps",
-                         100.0 * cfg_.energy_growth_tol, energy_growth_streak_));
+                         100.0 * kEnergyGrowthTol, energy_growth_streak_));
         }
         prev_energy_ = s.energy_total;
         have_prev_energy_ = true;
@@ -117,26 +128,26 @@ HealthVerdict HealthMonitor::evaluate(const HealthSample& s) {
     // state no streak should be allowed to ride through.
     const double len = std::max(s.length_scale, 1e-12);
     const double pen_ratio = s.max_penetration / len;
-    if (pen_ratio >= cfg_.penetration_critical_ratio)
+    if (pen_ratio >= kPenetrationCriticalRatio)
         fire(HealthGrade::Critical, "interpenetration_spike",
              fmt("max penetration %.3g x reference length (critical at %.3g)", pen_ratio,
-                 cfg_.penetration_critical_ratio));
-    else if (pen_ratio >= cfg_.penetration_warn_ratio)
+                 kPenetrationCriticalRatio));
+    else if (pen_ratio >= kPenetrationWarnRatio)
         fire(HealthGrade::Warn, "interpenetration_spike",
              fmt("max penetration %.3g x reference length (warn at %.3g)", pen_ratio,
-                 cfg_.penetration_warn_ratio));
+                 kPenetrationWarnRatio));
 
     // Rule 5: step-latency outlier vs the running median of the recent
     // window. Wall time is noisy on shared hosts, so this is Warn-only and
     // needs a minimum sample count before it can fire.
-    if (latency_count_ >= static_cast<std::size_t>(std::max(cfg_.min_latency_samples, 1))) {
+    if (latency_count_ >= kMinLatencySamples) {
         std::vector<double> sorted(latency_window_.begin(),
                                    latency_window_.begin() +
                                        static_cast<std::ptrdiff_t>(std::min(
                                            latency_count_, latency_window_.size())));
         std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2, sorted.end());
         const double median = sorted[sorted.size() / 2];
-        if (median > 0.0 && s.latency_s > cfg_.latency_outlier_factor * median)
+        if (median > 0.0 && s.latency_s > kLatencyOutlierFactor * median)
             fire(HealthGrade::Warn, "step_latency_outlier",
                  fmt("step took %.3gx the running median latency", s.latency_s / median, 0.0));
     }

@@ -8,8 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "metrics/config.hpp"
-
 namespace gdda::metrics {
 
 enum class HealthGrade : int { Ok = 0, Warn = 1, Critical = 2 };
@@ -40,9 +38,11 @@ struct HealthVerdict {
     std::string detail;
 };
 
+/// The rules' thresholds are fixed (metrics/health.cpp, listed in
+/// docs/OBSERVABILITY.md).
 class HealthMonitor {
 public:
-    explicit HealthMonitor(HealthConfig cfg = {});
+    HealthMonitor();
 
     /// Grade one step. Returns the overall verdict (worst rule wins) and
     /// records every non-Ok rule that fired into recent().
@@ -54,12 +54,10 @@ public:
     [[nodiscard]] HealthGrade worst() const { return worst_; }
     /// Bounded tail of non-Ok verdicts (oldest first, last 64 kept).
     [[nodiscard]] const std::vector<HealthVerdict>& recent() const { return recent_; }
-    [[nodiscard]] const HealthConfig& config() const { return cfg_; }
 
 private:
     void remember(HealthVerdict v);
 
-    HealthConfig cfg_;
     HealthGrade grade_ = HealthGrade::Ok;
     HealthGrade worst_ = HealthGrade::Ok;
     std::vector<HealthVerdict> recent_;

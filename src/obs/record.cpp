@@ -127,9 +127,29 @@ JsonValue to_json(const StepRecord& rec) {
             for (double r : s.residuals) res.push(JsonValue::number(r));
             sj.set("residuals", std::move(res));
         }
+        sj.set("state_changes", JsonValue::integer(s.state_changes));
+        JsonValue tr = JsonValue::object();
+        for (int t = 0; t < kTransitionCount; ++t)
+            tr.set(std::string(kTransitionKeys[t]), JsonValue::integer(s.transitions[t]));
+        sj.set("transitions", std::move(tr));
+        sj.set("max_penetration", JsonValue::number(s.max_penetration));
         solves.push(std::move(sj));
     }
     j.set("solves", std::move(solves));
+
+    JsonValue attempts = JsonValue::array();
+    for (const AttemptRecord& a : rec.attempts) {
+        JsonValue aj = JsonValue::object();
+        aj.set("dt", JsonValue::number(a.dt));
+        aj.set("open_close_ok", JsonValue::boolean(a.open_close_ok));
+        aj.set("pcg_ok", JsonValue::boolean(a.pcg_ok));
+        aj.set("displacement_ok", JsonValue::boolean(a.displacement_ok));
+        aj.set("penetration_ok", JsonValue::boolean(a.penetration_ok));
+        aj.set("max_displacement", JsonValue::number(a.max_displacement));
+        aj.set("max_penetration", JsonValue::number(a.max_penetration));
+        attempts.push(std::move(aj));
+    }
+    j.set("attempts", std::move(attempts));
     return j;
 }
 
@@ -144,8 +164,9 @@ bool from_json(const JsonValue& doc, StepRecord& rec, std::string* err) {
     long long version = 0;
     if (!r.count(doc, "version", version)) return false;
     // v1 predates span tracing, v2 predates pcg_failed_solves, v5 the
-    // rejected-attempt counts; each decodes with the missing fields
-    // defaulted to 0 (false). v4's mixed-precision counters are not read.
+    // rejected-attempt counts, v6 the per-pass open-close outcome and the
+    // attempt entries; each decodes with the missing fields defaulted to 0
+    // (false, empty). v4's mixed-precision counters are not read.
     if (version < 1 || version > kSchemaVersion)
         return r.fail("unsupported schema version " + std::to_string(version) +
                       " (this build reads v1-v" + std::to_string(kSchemaVersion) + ")");
@@ -230,7 +251,40 @@ bool from_json(const JsonValue& doc, StepRecord& rec, std::string* err) {
                 s.residuals.push_back(rv.as_number());
             }
         }
+        if (version >= 7) {
+            if (!r.count(sj, "state_changes", s.state_changes)) return false;
+            const JsonValue* tr = sj.find("transitions");
+            if (!tr || !tr->is_object()) return r.fail("missing 'transitions' object");
+            long long sum = 0;
+            for (int t = 0; t < kTransitionCount; ++t) {
+                if (!r.count(*tr, kTransitionKeys[t], s.transitions[t])) return false;
+                sum += s.transitions[t];
+            }
+            if (sum != s.state_changes)
+                return r.fail("'transitions' do not sum to 'state_changes'");
+            if (!r.number(sj, "max_penetration", s.max_penetration)) return false;
+        }
         rec.solves.push_back(std::move(s));
+    }
+
+    rec.attempts.clear();
+    if (version >= 7) {
+        const JsonValue* attempts = doc.find("attempts");
+        if (!attempts || !attempts->is_array()) return r.fail("missing 'attempts' array");
+        for (const JsonValue& aj : attempts->items()) {
+            if (!aj.is_object()) return r.fail("'attempts' entry is not an object");
+            AttemptRecord a;
+            if (!r.number(aj, "dt", a.dt) || !r.boolean(aj, "open_close_ok", a.open_close_ok) ||
+                !r.boolean(aj, "pcg_ok", a.pcg_ok) ||
+                !r.boolean(aj, "displacement_ok", a.displacement_ok) ||
+                !r.boolean(aj, "penetration_ok", a.penetration_ok) ||
+                !r.number(aj, "max_displacement", a.max_displacement) ||
+                !r.number(aj, "max_penetration", a.max_penetration))
+                return false;
+            if (a.open_close_ok && a.pcg_ok && a.displacement_ok && a.penetration_ok)
+                return r.fail("'attempts' entry passes all four acceptance tests");
+            rec.attempts.push_back(a);
+        }
     }
     return true;
 }

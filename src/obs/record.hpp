@@ -29,8 +29,10 @@ inline constexpr std::string_view kStepSchemaName = "gdda.obs.step";
 /// build no longer knows (the v4 counters) are ignored. v6 added the
 /// rejected-attempt counts (`rejected_pcg_solves`,
 /// `rejected_pcg_iterations`, `rejected_open_close_iters`) and
-/// `hit_dt_min`.
-inline constexpr int kSchemaVersion = 6;
+/// `hit_dt_min`. v7 added each pass's open-close outcome to `solves`
+/// (`state_changes`, `transitions`, `max_penetration`) and one `attempts`
+/// entry per rejected attempt.
+inline constexpr int kSchemaVersion = 7;
 
 /// Pipeline modules in the paper's Table II/III row order. Must stay in sync
 /// with core::Module (static_asserted where the engine builds records).
@@ -59,7 +61,15 @@ struct ModuleRecord {
     long long launches = 0;       ///< kernel launches
 };
 
-/// One linear solve inside the step (one open-close pass).
+/// The (from, to) contact-state pairs of an open-close pass's switches.
+inline constexpr int kTransitionCount = 6;
+inline constexpr std::array<std::string_view, kTransitionCount> kTransitionKeys = {
+    "open_to_slide", "open_to_lock", "slide_to_open",
+    "slide_to_lock", "lock_to_open", "lock_to_slide",
+};
+
+/// One linear solve inside the step (one open-close pass) and the
+/// open-close update that followed it.
 struct PcgSolveRecord {
     int iterations = 0;
     double final_residual = 0.0; ///< |r| / |b| at exit
@@ -67,6 +77,22 @@ struct PcgSolveRecord {
     /// Per-iteration |r|/|b| curve; filled only when
     /// TelemetryConfig::pcg_residuals is set.
     std::vector<double> residuals;
+    /// The pass's open-close update (v7+; 0 when decoded from older):
+    /// contacts that switched state, the same split per kTransitionKeys
+    /// pair, and the deepest penetration on its closed contacts (m).
+    int state_changes = 0;
+    std::array<int, kTransitionCount> transitions{};
+    double max_penetration = 0.0;
+};
+
+/// One rejected displacement attempt of the step (v7+): its dt (s), which
+/// of the four acceptance tests it passed (at least one failed), and its
+/// max displacement and penetration (m).
+struct AttemptRecord {
+    double dt = 0.0;
+    bool open_close_ok = false, pcg_ok = false, displacement_ok = false, penetration_ok = false;
+    double max_displacement = 0.0;
+    double max_penetration = 0.0;
 };
 
 struct StepRecord {
@@ -108,6 +134,9 @@ struct StepRecord {
 
     std::array<ModuleRecord, kModuleCount> modules{};
     std::vector<PcgSolveRecord> solves;
+    /// The step's rejected attempts in order: as many as retries, one more
+    /// when the step ended in the last-resort pass (v7+).
+    std::vector<AttemptRecord> attempts;
 
     /// Sum of the per-module measured seconds of this step.
     [[nodiscard]] double seconds_total() const {

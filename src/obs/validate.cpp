@@ -67,7 +67,7 @@ std::string schema_json() {
         fields.set(std::string(name), std::move(f));
     };
     field("schema", "string", "", "record type; always \"gdda.obs.step\"");
-    field("version", "count", "", "schema layout revision; this build writes v6, reads v1-v6");
+    field("version", "count", "", "schema layout revision; this build writes v7, reads v1-v7");
     field("mode", "string", "", "\"serial\" or \"gpu\" pipeline");
     field("step", "count", "", "0-based step index within the run");
     field("time", "number", "s", "simulated time after the step");
@@ -107,8 +107,15 @@ std::string schema_json() {
           "branch_slots, divergent_slots, launches (GPU-mode analytic costs, zero in "
           "serial mode)");
     field("solves", "array", "",
-          "per linear solve: iterations, final_residual (|r|/|b|), converged, and an "
-          "optional residuals array (per-iteration |r|/|b|)");
+          "per linear solve: iterations, final_residual (|r|/|b|), converged, an "
+          "optional residuals array (per-iteration |r|/|b|), and the open-close update "
+          "after it (v7+): state_changes, transitions (open_to_slide, open_to_lock, "
+          "slide_to_open, slide_to_lock, lock_to_open, lock_to_slide; they sum to "
+          "state_changes) and max_penetration (m)");
+    field("attempts", "array", "",
+          "per rejected attempt, in order (v7+): dt (s), open_close_ok, pcg_ok, "
+          "displacement_ok, penetration_ok (at least one false), max_displacement (m), "
+          "max_penetration (m)");
 
     JsonValue doc = JsonValue::object();
     doc.set("schema", JsonValue::string(std::string(kStepSchemaName)));

@@ -11,7 +11,6 @@
 // loops smaller than two grains fall through to the plain serial loop so
 // tiny scenes never pay the OpenMP fork/join overhead.
 
-#include <chrono>
 #include <cstddef>
 
 #ifdef _OPENMP
@@ -36,6 +35,7 @@
 #endif
 
 #include "par/thread_budget.hpp"
+#include "trace/clock.hpp"
 
 namespace gdda::par {
 
@@ -100,6 +100,7 @@ void run_team_on_threads(std::size_t n, int team, Body& body) {
 /// team dispatch). Eligibility — not the actual team width — decides what
 /// counts, so a 1-core host still reports the *parallelizable* fraction of
 /// its step time and the Amdahl picture survives under-provisioned CI.
+/// Timed on trace::now_us(), the clock module timers and spans read.
 /// Sample before/after a region of interest and subtract.
 inline double parallel_region_seconds() { return detail::parallel_seconds_slot(); }
 
@@ -110,8 +111,7 @@ void parallel_for(std::size_t n, std::size_t grain, Body&& body) {
     // inside a loop body (device_scan's internal passes, chunk bodies) would
     // otherwise double-charge the same wall time.
     const bool timed = eligible && detail::parallel_depth_slot()++ == 0;
-    const auto t0 = timed ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
+    const double t0_us = timed ? trace::now_us() : 0.0;
 #ifdef _OPENMP
     const int team = effective_team();
     if (team > 1 && eligible) {
@@ -134,8 +134,7 @@ void parallel_for(std::size_t n, std::size_t grain, Body&& body) {
 #endif
     if (eligible) {
         if (timed)
-            detail::parallel_seconds_slot() +=
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+            detail::parallel_seconds_slot() += (trace::now_us() - t0_us) * 1e-6;
         --detail::parallel_depth_slot();
     }
 }

@@ -1,6 +1,5 @@
 // Identity and Block-Jacobi preconditioners.
 
-#include <chrono>
 
 #include "par/deterministic_reduce.hpp"
 #include "par/parallel_for.hpp"
@@ -66,14 +65,11 @@ public:
     }
 
     bool refactor(const BsrMatrix& a) override {
-        const auto t0 = std::chrono::steady_clock::now();
         inv_.resize(a.diag.size());
         // Per-block factorizations are independent: bitwise identical for
         // any team size.
         par::parallel_for(inv_.size(), 64,
                           [&](std::size_t i) { inv_[i] = Ldlt6(a.diag[i]).inverse(); });
-        construction_seconds_ =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
         return true;
     }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,20 +12,16 @@ using sparse::BsrMatrix;
 using sparse::CsrMatrix;
 
 Ilu0::Ilu0(const BsrMatrix& a) {
-    const auto t0 = std::chrono::steady_clock::now();
     // Dense 6x6 blocks carry structural zeros; drop exact zeros so the ILU
     // pattern matches the true scalar sparsity.
     lu_ = csr_from_bsr_full(a, 0.0);
     scan_diag();
     factor_numeric();
-    factor_seconds_ =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     compute_levels();
     set_factor_cost();
 }
 
 bool Ilu0::refactor(const BsrMatrix& a) {
-    const auto t0 = std::chrono::steady_clock::now();
     CsrMatrix fresh = csr_from_bsr_full(a, 0.0);
     const bool same_pattern =
         fresh.rows == lu_.rows && fresh.row_ptr == lu_.row_ptr && fresh.cols == lu_.cols;
@@ -34,8 +29,6 @@ bool Ilu0::refactor(const BsrMatrix& a) {
     if (!same_pattern) {
         scan_diag();
         factor_numeric();
-        factor_seconds_ =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
         compute_levels();
         set_factor_cost();
         return false;
@@ -43,8 +36,6 @@ bool Ilu0::refactor(const BsrMatrix& a) {
     // Numeric-only: diagonal positions and the level schedule are pattern
     // properties and stay valid; only the elimination is repeated.
     factor_numeric();
-    factor_seconds_ =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     return true;
 }
 
@@ -174,13 +165,11 @@ class Ilu0Precond final : public Preconditioner {
 public:
     explicit Ilu0Precond(std::shared_ptr<Ilu0> ilu) : ilu_(std::move(ilu)) {
         construction_cost_ = ilu_->factor_cost();
-        construction_seconds_ = ilu_->factor_seconds();
     }
 
     bool refactor(const BsrMatrix& a) override {
         const bool reused = ilu_->refactor(a);
         construction_cost_ = ilu_->factor_cost();
-        construction_seconds_ = ilu_->factor_seconds();
         return reused;
     }
 

@@ -45,7 +45,6 @@ public:
     [[nodiscard]] simt::KernelCost tss_cost() const;
     /// Analytic GPU cost of the factorization (level-scheduled csrilu0).
     [[nodiscard]] const simt::KernelCost& factor_cost() const { return factor_cost_; }
-    [[nodiscard]] double factor_seconds() const { return factor_seconds_; }
 
 private:
     void scan_diag();
@@ -58,7 +57,6 @@ private:
     int lower_levels_ = 0;
     int upper_levels_ = 0;
     simt::KernelCost factor_cost_;
-    double factor_seconds_ = 0.0;
     std::vector<std::int64_t> pos_;    ///< per-row column map scratch (reused)
     mutable std::vector<double> tmp_;
 };

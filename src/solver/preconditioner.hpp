@@ -56,12 +56,9 @@ public:
 
     /// Analytic GPU cost of constructing this preconditioner (once per step).
     [[nodiscard]] const simt::KernelCost& construction_cost() const { return construction_cost_; }
-    /// Measured CPU construction time in seconds.
-    [[nodiscard]] double construction_seconds() const { return construction_seconds_; }
 
 protected:
     simt::KernelCost construction_cost_;
-    double construction_seconds_ = 0.0;
 };
 
 /// No-op preconditioner (plain CG).

@@ -9,7 +9,6 @@
 // whose application is two triangle SpMVs plus diagonal scalings — exactly
 // the data-parallel shape the paper wants.
 
-#include <chrono>
 
 #include "solver/preconditioner.hpp"
 
@@ -39,13 +38,10 @@ public:
     /// triangle is applied straight from the matrix, so nothing else is
     /// value-dependent. `a` must outlive the next apply(), as at construction.
     bool refactor(const BsrMatrix& a) override {
-        const auto t0 = std::chrono::steady_clock::now();
         a_ = &a;
         inv_diag_.resize(a.diag.size());
         for (std::size_t i = 0; i < inv_diag_.size(); ++i)
             inv_diag_[i] = Ldlt6(a.diag[i]).inverse();
-        construction_seconds_ =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
         return true;
     }
 

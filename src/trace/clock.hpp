@@ -1,13 +1,18 @@
 #pragma once
-// The single monotonic clock of the tracing subsystem. Both trace spans and
-// core::ScopedTimer (and through it the paper's ModuleTimers) read this
-// clock, so module wall-time accounting and span durations come from the same
-// time source and can never disagree about what "now" means.
+// The engine's one monotonic clock: trace spans, core::ScopedTimer (the
+// paper's ModuleTimers) and par::parallel_for's region timer all read it.
+// Dependency-free and inline so the par layer needs no tracer.
+
+#include <chrono>
 
 namespace gdda::trace {
 
-/// Microseconds since the first call in this process. Monotonic
-/// (steady_clock-backed), never negative.
-[[nodiscard]] double now_us();
+/// Microseconds since the first call in this process. Monotonic, never
+/// negative.
+[[nodiscard]] inline double now_us() {
+    using clock = std::chrono::steady_clock;
+    static const clock::time_point epoch = clock::now();
+    return std::chrono::duration<double, std::micro>(clock::now() - epoch).count();
+}
 
 } // namespace gdda::trace

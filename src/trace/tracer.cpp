@@ -1,15 +1,8 @@
 #include "trace/tracer.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace gdda::trace {
-
-double now_us() {
-    using clock = std::chrono::steady_clock;
-    static const clock::time_point epoch = clock::now();
-    return std::chrono::duration<double, std::micro>(clock::now() - epoch).count();
-}
 
 std::string_view category_name(Category c) {
     switch (c) {
@@ -113,23 +106,6 @@ void Tracer::end(std::uint32_t id, double t_us) {
     e.parent = lane.stack.empty() ? 0 : lane.stack.back().id;
     e.t_us = t_us;
     e.tid = lane.tid;
-    push_locked(std::move(e));
-}
-
-void Tracer::complete(Category cat, std::string_view name, double t_start_us,
-                      double dur_us, int module) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ThreadLane& lane = lane_locked();
-    Event e;
-    e.phase = Phase::Complete;
-    e.cat = cat;
-    e.id = next_id_++;
-    e.parent = lane.stack.empty() ? 0 : lane.stack.back().id;
-    e.module = module;
-    e.t_us = t_start_us;
-    e.dur_us = std::max(dur_us, 0.0);
-    e.tid = lane.tid;
-    e.name = std::string(name);
     push_locked(std::move(e));
 }
 

@@ -116,10 +116,6 @@ public:
     std::uint32_t begin(Category cat, std::string_view name, int module = -1,
                         double t_us = -1.0);
     void end(std::uint32_t id, double t_us = -1.0);
-    /// Retroactive span (begin time + duration known after the fact); used
-    /// where one timed region is split into several module rows.
-    void complete(Category cat, std::string_view name, double t_start_us, double dur_us,
-                  int module = -1);
     void instant(Category cat, std::string_view name);
 
     // -- simt::KernelTraceHook ----------------------------------------------

@@ -182,18 +182,19 @@ TEST(Assemble, PlanBitIdenticalToSerial) {
                                  : model == 1 ? gdda::models::make_column(4)
                                               : gdda::models::make_incline(20.0, 30.0),
                                  true);
-        double ds = 0.0;
-        const auto a = as::assemble_serial(f.sys, f.att, f.contacts, f.geo, f.sp, &ds);
+        const auto a = as::assemble_serial(f.sys, f.att, f.contacts, f.geo, f.sp);
         const as::AssemblyPlan plan(static_cast<int>(f.sys.size()), f.contacts);
         const auto b = plan.assemble(f.sys, f.att, f.contacts, f.geo, f.sp);
         EXPECT_TRUE(same_system_bits(a, b)) << "model " << model;
 
         // The Fig. 4 pricing of the same pass charges both ledgers.
-        as::AssemblyCosts costs;
-        as::record_assembly_costs(costs, static_cast<int>(f.sys.size()), f.contacts.size(),
-                                  /*diag_hit=*/false, /*warm=*/false);
-        EXPECT_GT(costs.nondiagonal.flops, 0.0) << "model " << model;
-        EXPECT_GT(costs.diagonal.flops, 0.0) << "model " << model;
+        gdda::simt::KernelCost diagonal = gdda::simt::KernelCost::accumulator();
+        gdda::simt::KernelCost nondiagonal = gdda::simt::KernelCost::accumulator();
+        as::record_diag_costs(&diagonal, static_cast<int>(f.sys.size()), /*diag_hit=*/false);
+        as::record_nondiag_costs(&nondiagonal, static_cast<int>(f.sys.size()),
+                                 f.contacts.size(), /*warm=*/false);
+        EXPECT_GT(nondiagonal.flops, 0.0) << "model " << model;
+        EXPECT_GT(diagonal.flops, 0.0) << "model " << model;
     }
 }
 
@@ -210,7 +211,8 @@ TEST(Assemble, PlanSkipsOpenContactsBitIdentical) {
             as::assemble_serial(f.sys, f.att, f.contacts, f.geo, f.sp);
         EXPECT_TRUE(same_system_bits(ref, plan.assemble(f.sys, f.att, f.contacts, f.geo, f.sp)))
             << what;
-        plan.assemble_into(out, f.sys, f.att, f.contacts, f.geo, f.sp, nullptr, &cache);
+        as::assemble_diagonal(out, f.sys, f.att, f.sp, &cache);
+        plan.assemble_contacts(out, f.sys, f.contacts, f.geo, f.sp, &cache);
         EXPECT_TRUE(same_system_bits(ref, out)) << what << " (memo)";
     };
 
@@ -302,10 +304,12 @@ TEST(Assembly, MemoKeyedOnStateInputs) {
     const as::AssemblyPlan plan(static_cast<int>(f.sys.size()), f.contacts);
     as::DiagPhysicsCache plan_cache;
     as::AssembledSystem out;
-    plan.assemble_into(out, f.sys, f.att, f.contacts, f.geo, f.sp, nullptr, &plan_cache);
+    as::assemble_diagonal(out, f.sys, f.att, f.sp, &plan_cache);
+    plan.assemble_contacts(out, f.sys, f.contacts, f.geo, f.sp, &plan_cache);
     for (ct::Contact& k : f.contacts)
         if (k.state != ct::ContactState::Open) k.last_gap -= 2e-6;
-    plan.assemble_into(out, f.sys, f.att, f.contacts, f.geo, f.sp, nullptr, &plan_cache);
+    as::assemble_diagonal(out, f.sys, f.att, f.sp, &plan_cache);
+    plan.assemble_contacts(out, f.sys, f.contacts, f.geo, f.sp, &plan_cache);
     EXPECT_TRUE(
         same_system_bits(as::assemble_serial(f.sys, f.att, f.contacts, f.geo, f.sp), out));
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -73,8 +74,9 @@ obs::StepRecord sample_record() {
         mr.divergent_slots = 32.0;
         mr.launches = m + 1;
     }
-    rec.solves.push_back({14, 3.2e-7, true, {1.0, 0.1, 3.2e-7}});
-    rec.solves.push_back({27, 8.9e-7, true, {}});
+    rec.solves.push_back({14, 3.2e-7, true, {1.0, 0.1, 3.2e-7}, 5, {0, 3, 1, 0, 0, 1}, 2e-6});
+    rec.solves.push_back({27, 8.9e-7, true, {}, 0, {}, 1.5e-6});
+    rec.attempts.push_back({2e-3, false, true, true, false, 4.5e-4, 3e-3});
     return rec;
 }
 
@@ -196,6 +198,20 @@ TEST(ObsRecord, JsonRoundTripPreservesEveryField) {
     EXPECT_TRUE(back.solves[0].converged);
     EXPECT_EQ(back.solves[0].residuals, rec.solves[0].residuals);
     EXPECT_TRUE(back.solves[1].residuals.empty());
+    for (std::size_t k = 0; k < rec.solves.size(); ++k) {
+        EXPECT_EQ(back.solves[k].state_changes, rec.solves[k].state_changes) << k;
+        EXPECT_EQ(back.solves[k].transitions, rec.solves[k].transitions) << k;
+        EXPECT_EQ(back.solves[k].max_penetration, rec.solves[k].max_penetration) << k;
+    }
+    ASSERT_EQ(back.attempts.size(), rec.attempts.size());
+    const obs::AttemptRecord& a = back.attempts[0];
+    EXPECT_EQ(a.dt, rec.attempts[0].dt);
+    EXPECT_FALSE(a.open_close_ok);
+    EXPECT_TRUE(a.pcg_ok);
+    EXPECT_TRUE(a.displacement_ok);
+    EXPECT_FALSE(a.penetration_ok);
+    EXPECT_EQ(a.max_displacement, rec.attempts[0].max_displacement);
+    EXPECT_EQ(a.max_penetration, rec.attempts[0].max_penetration);
 }
 
 // ---------------------------------------------------------------- validation
@@ -254,6 +270,49 @@ TEST(ObsValidate, DecodesV5DocumentWithoutRejectedCounts) {
     obs::JsonValue missing = obs::to_json(sample_record());
     missing.set("hit_dt_min", obs::JsonValue::integer(1));
     EXPECT_FALSE(obs::validate_line(missing.dump()));
+}
+
+TEST(ObsValidate, DecodesV6DocumentWithoutPassOutcomesOrAttempts) {
+    // v6 predates the per-pass open-close outcome and the attempt entries:
+    // a v6 document without them decodes with them defaulted.
+    obs::JsonValue doc = obs::to_json(sample_record());
+    doc.set("version", obs::JsonValue::integer(6));
+    obs::JsonValue solves = obs::JsonValue::array();
+    for (const obs::JsonValue& sj : doc.find("solves")->items()) {
+        obs::JsonValue v6 = obs::JsonValue::object();
+        for (const auto& [key, value] : sj.members())
+            if (key != "state_changes" && key != "transitions" && key != "max_penetration")
+                v6.set(key, obs::JsonValue(value));
+        solves.push(std::move(v6));
+    }
+    doc.set("solves", std::move(solves));
+    obs::JsonValue stripped = obs::JsonValue::object();
+    for (const auto& [key, value] : doc.members())
+        if (key != "attempts") stripped.set(key, obs::JsonValue(value));
+    obs::StepRecord back;
+    std::string err;
+    ASSERT_TRUE(obs::from_json(stripped, back, &err)) << err;
+    ASSERT_EQ(back.solves.size(), 2u);
+    EXPECT_EQ(back.solves[0].iterations, 14);
+    EXPECT_EQ(back.solves[0].state_changes, 0);
+    EXPECT_EQ(back.solves[0].transitions, (std::array<int, obs::kTransitionCount>{}));
+    EXPECT_EQ(back.solves[0].max_penetration, 0.0);
+    EXPECT_TRUE(back.attempts.empty());
+    EXPECT_EQ(back.rejected_pcg_solves, 1);
+
+    // The same document claiming v7 lacks the v7 fields.
+    stripped.set("version", obs::JsonValue::integer(7));
+    EXPECT_FALSE(obs::validate_line(stripped.dump()));
+
+    // v7: transitions must sum to state_changes, and a rejected attempt
+    // must fail at least one acceptance test.
+    obs::StepRecord bad = sample_record();
+    bad.solves[0].state_changes = 6;
+    EXPECT_FALSE(obs::validate_line(obs::to_json(bad).dump()));
+    bad = sample_record();
+    bad.attempts[0].open_close_ok = true;
+    bad.attempts[0].penetration_ok = true;
+    EXPECT_FALSE(obs::validate_line(obs::to_json(bad).dump()));
 }
 
 TEST(ObsValidate, RejectsMissingOrMistypedField) {
@@ -352,12 +411,14 @@ TEST(ObsEngine, AggregatorMatchesModuleTimersExactly) {
 }
 
 TEST(ObsEngine, RejectedAttemptsAreCounted) {
-    // The floored 40x10 lattice retries around its impact; slope:300's cold
-    // first step shrinks dt to dt_min and ends in the last-resort pass.
+    // The floored 40x10 lattice retries around its impact; slope:40's first
+    // step retries twice; slope:300's and the seed-2 slope:60's cold first
+    // steps shrink dt to dt_min and end in the last-resort pass.
     struct Scene {
         const char* name;
         block::BlockSystem (*make)();
         int steps;
+        int first_retries; ///< step 0's retries, -1 when not pinned
     };
     const Scene scenes[] = {
         {"floored 40x10 lattice",
@@ -367,8 +428,16 @@ TEST(ObsEngine, RejectedAttemptsAreCounted) {
              lp.rows = 10;
              return models::make_block_lattice(lp);
          },
-         150},
-        {"slope:300", [] { return models::make_slope_with_blocks(300); }, 1},
+         150, -1},
+        {"slope:300", [] { return models::make_slope_with_blocks(300); }, 1, -1},
+        {"slope:40", [] { return models::make_slope_with_blocks(40); }, 1, 2},
+        {"seed-2 slope:60",
+         [] {
+             models::SlopeParams p;
+             p.seed = 2;
+             return models::make_slope_with_blocks(60, p);
+         },
+         1, 7},
     };
     int rejected_solves = 0;
     int dt_min_hits = 0;
@@ -389,6 +458,37 @@ TEST(ObsEngine, RejectedAttemptsAreCounted) {
             EXPECT_EQ(r.rejected_open_close_iters, st.rejected_open_close_iters);
             EXPECT_EQ(r.hit_dt_min, st.hit_dt_min);
             EXPECT_TRUE(obs::validate_line(obs::to_json(r).dump()));
+            if (s == 0 && scene.first_retries >= 0) {
+                EXPECT_EQ(st.retries, scene.first_retries);
+            }
+            // One attempts entry per rejected attempt: one per retry, and
+            // one more when the step ended in the last-resort pass.
+            EXPECT_EQ(static_cast<int>(r.attempts.size()), st.retries + (st.converged ? 0 : 1));
+            for (std::size_t a = 0; a < r.attempts.size(); ++a) {
+                const obs::AttemptRecord& at = r.attempts[a];
+                EXPECT_FALSE(at.open_close_ok && at.pcg_ok && at.displacement_ok &&
+                             at.penetration_ok);
+                const double next_dt = a + 1 < r.attempts.size() ? r.attempts[a + 1].dt : r.dt;
+                EXPECT_GE(at.dt, next_dt) << "a retry never grows dt";
+            }
+            // One solves entry per pass, whose transitions sum to its state
+            // changes; the committed attempt (the accepted one's last
+            // open_close_iters passes, or the last-resort pass) sets the
+            // step's penetration.
+            ASSERT_EQ(static_cast<int>(r.solves.size()), st.pcg_solves);
+            int iterations = 0;
+            for (const obs::PcgSolveRecord& p : r.solves) {
+                int sum = 0;
+                for (int t : p.transitions) sum += t;
+                EXPECT_EQ(sum, p.state_changes);
+                iterations += p.iterations;
+            }
+            EXPECT_EQ(iterations, st.pcg_iterations);
+            const std::size_t committed = st.converged ? r.open_close_iters : 1;
+            double committed_pen = 0.0;
+            for (std::size_t k = r.solves.size() - committed; k < r.solves.size(); ++k)
+                committed_pen = std::max(committed_pen, r.solves[k].max_penetration);
+            EXPECT_EQ(committed_pen, r.max_penetration);
             // A step without retries threw nothing away; a retried step
             // threw away at least one solve per rejected attempt.
             if (st.retries == 0 && st.converged) {
@@ -411,7 +511,7 @@ TEST(ObsEngine, RejectedAttemptsAreCounted) {
         }
     }
     EXPECT_GT(rejected_solves, 0);
-    EXPECT_EQ(dt_min_hits, 1);
+    EXPECT_EQ(dt_min_hits, 2);
 }
 
 TEST(ObsEngine, SerialAndGpuRecordsAgreeOnPhysics) {

@@ -76,6 +76,17 @@ Scene make_scene() {
     return s;
 }
 
+/// One assembly pass over `contacts` at `epoch`: both phases, in the
+/// engine's order, each priced into its own sink when one is given.
+void assemble_pass(co::SolveWorkspace& ws, const Scene& s,
+                   const std::vector<ct::Contact>& contacts,
+                   const std::vector<ct::ContactGeometry>& geo, std::uint64_t epoch,
+                   gdda::simt::KernelCost* diagonal = nullptr,
+                   gdda::simt::KernelCost* nondiagonal = nullptr) {
+    ws.assemble_diagonal(s.sys, s.att, s.sp, epoch, diagonal);
+    ws.assemble_contacts(s.sys, contacts, geo, s.sp, nondiagonal);
+}
+
 co::SimConfig static_config() {
     co::SimConfig cfg;
     cfg.dt = 1e-3;
@@ -199,8 +210,7 @@ TEST(SolveWorkspace, WarmPassBitIdenticalToColdAndToReference) {
     ASSERT_FALSE(s.contacts.empty());
 
     co::SolveWorkspace ws;
-    double diag_s = 0.0;
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    assemble_pass(ws, s, s.contacts, s.geo, 1);
     ws.prepare_solve(co::PrecondKind::BlockJacobi, nullptr);
     EXPECT_FALSE(ws.warm());
     EXPECT_EQ(ws.stats().cold_structure_builds, 1u);
@@ -210,7 +220,7 @@ TEST(SolveWorkspace, WarmPassBitIdenticalToColdAndToReference) {
     const auto h_nd_cold = ws.matrix().nd_data_up;
 
     // Same contacts, same epoch: fully warm pass.
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    assemble_pass(ws, s, s.contacts, s.geo, 1);
     ws.prepare_solve(co::PrecondKind::BlockJacobi, nullptr);
     EXPECT_TRUE(ws.warm());
     EXPECT_EQ(ws.stats().cold_structure_builds, 1u);
@@ -225,7 +235,7 @@ TEST(SolveWorkspace, WarmPassBitIdenticalToColdAndToReference) {
 
     // New epoch (dt or block state changed): diagonal physics recomputes,
     // structure stays warm.
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 2, nullptr, &diag_s);
+    assemble_pass(ws, s, s.contacts, s.geo, 2);
     EXPECT_TRUE(ws.warm());
     EXPECT_EQ(ws.stats().diag_physics_reuses, 1u);
     EXPECT_EQ(dense_cold, sp::to_dense(ws.assembled().k));
@@ -256,13 +266,13 @@ TEST(SolveWorkspace, OffDiagonalSkipFollowsWhatWasPlaced) {
         for (std::size_t c = 0; c < s.contacts.size(); ++c)
             s.contacts[c].state = closed && c % 2 == 0 ? ct::ContactState::Lock
                                                        : ct::ContactState::Open;
-        double diag_s = 0.0;
-        ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, ++epoch, nullptr, &diag_s);
+        assemble_pass(ws, s, s.contacts, s.geo, ++epoch);
         ws.prepare_solve(co::PrecondKind::BlockJacobi, nullptr);
         const as::AssembledSystem ref = as::assemble_serial(s.sys, s.att, s.contacts, s.geo, s.sp);
         as::AssembledSystem fresh;
+        as::assemble_diagonal(fresh, s.sys, s.att, s.sp);
         EXPECT_EQ(as::AssemblyPlan(static_cast<int>(s.sys.size()), s.contacts)
-                      .assemble_into(fresh, s.sys, s.att, s.contacts, s.geo, s.sp),
+                      .assemble_contacts(fresh, s.sys, s.contacts, s.geo, s.sp),
                   closed);
         ASSERT_EQ(ws.assembled().k.vals.size(), ref.k.vals.size());
         for (std::size_t q = 0; q < ref.k.vals.size(); ++q)
@@ -284,13 +294,13 @@ TEST(SolveWorkspace, PricedPassesBitIdenticalColdAndWarm) {
     // A Gpu-mode caller passes cost sinks; the numbers must not notice.
     co::SolveWorkspace priced;
     co::SolveWorkspace plain;
-    as::AssemblyCosts costs;
-    double diag_s = 0.0;
-    priced.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, &costs, &diag_s);
-    plain.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    gdda::simt::KernelCost diagonal = gdda::simt::KernelCost::accumulator();
+    gdda::simt::KernelCost nondiagonal = gdda::simt::KernelCost::accumulator();
+    assemble_pass(priced, s, s.contacts, s.geo, 1, &diagonal, &nondiagonal);
+    assemble_pass(plain, s, s.contacts, s.geo, 1);
     const auto dense_cold = sp::to_dense(priced.assembled().k);
     EXPECT_EQ(dense_cold, sp::to_dense(plain.assembled().k));
-    priced.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, &costs, &diag_s);
+    assemble_pass(priced, s, s.contacts, s.geo, 1, &diagonal, &nondiagonal);
     EXPECT_TRUE(priced.warm());
     EXPECT_EQ(dense_cold, sp::to_dense(priced.assembled().k));
 
@@ -301,8 +311,8 @@ TEST(SolveWorkspace, PricedPassesBitIdenticalColdAndWarm) {
     // The workspace priced the cold pass as a full build (diag_build: 2
     // launches, nondiag_build: 30) and the warm one as a refill (diag_copy:
     // 1, nondiag_refill: 2).
-    EXPECT_EQ(costs.diagonal.launches, 2 + 1);
-    EXPECT_EQ(costs.nondiagonal.launches, 30 + 2);
+    EXPECT_EQ(diagonal.launches, 2 + 1);
+    EXPECT_EQ(nondiagonal.launches, 30 + 2);
 }
 
 TEST(SolveWorkspace, InvalidatesWhenContactsAppearOrDisappear) {
@@ -310,9 +320,8 @@ TEST(SolveWorkspace, InvalidatesWhenContactsAppearOrDisappear) {
     ASSERT_GE(s.contacts.size(), 2u);
 
     co::SolveWorkspace ws;
-    double diag_s = 0.0;
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    assemble_pass(ws, s, s.contacts, s.geo, 1);
+    assemble_pass(ws, s, s.contacts, s.geo, 1);
     EXPECT_TRUE(ws.warm());
 
     // A contact disappears: the next pass must rebuild cold and match a
@@ -321,39 +330,38 @@ TEST(SolveWorkspace, InvalidatesWhenContactsAppearOrDisappear) {
     auto fewer_geo = s.geo;
     fewer.pop_back();
     fewer_geo.pop_back();
-    ws.assemble(s.sys, s.att, fewer, fewer_geo, s.sp, 1, nullptr, &diag_s);
+    assemble_pass(ws, s, fewer, fewer_geo, 1);
     EXPECT_FALSE(ws.warm());
     EXPECT_EQ(ws.stats().cold_structure_builds, 2u);
     co::SolveWorkspace fresh;
-    fresh.assemble(s.sys, s.att, fewer, fewer_geo, s.sp, 1, nullptr, &diag_s);
+    assemble_pass(fresh, s, fewer, fewer_geo, 1);
     EXPECT_EQ(sp::to_dense(fresh.assembled().k), sp::to_dense(ws.assembled().k));
     expect_bitwise_eq(fresh.assembled().f, ws.assembled().f);
 
     // A contact appears: cold again.
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    assemble_pass(ws, s, s.contacts, s.geo, 1);
     EXPECT_FALSE(ws.warm());
     EXPECT_EQ(ws.stats().cold_structure_builds, 3u);
 
     // invalidate() forces the cold path even with an unchanged set.
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    assemble_pass(ws, s, s.contacts, s.geo, 1);
     EXPECT_TRUE(ws.warm());
     ws.invalidate();
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    assemble_pass(ws, s, s.contacts, s.geo, 1);
     EXPECT_FALSE(ws.warm());
 }
 
 TEST(SolveWorkspace, InvalidateForcesExactlyOneColdBuild) {
     Scene s = make_scene();
     co::SolveWorkspace ws;
-    double diag_s = 0.0;
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    assemble_pass(ws, s, s.contacts, s.geo, 1);
+    assemble_pass(ws, s, s.contacts, s.geo, 1);
     ASSERT_TRUE(ws.warm());
     const auto dense_warm = sp::to_dense(ws.assembled().k);
     const auto f_warm = ws.assembled().f;
 
     ws.invalidate();
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    assemble_pass(ws, s, s.contacts, s.geo, 1);
     EXPECT_FALSE(ws.warm());
     EXPECT_EQ(ws.stats().cold_structure_builds, 2u);
     EXPECT_EQ(ws.stats().diag_physics_reuses, 1u); // the dropped cache recomputed
@@ -361,7 +369,7 @@ TEST(SolveWorkspace, InvalidateForcesExactlyOneColdBuild) {
     expect_bitwise_eq(f_warm, ws.assembled().f);
 
     // The very next pass is warm again: one invalidate, one cold build.
-    ws.assemble(s.sys, s.att, s.contacts, s.geo, s.sp, 1, nullptr, &diag_s);
+    assemble_pass(ws, s, s.contacts, s.geo, 1);
     EXPECT_TRUE(ws.warm());
     EXPECT_EQ(ws.stats().cold_structure_builds, 2u);
     EXPECT_EQ(ws.stats().warm_numeric_refills, 2u);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -182,8 +183,10 @@ TEST(StepThreads, AssemblyBitwiseInvariantAcrossTeams) {
         // stay bit-identical too — the cached path is the common one.
         assembly::DiagPhysicsCache cache;
         assembly::AssembledSystem cold, warm;
-        plan.assemble_into(cold, sys, att, np.contacts, geo, sp, nullptr, &cache);
-        plan.assemble_into(warm, sys, att, np.contacts, geo, sp, nullptr, &cache);
+        for (assembly::AssembledSystem* out : {&cold, &warm}) {
+            assembly::assemble_diagonal(*out, sys, att, sp, &cache);
+            plan.assemble_contacts(*out, sys, np.contacts, geo, sp, &cache);
+        }
         EXPECT_TRUE(same_mat_bits(cold.k.diag, warm.k.diag)) << "warm diag, " << tag;
         EXPECT_TRUE(same_mat_bits(ref.k.diag, warm.k.diag)) << "warm-vs-ref diag, " << tag;
         EXPECT_TRUE(same_mat_bits(ref.k.vals, warm.k.vals)) << "warm-vs-ref vals, " << tag;
@@ -252,6 +255,7 @@ TEST(ContactPipelineThreads, StagesBitwiseInvariantAcrossTeams) {
         std::vector<std::uint64_t> detected, transferred, updated, committed;
         contact::ClassificationStats stats;
         int changes = 0;
+        std::array<std::array<int, 3>, 3> transitions{};
         std::uint64_t max_penetration = 0;
     };
     auto run = [&] {
@@ -282,6 +286,7 @@ TEST(ContactPipelineThreads, StagesBitwiseInvariantAcrossTeams) {
             contact::update_contact_states(sys, geo, contacts, d, motion, params);
         o.updated = contact_words(contacts);
         o.changes = oc.state_changes;
+        o.transitions = oc.transitions;
         o.max_penetration = std::bit_cast<std::uint64_t>(oc.max_penetration);
         contact::commit_contact_springs(geo, contacts, d);
         o.committed = contact_words(contacts);
@@ -295,6 +300,10 @@ TEST(ContactPipelineThreads, StagesBitwiseInvariantAcrossTeams) {
     }
     ASSERT_GT(base.detected.size() / 10, 2 * par::kReduceChunk);
     ASSERT_GT(base.changes, 0);
+    int transitions = 0;
+    for (int from = 0; from < 3; ++from)
+        for (int to = 0; to < 3; ++to) transitions += base.transitions[from][to];
+    EXPECT_EQ(transitions, base.changes);
     for (int team : kTeams) {
         par::ScopedTeamSize scope(team);
         const Outcome o = run();
@@ -308,6 +317,7 @@ TEST(ContactPipelineThreads, StagesBitwiseInvariantAcrossTeams) {
         EXPECT_EQ(base.transferred, o.transferred) << tag;
         EXPECT_EQ(base.updated, o.updated) << tag;
         EXPECT_EQ(base.changes, o.changes) << tag;
+        EXPECT_EQ(base.transitions, o.transitions) << tag;
         EXPECT_EQ(base.max_penetration, o.max_penetration) << tag;
         EXPECT_EQ(base.committed, o.committed) << tag;
     }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -269,6 +270,30 @@ TEST(Trace, GpuEngineKernelTotalsMatchCostLedgers) {
     eng.run(2);
     ASSERT_NE(eng.tracer(), nullptr);
 
+    // Every kernel runs inside the timed scope of its own module: its
+    // nearest Module ancestor span carries the kernel's module row, so the
+    // trace tree files each launch under the row its ledger charges.
+    const std::vector<trace::Event> ev = eng.tracer()->snapshot();
+    ASSERT_EQ(eng.tracer()->events_dropped(), 0u);
+    std::unordered_map<std::uint32_t, const trace::Event*> begins;
+    for (const trace::Event& e : ev)
+        if (e.phase == trace::Phase::Begin) begins[e.id] = &e;
+    int kernels = 0;
+    for (const trace::Event& e : ev) {
+        if (e.cat != trace::Category::Kernel) continue;
+        ++kernels;
+        int enclosing = -1;
+        for (auto it = begins.find(e.parent); it != begins.end();
+             it = begins.find(it->second->parent)) {
+            if (it->second->cat == trace::Category::Module) {
+                enclosing = it->second->module;
+                break;
+            }
+        }
+        EXPECT_EQ(enclosing, e.module) << "kernel " << e.name;
+    }
+    EXPECT_GT(kernels, 0);
+
     const trace::Profile prof = trace::Profile::from_tracer(*eng.tracer());
     for (int m = 0; m < core::kModuleCount; ++m) {
         const simt::KernelCost ledger =
@@ -285,6 +310,37 @@ TEST(Trace, GpuEngineKernelTotalsMatchCostLedgers) {
     }
     EXPECT_GT(prof.total_modeled_us(), 0.0);
     EXPECT_GT(prof.step_wall_us(), 0.0);
+
+    // One clock, one timing path: in either mode each module's timer holds
+    // exactly the sum of its Module span durations, accumulated in the
+    // order the scopes closed.
+    for (core::EngineMode mode : {core::EngineMode::Serial, core::EngineMode::Gpu}) {
+        block::BlockSystem s = models::make_slope_with_blocks(40);
+        core::DdaEngine e(s, traced_sim_cfg(), mode);
+        e.run(2);
+        ASSERT_EQ(e.tracer()->events_dropped(), 0u);
+        core::ModuleTimers from_spans;
+        std::unordered_map<std::uint32_t, const trace::Event*> open;
+        const std::vector<trace::Event> events = e.tracer()->snapshot();
+        for (const trace::Event& x : events) {
+            if (x.phase == trace::Phase::Begin && x.cat == trace::Category::Module) {
+                open[x.id] = &x;
+            } else if (x.phase == trace::Phase::End) {
+                const auto it = open.find(x.id);
+                if (it == open.end()) continue;
+                from_spans.add(static_cast<core::Module>(it->second->module),
+                               (x.t_us - it->second->t_us) * 1e-6);
+                open.erase(it);
+            }
+        }
+        EXPECT_TRUE(open.empty());
+        for (int m = 0; m < core::kModuleCount; ++m) {
+            const core::Module mod = static_cast<core::Module>(m);
+            EXPECT_GT(e.timers().seconds(mod), 0.0) << "module " << m;
+            EXPECT_EQ(e.timers().seconds(mod), from_spans.seconds(mod))
+                << "module " << m << (mode == core::EngineMode::Gpu ? " gpu" : " serial");
+        }
+    }
 }
 
 TEST(Trace, SerialAndGpuAgreeOnLoopSpanCounts) {
